@@ -63,7 +63,6 @@ from .reduction import (
     apply,
     load_ruleset,
     preset,
-    reduced_count,
     save_ruleset,
 )
 from .search import (

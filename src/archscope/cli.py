@@ -7,13 +7,13 @@ stdout carries data and output paths, stderr carries diagnostics. Exit codes:
 0 success, 2 usage or domain errors, 1 internal errors.
 
 --workers and --out fall back to the ARCHSCOPE_WORKERS / ARCHSCOPE_OUT
-environment variables when the flags are absent.
+environment variables when the flags are absent. Bad input is rejected with
+exit code 2 before any sampling starts.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import statistics
 import sys
@@ -33,6 +33,7 @@ from .exports import (
     write_sweep_csv,
     write_sweep_dat,
 )
+from .formats import write_json
 from .manifest import RunManifest
 from .profiler import (
     DEFAULT_BASELINE_SAMPLES,
@@ -71,6 +72,17 @@ def _parse_floats(text: str, flag: str) -> tuple[float, ...]:
     if not values:
         raise ConfigError(f"{flag}: empty list")
     return values
+
+
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1."""
+    try:
+        value = int(text)
+        if value >= 1:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
 
 
 def _out_dir(args) -> Path:
@@ -149,6 +161,9 @@ def cmd_profile_placements(args) -> int:
     space = load_space(args.space)
     evaluator = resolve_evaluator(args.metric, space)
     taus = _parse_floats(args.percentiles, "--percentiles")
+    for tau in taus:
+        if not 0.0 <= tau <= 100.0:
+            raise ConfigError(f"--percentiles: rank must be in [0, 100], got {tau:g}")
     out = _out_dir(args)
     manifest = _manifest(args, space)
     manifest.evaluators.append(_evaluator_entry(evaluator))
@@ -312,7 +327,7 @@ def cmd_search_max(args) -> int:
         history_path = out / f"{stem}-history.json"
         record = serialize(best.arch)
         record["metrics"] = {objectives[0].name: best.metrics[0]}
-        best_path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+        write_json(record, best_path)
         write_search_history(result, history_path)
         manifest.add_output(best_path, out)
         manifest.add_output(history_path, out)
@@ -368,8 +383,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="master random seed (default 0)")
     parser.add_argument(
         "--workers",
-        type=int,
-        default=int(os.environ.get("ARCHSCOPE_WORKERS", "1")),
+        type=_positive_int,
+        # a string default goes through type, so a bad variable is a usage error
+        default=os.environ.get("ARCHSCOPE_WORKERS", "1"),
         help="parallel placement workers (env ARCHSCOPE_WORKERS)",
     )
     parser.add_argument(
@@ -386,7 +402,8 @@ def _add_search_common(parser: argparse.ArgumentParser, defaults: dict) -> None:
     parser.add_argument("--generations", type=int, default=defaults["generations"])
     parser.add_argument("--population", type=int, default=defaults["population"])
     parser.add_argument("--children", type=int, default=defaults["children"])
-    parser.add_argument("--repeats", type=int, default=1, help="seeds run: seed..seed+R-1")
+    parser.add_argument("--repeats", type=_positive_int, default=1,
+                        help="seeds run: seed..seed+R-1")
     parser.add_argument(
         "--unit-weights",
         help="comma floats biasing mutation unit choice, or 'uniform' to ignore preset advice",

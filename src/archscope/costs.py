@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -223,12 +224,16 @@ class MetricEvaluator:
             raise ValidationError(f"direction must be minimize or maximize, got {self.direction!r}")
 
     def evaluate(self, arch: Architecture) -> float:
+        """The metric value; failures and non-finite values raise EvaluationError."""
         try:
-            return float(self.fn(arch))
+            value = float(self.fn(arch))
+            if not math.isfinite(value):
+                raise ArithmeticError(f"non-finite value {value!r}")
         except ArithmeticError as exc:
             raise EvaluationError(
                 f"evaluator {self.name!r} failed: {exc}", record=arch_key(arch)
             ) from exc
+        return value
 
 
 def params_digest(params: dict) -> str:

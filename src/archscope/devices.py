@@ -21,13 +21,12 @@ are stated as such everywhere they surface.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Mapping
 
 from .costs import MINIMIZE, MetricEvaluator, params_digest, unit_spatial_sizes
 from .errors import ConfigError, ValidationError
+from .formats import resolve_config, write_json
 from .spaces import (
     MBCONV_V2,
     MBCONV_V3,
@@ -291,28 +290,11 @@ def profile_from_config(config: dict) -> DeviceProfile:
 
 def load_profile(source) -> DeviceProfile:
     """Resolve a profile from a preset name, a mapping, or a JSON file path."""
-    if isinstance(source, DeviceProfile):
-        return source
-    if isinstance(source, dict):
-        return profile_from_config(source)
-    if isinstance(source, (str, Path)):
-        key = str(source)
-        if key in _PROFILE_PRESETS:
-            return _PROFILE_PRESETS[key]()
-        path = Path(source)
-        if path.exists():
-            try:
-                return profile_from_config(json.loads(path.read_text()))
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
-        raise ConfigError(
-            f"unknown profile {key!r}: not a preset ({', '.join(_PROFILE_PRESETS)}) and no such file"
-        )
-    raise ConfigError(f"cannot load a device profile from {type(source).__name__}")
+    return resolve_config(source, DeviceProfile, _PROFILE_PRESETS, profile_from_config, "profile")
 
 
 def save_profile(profile: DeviceProfile, path) -> None:
-    Path(path).write_text(json.dumps(profile.config(), indent=2, sort_keys=True) + "\n")
+    write_json(profile.config(), path)
 
 
 def latency_evaluator(space: DesignSpace, profile) -> MetricEvaluator:

@@ -7,17 +7,19 @@ file starts with '#'-prefixed key=value header lines carrying its metadata.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 from pathlib import Path
 
 from .errors import ConfigError
-from .profiler import HeatmapReport, SweepReport, heatmap_axes
+from .formats import read_csv, write_csv, write_json
+from .profiler import HeatmapReport, SweepReport, block_axes
 from .search import EvaluatedArch, FrontierComparison, ParetoFront, SearchResult
 from .spaces import Architecture, DesignSpace, serialize
 
 EXPORT_VERSION = 1
+
+# frontier CSV columns ahead of one column per objective
+_FRONTIER_COLUMNS = ["eval_id", "generation", "parent_id", "mutation",
+                     "space", "resolution", "depths", "blocks", "channel_ratios"]
 
 
 def _fmt(value) -> str:
@@ -32,91 +34,83 @@ def _tau_label(tau: float) -> str:
 
 
 def write_heatmap_csv(report: HeatmapReport, space: DesignSpace, path) -> None:
-    buf = io.StringIO()
-    buf.write(f"# format_version={EXPORT_VERSION}\n")
-    buf.write(f"# space={report.space}\n")
-    buf.write(f"# metric={report.metric}\n")
-    buf.write(f"# direction={report.direction}\n")
-    buf.write(f"# axes={report.axis_names[0]},{report.axis_names[1]}\n")
-    buf.write(f"# n_per_placement={report.n_per_placement}\n")
-    buf.write(f"# seed={report.seed}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["block_code", report.axis_names[0], report.axis_names[1],
-                     "resolution", "mean", "stderr", "n"])
+    header = {
+        "format_version": EXPORT_VERSION,
+        "space": report.space,
+        "metric": report.metric,
+        "direction": report.direction,
+        "axes": ",".join(report.axis_names),
+        "n_per_placement": report.n_per_placement,
+        "seed": report.seed,
+    }
+    rows = [["block_code", *report.axis_names, "resolution", "mean", "stderr", "n"]]
     for row in report.rows:
-        axis1, axis2 = heatmap_axes(space, row.block_code)
-        writer.writerow([
+        rows.append([
             row.block_code,
-            _fmt(axis1),
-            _fmt(axis2),
+            *[_fmt(v) for v in block_axes(space, row.block_code).values()],
             "all" if row.resolution is None else row.resolution,
             _fmt(row.mean),
             _fmt(row.stderr),
             row.n_per_placement * row.n_placements,
         ])
-    Path(path).write_text(buf.getvalue())
+    write_csv(path, header, rows)
+
+
+def _sweep_stats(report: SweepReport, raw: bool):
+    """Statistic column names, and per-row cells: conditioned when raw,
+    else differences against the baseline."""
+    suffix = "" if raw else "_rel"
+    names = [f"mean{suffix}"] + [f"{_tau_label(t)}{suffix}" for t in report.taus]
+    cells = []
+    for r in report.rows:
+        stats = [r.cond_mean, *r.cond_tau] if raw else [r.rel_mean, *r.rel_tau]
+        cells.append([_fmt(v) for v in stats])
+    return names, cells
 
 
 def write_sweep_csv(report: SweepReport, path, raw: bool = False) -> None:
     """One row per placement. Default columns are differences against the
     shared baseline; raw=True exports the conditioned statistics instead."""
-    buf = io.StringIO()
-    buf.write(f"# format_version={EXPORT_VERSION}\n")
-    buf.write(f"# space={report.space}\n")
-    buf.write(f"# metric={report.metric}\n")
-    buf.write(f"# direction={report.direction}\n")
-    buf.write(f"# statistics={'raw' if raw else 'relative'}\n")
-    buf.write(f"# n_per_placement={report.n_per_placement}\n")
-    buf.write(f"# baseline_n={report.baseline_n}\n")
-    buf.write(f"# seed={report.seed}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    suffix = "" if raw else "_rel"
-    header = ["unit", "layer", "block_code", f"mean{suffix}"]
-    header += [f"{_tau_label(t)}{suffix}" for t in report.taus]
-    header += ["baseline_mean"] + [f"baseline_{_tau_label(t)}" for t in report.taus]
-    writer.writerow(header)
-    for row in report.rows:
-        if raw:
-            stats = [row.cond_mean, *row.cond_tau]
-        else:
-            stats = [row.rel_mean, *row.rel_tau]
-        writer.writerow([
-            row.placement.unit,
-            row.placement.layer,
-            row.placement.block_code,
-            *[_fmt(v) for v in stats],
-            _fmt(report.baseline_mean),
-            *[_fmt(v) for v in report.baseline_tau],
-        ])
-    Path(path).write_text(buf.getvalue())
+    header = {
+        "format_version": EXPORT_VERSION,
+        "space": report.space,
+        "metric": report.metric,
+        "direction": report.direction,
+        "statistics": "raw" if raw else "relative",
+        "n_per_placement": report.n_per_placement,
+        "baseline_n": report.baseline_n,
+        "seed": report.seed,
+    }
+    names, cells = _sweep_stats(report, raw)
+    rows = [["unit", "layer", "block_code", *names, "baseline_mean",
+             *[f"baseline_{_tau_label(t)}" for t in report.taus]]]
+    baseline = [_fmt(report.baseline_mean), *[_fmt(v) for v in report.baseline_tau]]
+    for row, stats in zip(report.rows, cells):
+        p = row.placement
+        rows.append([p.unit, p.layer, p.block_code, *stats, *baseline])
+    write_csv(path, header, rows)
 
 
 def write_sweep_boundaries(report: SweepReport, path) -> None:
     """Sidecar of row indices where units and (unit, layer) groups begin."""
-    doc = {
+    write_json({
         "format_version": EXPORT_VERSION,
         "space": report.space,
         "metric": report.metric,
         "rows": len(report.rows),
         "unit_boundaries": report.unit_boundaries(),
         "layer_boundaries": report.layer_boundaries(),
-    }
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    }, path)
 
 
 def write_sweep_dat(report: SweepReport, path, raw: bool = False) -> None:
     """Space-delimited variant for plotting tools; same rows as the CSV."""
-    lines = [f"# space={report.space} metric={report.metric}"]
-    suffix = "" if raw else "_rel"
-    cols = ["index", "unit", "layer", "block_code", f"mean{suffix}"]
-    cols += [f"{_tau_label(t)}{suffix}" for t in report.taus]
-    lines.append("# columns: " + " ".join(cols))
-    for i, row in enumerate(report.rows):
-        stats = [row.cond_mean, *row.cond_tau] if raw else [row.rel_mean, *row.rel_tau]
-        lines.append(
-            " ".join([str(i), str(row.placement.unit), str(row.placement.layer),
-                      row.placement.block_code, *[_fmt(v) for v in stats]])
-        )
+    names, cells = _sweep_stats(report, raw)
+    lines = [f"# space={report.space} metric={report.metric}",
+             "# columns: " + " ".join(["index", "unit", "layer", "block_code", *names])]
+    for i, (row, stats) in enumerate(zip(report.rows, cells)):
+        p = row.placement
+        lines.append(" ".join([str(i), str(p.unit), str(p.layer), p.block_code, *stats]))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -134,50 +128,37 @@ def _arch_columns(arch: Architecture) -> list[str]:
 
 
 def write_frontier_csv(front: ParetoFront, path) -> None:
-    buf = io.StringIO()
-    buf.write(f"# format_version={EXPORT_VERSION}\n")
-    for i, (name, direction) in enumerate(front.objectives, start=1):
-        buf.write(f"# objective.{i}={name}:{direction}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    metric_cols = [name for name, _ in front.objectives]
-    writer.writerow(
-        ["eval_id", "generation", "parent_id", "mutation",
-         "space", "resolution", "depths", "blocks", "channel_ratios", *metric_cols]
-    )
-    for p in front.points:
-        writer.writerow(
-            [p.eval_id, p.generation, p.parent_id, p.mutation,
-             *_arch_columns(p.arch), *[_fmt(m) for m in p.metrics]]
-        )
-    Path(path).write_text(buf.getvalue())
+    header = {
+        "format_version": EXPORT_VERSION,
+        **{f"objective.{i}": f"{name}:{direction}"
+           for i, (name, direction) in enumerate(front.objectives, start=1)},
+    }
+    rows = [_FRONTIER_COLUMNS + [name for name, _ in front.objectives]]
+    rows += [
+        [p.eval_id, p.generation, p.parent_id, p.mutation,
+         *_arch_columns(p.arch), *[_fmt(m) for m in p.metrics]]
+        for p in front.points
+    ]
+    write_csv(path, header, rows)
 
 
 def read_frontier_csv(path) -> ParetoFront:
     """Rebuild a frontier (records + metrics) from its CSV export."""
-    text = Path(path).read_text()
+    header, reader = read_csv(path)
     objectives = []
-    body = []
-    for line in text.splitlines():
-        if line.startswith("#"):
-            item = line.lstrip("#").strip()
-            if item.startswith("objective."):
-                _, _, value = item.partition("=")
-                name, _, direction = value.partition(":")
-                objectives.append((name, direction))
-        elif line.strip():
-            body.append(line)
+    for key, value in header.items():
+        if key.startswith("objective."):
+            name, _, direction = value.partition(":")
+            objectives.append((name, direction))
     if not objectives:
         raise ConfigError(f"{path}: no objective header lines; not a frontier export")
-    reader = csv.reader(body)
-    header = next(reader, None)
-    expected = ["eval_id", "generation", "parent_id", "mutation",
-                "space", "resolution", "depths", "blocks", "channel_ratios"]
-    if header is None or header[: len(expected)] != expected:
-        raise ConfigError(f"{path}: unexpected frontier columns {header!r}")
+    columns = next(reader, None)
+    n_fixed = len(_FRONTIER_COLUMNS)
+    if columns is None or columns[:n_fixed] != _FRONTIER_COLUMNS:
+        raise ConfigError(f"{path}: unexpected frontier columns {columns!r}")
     points = []
-    n_obj = len(objectives)
     for row in reader:
-        if len(row) != len(expected) + n_obj:
+        if len(row) != n_fixed + len(objectives):
             raise ConfigError(f"{path}: malformed frontier row {row!r}")
         depths = tuple(int(d) for d in row[6].split("|"))
         blocks = tuple(tuple(part.split("+")) for part in row[7].split("|"))
@@ -192,7 +173,7 @@ def read_frontier_csv(path) -> ParetoFront:
         points.append(
             EvaluatedArch(
                 arch=arch,
-                metrics=tuple(float(v) for v in row[len(expected):]),
+                metrics=tuple(float(v) for v in row[n_fixed:]),
                 eval_id=int(row[0]),
                 generation=int(row[1]),
                 parent_id=int(row[2]),
@@ -214,12 +195,11 @@ def frontier_records(front: ParetoFront) -> list[dict]:
 
 
 def write_frontier_json(front: ParetoFront, path) -> None:
-    doc = {
+    write_json({
         "format_version": EXPORT_VERSION,
         "objectives": [f"{name}:{direction}" for name, direction in front.objectives],
         "architectures": frontier_records(front),
-    }
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    }, path)
 
 
 def search_history_doc(result: SearchResult) -> dict:
@@ -241,19 +221,19 @@ def search_history_doc(result: SearchResult) -> dict:
 
 
 def write_search_history(result: SearchResult, path) -> None:
-    Path(path).write_text(json.dumps(search_history_doc(result), indent=2, sort_keys=True) + "\n")
+    write_json(search_history_doc(result), path)
 
 
 def write_comparison_csv(cmp: FrontierComparison, path) -> None:
-    buf = io.StringIO()
-    buf.write(f"# format_version={EXPORT_VERSION}\n")
-    buf.write(f"# budget_axis={cmp.budget_axis}\n")
-    buf.write(f"# quality_axis={cmp.quality_axis}\n")
-    buf.write(f"# frac_a={cmp.frac_a!r}\n")
-    buf.write(f"# frac_b={cmp.frac_b!r}\n")
-    buf.write(f"# frac_tie={cmp.frac_tie!r}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([cmp.budget_axis, "best_a", "best_b", "winner"])
+    header = {
+        "format_version": EXPORT_VERSION,
+        "budget_axis": cmp.budget_axis,
+        "quality_axis": cmp.quality_axis,
+        "frac_a": repr(cmp.frac_a),
+        "frac_b": repr(cmp.frac_b),
+        "frac_tie": repr(cmp.frac_tie),
+    }
+    rows = [[cmp.budget_axis, "best_a", "best_b", "winner"]]
     for t, a, b, w in zip(cmp.grid, cmp.best_a, cmp.best_b, cmp.winner):
-        writer.writerow([_fmt(t), "" if a is None else _fmt(a), "" if b is None else _fmt(b), w])
-    Path(path).write_text(buf.getvalue())
+        rows.append([_fmt(t), "" if a is None else _fmt(a), "" if b is None else _fmt(b), w])
+    write_csv(path, header, rows)

@@ -1,0 +1,64 @@
+"""The one home of the conventions every document shares (docs/FORMATS.md):
+indented sorted-key JSON, CSV under '# key=value' headers, and resolving a config
+from an instance, a mapping, a preset name, or a JSON file path."""
+
+from __future__ import annotations
+
+import csv
+import io
+import json
+from pathlib import Path
+
+from .errors import ConfigError
+
+
+def write_json(doc, path) -> None:
+    """Write doc as indented, key-sorted JSON ending in a newline."""
+    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
+def write_csv(path, header: dict, rows) -> None:
+    """One '# key=value' line per header field, in order, then rows as CSV with LF newlines."""
+    buf = io.StringIO()
+    buf.write("".join(f"# {key}={value}\n" for key, value in header.items()))
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    Path(path).write_text(buf.getvalue())
+
+
+def read_csv(path):
+    """Inverse of write_csv: the '# key=value' fields, and a CSV reader over the
+    non-blank lines after them. '#' lines without '=' are skipped; a repeated
+    key keeps its last value."""
+    header: dict[str, str] = {}
+    body = []
+    for line in Path(path).read_text().splitlines():
+        if line.startswith("#"):
+            key, sep, value = line.lstrip("#").strip().partition("=")
+            if sep:
+                header[key.strip()] = value.strip()
+        elif line.strip():
+            body.append(line)
+    return header, csv.reader(body)
+
+
+def resolve_config(source, cls: type, presets: dict, parse, noun: str):
+    """An instance of cls from itself, a mapping (via parse), a preset name, or a JSON path."""
+    if isinstance(source, cls):
+        return source
+    if isinstance(source, dict):
+        return parse(source)
+    if isinstance(source, (str, Path)):
+        key = str(source)
+        if key in presets:
+            return presets[key]()
+        path = Path(source)
+        if path.exists():
+            try:
+                config = json.loads(path.read_text())
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
+            return parse(config)
+        raise ConfigError(
+            f"unknown {noun} {key!r}: not a preset ({', '.join(presets)}) and no such file"
+        )
+    raise ConfigError(f"cannot load a {noun} from {type(source).__name__}")

@@ -8,12 +8,12 @@ outputs stay clean.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__ as _pkg_version
+from .formats import write_json
 
 MANIFEST_VERSION = 1
 
@@ -46,7 +46,7 @@ class RunManifest:
 
     def write(self, path) -> None:
         self.finished_at = datetime.now(timezone.utc).isoformat()
-        doc = {
+        write_json({
             "format_version": MANIFEST_VERSION,
             "tool": "archscope",
             "version": _pkg_version,
@@ -58,5 +58,4 @@ class RunManifest:
             "extra": self.extra,
             "started_at": self.started_at,
             "finished_at": self.finished_at,
-        }
-        Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        }, path)

@@ -1,11 +1,13 @@
 """Monte Carlo block and placement profiling.
 
-Block impact: for a block b, every placement (u, l) that can host it gets its
-own conditioned sample of the metric; the block's score is the unweighted mean
-of the per-placement means, i.e. placements are the averaging unit, so the
-denominator is the total placement count, not the layer count of any single
-architecture. Standard error aggregates per-placement errors in quadrature
-divided by the placement count.
+Both reports are views of one conditioned pass: every (unit, layer, block)
+placement gets its own conditioned sample of the metric.
+
+Block impact: a block's score is the unweighted mean of the per-placement
+means over every placement (u, l) that can host it, i.e. placements are the
+averaging unit, so the denominator is the total placement count, not the
+layer count of any single architecture. Standard error aggregates
+per-placement errors in quadrature divided by the placement count.
 
 Placement impact: the conditioned statistic minus the same statistic of an
 unconditioned baseline sample. Within one report the baseline is drawn once
@@ -154,28 +156,32 @@ class BlockStats:
     resolution: int | None = None
 
 
-def _block_placements(space: DesignSpace, code: str):
-    hosts = []
-    excluded = []
-    for unit in space.units:
-        if any(b.code == code for b in unit.blocks):
-            hosts.extend(
-                Placement(unit.index, layer, code) for layer in range(1, unit.depth_max + 1)
-            )
-        else:
-            excluded.append(unit.index)
-    return hosts, tuple(excluded)
-
-
-def _run_placements(space, evaluator, placements, n, seed, resolution, workers):
-    """Per-placement sample sets, order-stable regardless of scheduling."""
+def _conditioned_pass(space, evaluator, placements, n, seed, resolution, workers):
+    """One conditioned sample set per placement, in the given order regardless
+    of scheduling; each placement keeps its own stream."""
     def job(p):
         return draw_samples(space, evaluator, n, seed, placement=p, resolution=resolution)
 
-    if workers <= 1 or len(placements) <= 1:
+    if workers <= 1:
         return [job(p) for p in placements]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(job, placements))
+
+
+def _block_stats(space: DesignSpace, code: str, sets: list[SampleSet]) -> BlockStats:
+    """Aggregate a block's host-placement sets, given in (unit, layer) order."""
+    means = np.array([s.mean() for s in sets])
+    errs = np.array([s.stderr() for s in sets])
+    hosts = {s.condition.unit for s in sets}
+    return BlockStats(
+        block_code=code,
+        mean=float(np.mean(means)),
+        stderr=float(np.sqrt(np.sum(errs**2)) / len(sets)),
+        n_per_placement=sets[0].n,
+        n_placements=len(sets),
+        excluded_units=tuple(u.index for u in space.units if u.index not in hosts),
+        resolution=sets[0].resolution,
+    )
 
 
 def estimate_block_mean(
@@ -188,31 +194,22 @@ def estimate_block_mean(
     workers: int = 1,
 ) -> BlockStats:
     """Average conditioned metric over every placement hosting the block."""
-    hosts, excluded = _block_placements(space, block_code)
+    hosts = [p for p in iter_placements(space) if p.block_code == block_code]
     if not hosts:
         raise ValidationError(f"block {block_code!r} is not a candidate anywhere in {space.name!r}")
-    sets = _run_placements(space, evaluator, hosts, n_per_placement, seed, resolution, workers)
-    means = np.array([s.mean() for s in sets])
-    errs = np.array([s.stderr() for s in sets])
-    return BlockStats(
-        block_code=block_code,
-        mean=float(np.mean(means)),
-        stderr=float(np.sqrt(np.sum(errs**2)) / len(sets)),
-        n_per_placement=n_per_placement,
-        n_placements=len(sets),
-        excluded_units=excluded,
-        resolution=resolution,
-    )
+    sets = _conditioned_pass(space, evaluator, hosts, n_per_placement, seed, resolution, workers)
+    return _block_stats(space, block_code, sets)
 
 
-def _block_axes(space: DesignSpace, code: str):
-    """Heatmap axes: (expansion, kernel) for MBConv, (ratio, expansion) for bottleneck."""
+def block_axes(space: DesignSpace, code: str) -> dict:
+    """Heatmap axes of a block by name: (expansion, kernel) for MBConv,
+    (channel_ratio, expansion) for bottleneck."""
     for unit in space.units:
         for b in unit.blocks:
             if b.code == code:
                 if b.family == RESNET_BOTTLENECK:
-                    return b.channel_ratio, b.expansion
-                return b.expansion, b.kernel
+                    return {"channel_ratio": b.channel_ratio, "expansion": b.expansion}
+                return {"expansion": b.expansion, "kernel": b.kernel}
     raise ValidationError(f"block {code!r} not in space {space.name!r}")
 
 
@@ -236,35 +233,31 @@ def block_heatmap(
     workers: int = 1,
 ) -> HeatmapReport:
     """Block-impact grid; one sub-grid per resolution for resolution-sensitive
-    metrics (or on request), otherwise a single grid over the mixed sampler."""
+    metrics (or on request), otherwise a single grid over the mixed sampler.
+
+    Each resolution runs one conditioned pass over all placements; a block's
+    row averages the sets of the placements that host it."""
     if per_resolution is None:
         per_resolution = evaluator.resolution_sensitive and len(space.resolutions) > 1
-    if space.family == RESNET_BOTTLENECK:
-        axis_names = ("channel_ratio", "expansion")
-    else:
-        axis_names = ("expansion", "kernel")
+    codes = block_codes(space)
     report = HeatmapReport(
         space=space.name,
         metric=evaluator.name,
         direction=evaluator.direction,
-        axis_names=axis_names,
+        axis_names=tuple(block_axes(space, codes[0])),
         n_per_placement=n_per_placement,
         seed=seed,
     )
     resolutions = space.resolutions if per_resolution else (None,)
     for resolution in resolutions:
-        for code in block_codes(space):
-            report.rows.append(
-                estimate_block_mean(
-                    space, code, evaluator, n_per_placement, seed,
-                    resolution=resolution, workers=workers,
-                )
-            )
+        sets = _conditioned_pass(
+            space, evaluator, iter_placements(space), n_per_placement, seed, resolution, workers
+        )
+        hosted: dict[str, list[SampleSet]] = {code: [] for code in codes}
+        for s in sets:
+            hosted[s.condition.block_code].append(s)
+        report.rows.extend(_block_stats(space, code, hosted[code]) for code in codes)
     return report
-
-
-def heatmap_axes(space: DesignSpace, code: str):
-    return _block_axes(space, code)
 
 
 # ---------------------------------------------------------------------------
@@ -346,24 +339,17 @@ class SweepReport:
     baseline_tau: tuple[float, ...]
     rows: list[PlacementStats] = field(default_factory=list)
 
+    def _boundaries(self, group) -> list[int]:
+        keys = [group(row.placement) for row in self.rows]
+        return [i for i, key in enumerate(keys) if i == 0 or key != keys[i - 1]]
+
     def unit_boundaries(self) -> list[int]:
         """Row indices where a new unit starts."""
-        out, last = [], None
-        for i, row in enumerate(self.rows):
-            if row.placement.unit != last:
-                out.append(i)
-                last = row.placement.unit
-        return out
+        return self._boundaries(lambda p: p.unit)
 
     def layer_boundaries(self) -> list[int]:
         """Row indices where a new (unit, layer) group starts."""
-        out, last = [], None
-        for i, row in enumerate(self.rows):
-            key = (row.placement.unit, row.placement.layer)
-            if key != last:
-                out.append(i)
-                last = key
-        return out
+        return self._boundaries(lambda p: (p.unit, p.layer))
 
 
 def placement_sweep(
@@ -380,8 +366,9 @@ def placement_sweep(
     taus = tuple(float(t) for t in taus)
     baseline_n = n_per_placement if baseline_n is None else baseline_n
     baseline = draw_samples(space, evaluator, baseline_n, seed)
-    placements = list(iter_placements(space))
-    sets = _run_placements(space, evaluator, placements, n_per_placement, seed, None, workers)
+    sets = _conditioned_pass(
+        space, evaluator, iter_placements(space), n_per_placement, seed, None, workers
+    )
     report = SweepReport(
         space=space.name,
         metric=evaluator.name,

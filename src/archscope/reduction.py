@@ -15,17 +15,11 @@ experiments; each declares its base space and may carry an advisory section
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
 from .errors import ConfigError, ValidationError
-from .spaces import (
-    DesignSpace,
-    UnitSpec,
-    consistent_blocks,
-    count_architectures,
-)
+from .formats import resolve_config, write_json
+from .spaces import DesignSpace, UnitSpec, consistent_blocks
 
 RULESET_VERSION = 1
 
@@ -73,12 +67,13 @@ def _apply_to_unit(unit: UnitSpec, rule: ReductionRule) -> UnitSpec:
             raise ValidationError(
                 f"remove_block would empty the candidate list of unit {unit.index}"
             )
+        unit = replace(unit, blocks=keep)
         for ratio in unit.channel_ratios:
-            if not any(b.channel_ratio is None or b.channel_ratio == ratio for b in keep):
+            if not consistent_blocks(unit, ratio):
                 raise ValidationError(
                     f"remove_block leaves no candidate for channel ratio {ratio} in unit {unit.index}"
                 )
-        return replace(unit, blocks=keep)
+        return unit
     if rule.kind == CAP_DEPTH:
         cap = int(rule.depth)
         if cap < unit.depth_min:
@@ -136,10 +131,6 @@ def apply(space: DesignSpace, ruleset: RuleSet) -> DesignSpace:
             units[idx - 1] = _apply_to_unit(units[idx - 1], rule)
     name = space.name if space.name.endswith(ruleset.name) else f"{space.name}:{ruleset.name}"
     return replace(space, name=name, units=tuple(units), resolutions=resolutions)
-
-
-def reduced_count(space: DesignSpace, ruleset: RuleSet, include_resolutions: bool = False) -> int:
-    return count_architectures(apply(space, ruleset), include_resolutions=include_resolutions)
 
 
 # ---------------------------------------------------------------------------
@@ -225,29 +216,11 @@ def ruleset_from_config(config: dict) -> RuleSet:
 
 def load_ruleset(source) -> RuleSet:
     """Resolve a rule set from a preset name, a mapping, or a JSON file path."""
-    if isinstance(source, RuleSet):
-        return source
-    if isinstance(source, dict):
-        return ruleset_from_config(source)
-    if isinstance(source, (str, Path)):
-        key = str(source)
-        if key in _RULESET_PRESETS:
-            return _RULESET_PRESETS[key]()
-        path = Path(source)
-        if path.exists():
-            try:
-                return ruleset_from_config(json.loads(path.read_text()))
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
-        raise ConfigError(
-            f"unknown rule set {key!r}: not a preset ({', '.join(_RULESET_PRESETS)}) "
-            "and no such file"
-        )
-    raise ConfigError(f"cannot load a rule set from {type(source).__name__}")
+    return resolve_config(source, RuleSet, _RULESET_PRESETS, ruleset_from_config, "rule set")
 
 
 def save_ruleset(ruleset: RuleSet, path) -> None:
-    Path(path).write_text(json.dumps(ruleset_to_config(ruleset), indent=2, sort_keys=True) + "\n")
+    write_json(ruleset_to_config(ruleset), path)
 
 
 # ---------------------------------------------------------------------------

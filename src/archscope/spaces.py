@@ -16,9 +16,9 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from .errors import ConfigError, ValidationError
+from .formats import resolve_config, write_json
 
 MBCONV_V3 = "mbconv_v3"
 MBCONV_V2 = "mbconv_v2"
@@ -366,28 +366,21 @@ def _parse_unit(entry, index, family) -> UnitSpec:
     codes = [b.code for b in blocks]
     if len(set(codes)) != len(codes):
         raise ConfigError(f"{where}.blocks: duplicate block codes")
-    ratios = tuple(float(r) for r in entry.get("channel_ratios", []))
-    if ratios:
-        for r in ratios:
-            if not consistent_blocks_ratio_ok(blocks, r):
-                raise ConfigError(
-                    f"{where}.channel_ratios: no candidate block matches ratio {r}"
-                )
     base = entry.get("base_channels", 0)
     if not isinstance(base, int) or base < 0:
         raise ConfigError(f"{where}.base_channels: must be a non-negative int")
-    return UnitSpec(
+    unit = UnitSpec(
         index=index,
         depth_min=lo,
         depth_max=hi,
         blocks=blocks,
-        channel_ratios=ratios,
+        channel_ratios=tuple(float(r) for r in entry.get("channel_ratios", [])),
         base_channels=base,
     )
-
-
-def consistent_blocks_ratio_ok(blocks, ratio) -> bool:
-    return any(b.channel_ratio is None or b.channel_ratio == ratio for b in blocks)
+    for r in unit.channel_ratios:
+        if not consistent_blocks(unit, r):
+            raise ConfigError(f"{where}.channel_ratios: no candidate block matches ratio {r}")
+    return unit
 
 
 def parse_space_config(config: dict) -> DesignSpace:
@@ -409,6 +402,13 @@ def parse_space_config(config: dict) -> DesignSpace:
     if not isinstance(raw_units, list) or not raw_units:
         raise ConfigError("space.units: must be a non-empty list")
     units = tuple(_parse_unit(u, i + 1, family) for i, u in enumerate(raw_units))
+    # records carry one ratio per unit or none, so the ratio gene is all or nothing
+    if any(u.channel_ratios for u in units):
+        for u in units:
+            if not u.channel_ratios:
+                raise ConfigError(
+                    f"units[{u.index - 1}].channel_ratios: empty beside units with a ratio gene"
+                )
     stem_cfg = config.get("stem", {})
     head_cfg = config.get("head", {})
     stem = StemSpec(
@@ -428,29 +428,11 @@ def parse_space_config(config: dict) -> DesignSpace:
 
 def load_space(source) -> DesignSpace:
     """Resolve a space from a preset name, a config mapping, or a JSON file path."""
-    if isinstance(source, DesignSpace):
-        return source
-    if isinstance(source, dict):
-        return parse_space_config(source)
-    if isinstance(source, (str, Path)):
-        key = str(source)
-        if key in _PRESETS:
-            return _PRESETS[key]()
-        path = Path(source)
-        if path.exists():
-            try:
-                config = json.loads(path.read_text())
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
-            return parse_space_config(config)
-        raise ConfigError(
-            f"unknown space {key!r}: not a preset ({', '.join(_PRESETS)}) and no such file"
-        )
-    raise ConfigError(f"cannot load a space from {type(source).__name__}")
+    return resolve_config(source, DesignSpace, _PRESETS, parse_space_config, "space")
 
 
 def save_space(space: DesignSpace, path) -> None:
-    Path(path).write_text(json.dumps(space_to_config(space), indent=2, sort_keys=True) + "\n")
+    write_json(space_to_config(space), path)
 
 
 # ---------------------------------------------------------------------------

@@ -16,14 +16,13 @@ a CSV body with columns (unit, layer, block_code, value) or
 
 from __future__ import annotations
 
-import csv
-import io
+import math
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Mapping
 
 from .costs import MAXIMIZE, MINIMIZE, MetricEvaluator, params_digest
 from .errors import ConfigError, CoverageError
+from .formats import read_csv, write_csv
 from .spaces import (
     Architecture,
     DesignSpace,
@@ -36,6 +35,10 @@ TABLE_VERSION = 1
 
 ADDITIVE = "additive"
 EXACT = "exact"
+_COLUMNS = {
+    ADDITIVE: ["unit", "layer", "block_code", "value"],
+    EXACT: ["arch_record_hash", "value"],
+}
 
 
 @dataclass(frozen=True)
@@ -115,67 +118,56 @@ def table_evaluator(space: DesignSpace, table: MetricTable) -> MetricEvaluator:
 # file IO
 
 def save_table(table: MetricTable, path) -> None:
-    buf = io.StringIO()
-    buf.write(f"# format_version={TABLE_VERSION}\n")
-    buf.write(f"# space={table.space}\n")
-    buf.write(f"# metric={table.metric}\n")
-    buf.write(f"# direction={table.direction}\n")
-    buf.write(f"# units={table.units}\n")
-    buf.write(f"# kind={table.kind}\n")
-    for r in sorted(table.resolution_constants):
-        buf.write(f"# resolution_constant.{r}={table.resolution_constants[r]!r}\n")
-    writer = csv.writer(buf, lineterminator="\n")
+    header = {
+        "format_version": TABLE_VERSION,
+        "space": table.space,
+        "metric": table.metric,
+        "direction": table.direction,
+        "units": table.units,
+        "kind": table.kind,
+        **{f"resolution_constant.{r}": repr(table.resolution_constants[r])
+           for r in sorted(table.resolution_constants)},
+    }
     if table.kind == ADDITIVE:
-        writer.writerow(["unit", "layer", "block_code", "value"])
-        for (u, l, code) in sorted(table.entries, key=lambda k: (k[0], k[1], str(k[2]))):
-            writer.writerow([u, l, code, repr(float(table.entries[(u, l, code)]))])
+        keys = sorted(table.entries, key=lambda k: (k[0], k[1], str(k[2])))
+        rows = [[*k, repr(float(table.entries[k]))] for k in keys]
     else:
-        writer.writerow(["arch_record_hash", "value"])
-        for digest in sorted(table.entries):
-            writer.writerow([digest, repr(float(table.entries[digest]))])
-    Path(path).write_text(buf.getvalue())
+        rows = [[k, repr(float(table.entries[k]))] for k in sorted(table.entries)]
+    write_csv(path, header, [_COLUMNS[table.kind], *rows])
+
+
+def _finite(text: str, where: str) -> float:
+    try:
+        value = float(text)
+        if math.isfinite(value):
+            return value
+    except ValueError:
+        pass
+    raise ConfigError(f"{where}: expected a finite number, got {text!r}")
 
 
 def load_table(path, space: DesignSpace | None = None) -> MetricTable:
     """Parse a table file; binds and coverage-checks against space when given."""
-    text = Path(path).read_text()
-    header: dict[str, str] = {}
-    body_lines = []
-    for line in text.splitlines():
-        if line.startswith("#"):
-            item = line.lstrip("#").strip()
-            if "=" in item:
-                key, _, value = item.partition("=")
-                header[key.strip()] = value.strip()
-        elif line.strip():
-            body_lines.append(line)
+    header, reader = read_csv(path)
     for key in ("space", "metric", "direction", "kind"):
         if key not in header:
             raise ConfigError(f"{path}: table header missing {key!r}")
     kind = header["kind"]
+    if kind not in _COLUMNS:
+        raise ConfigError(f"{path}: unknown table kind {kind!r}")
     constants = {}
     for key, value in header.items():
         if key.startswith("resolution_constant."):
-            constants[int(key.split(".", 1)[1])] = float(value)
-    reader = csv.reader(body_lines)
-    columns = next(reader, None)
+            constants[int(key.split(".", 1)[1])] = _finite(value, f"{path}: header {key}")
+    columns = _COLUMNS[kind]
+    if next(reader, None) != columns:
+        raise ConfigError(f"{path}: {kind} table needs columns {','.join(columns)}")
     entries: dict = {}
-    if kind == ADDITIVE:
-        if columns != ["unit", "layer", "block_code", "value"]:
-            raise ConfigError(f"{path}: additive table needs columns unit,layer,block_code,value")
-        for row in reader:
-            if len(row) != 4:
-                raise ConfigError(f"{path}: malformed row {row!r}")
-            entries[(int(row[0]), int(row[1]), row[2])] = float(row[3])
-    elif kind == EXACT:
-        if columns != ["arch_record_hash", "value"]:
-            raise ConfigError(f"{path}: exact table needs columns arch_record_hash,value")
-        for row in reader:
-            if len(row) != 2:
-                raise ConfigError(f"{path}: malformed row {row!r}")
-            entries[row[0]] = float(row[1])
-    else:
-        raise ConfigError(f"{path}: unknown table kind {kind!r}")
+    for row in reader:
+        if len(row) != len(columns):
+            raise ConfigError(f"{path}: malformed row {row!r}")
+        key = (int(row[0]), int(row[1]), row[2]) if kind == ADDITIVE else row[0]
+        entries[key] = _finite(row[-1], f"{path}: row {row!r}")
     table = MetricTable(
         space=header["space"],
         metric=header["metric"],

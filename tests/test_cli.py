@@ -324,6 +324,35 @@ def test_domain_errors_exit_2(capsys, tmp_path, mini_file):
     assert rc == 2 and "unit_weights" in err
 
 
+@pytest.mark.parametrize("argv, env, named", [
+    (("search", "max", "--repeats", "0"), {}, "--repeats"),
+    (("search", "pareto", "--repeats", "-1"), {}, "--repeats"),
+    (("profile", "blocks", "--metric", "macs", "--workers", "0"), {}, "--workers"),
+    (("profile", "blocks", "--metric", "macs"), {"ARCHSCOPE_WORKERS": "abc"}, "--workers"),
+    (("profile", "placements", "--metric", "macs", "--percentiles", "5,150"), {},
+     "--percentiles"),
+], ids=["max-repeats-0", "pareto-repeats-negative", "workers-0", "workers-env",
+        "percentile-150"])
+def test_bad_input_exits_2_before_sampling(capsys, monkeypatch, tmp_path, mini_file,
+                                           argv, env, named):
+    def never(*args, **kwargs):
+        raise AssertionError("sampling started")
+    for name in ("block_heatmap", "placement_sweep", "evolve"):
+        monkeypatch.setattr(cli, name, never)
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    out_dir = tmp_path / "out"
+    try:
+        rc = cli.main([*argv, "--space", mini_file, "--out", str(out_dir)])
+    except SystemExit as exc:  # argparse rejects the value
+        rc = exc.code
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "error:" in err and named in err
+    assert "Traceback" not in err
+    assert not out_dir.exists()
+
+
 def test_internal_errors_exit_1(capsys, monkeypatch):
     def explode(name):
         raise RuntimeError("disk on fire")

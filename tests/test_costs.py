@@ -14,7 +14,7 @@ from archscope.costs import (
     synthetic_accuracy,
     unit_spatial_sizes,
 )
-from archscope.errors import ValidationError
+from archscope.errors import EvaluationError, ValidationError
 from archscope.sampling import sample_uniform, spawn_rng
 from archscope.spaces import (
     MBCONV_V2,
@@ -139,6 +139,14 @@ def test_evaluator_contract(mini_space):
     assert ev.evaluate(arch) == float(macs(mini_space, arch))
     with pytest.raises(ValidationError):
         MetricEvaluator(name="x", direction="sideways", fn=len)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_evaluator_rejects_non_finite_values(mini_space, value):
+    ev = MetricEvaluator(name="broken", direction="maximize", fn=lambda arch: value)
+    with pytest.raises(EvaluationError, match="'broken'.*non-finite") as exc:
+        ev.evaluate(sample_uniform(mini_space, spawn_rng(0, 0)))
+    assert exc.value.record is not None
 
 
 def test_block_capacity_ordering():

@@ -1,0 +1,129 @@
+"""Pinned digests of the data files written by small CLI runs and savers.
+
+Reruns within one checkout are compared elsewhere; these digests pin the
+bytes across changes, so a change to a random stream, a sample order or a
+file format shows up here. Manifests carry timestamps and are not pinned.
+A deliberate stream or format change updates the digests and says so in
+CHANGES.md.
+"""
+
+import hashlib
+
+import pytest
+
+from archscope import cli
+from archscope.devices import load_profile, save_profile
+from archscope.reduction import preset, save_ruleset
+from archscope.sampling import sample_uniform, spawn_rng
+from archscope.tables import MetricTable, exact_table_from_pairs, save_table
+from archscope.spaces import iter_placements
+
+from .conftest import build_mini_space
+
+EXPECTED = {
+    "blocks-acc/blocks-resnet50-synthetic-acc.csv":
+        "b11d36df947516e3fd8ce10cd7c9e5109de70789e287c6b6683f1b2ba084fa49",
+    "blocks-maxacc/blocks-resnet50-resnet50-maxacc-macs.csv":
+        "a460257374207d2767948c27d71c87ad5634e2187acd989ed653cf3f1b96b916",
+    "blocks-npu/blocks-ofa-npu-like.csv":
+        "b1b5e782191cb9f8ba5dc2a49277b2a8b28d24041764e5932c55353be27492a1",
+    "compare/compare.csv":
+        "03c1f1563b79d2dc5caa03c1e98cf50b41964dfdfb2b0b75df06b4f6c856a2d2",
+    "docs/additive-table.csv":
+        "c0f946ad1c30dca21e10c17921cb11fd69f40d58e70828764a4d5e073350014a",
+    "docs/exact-table.csv":
+        "2b9aa66f4848aee094eb38e9fbc6042546a1f24f173ff01f7804ac12e5adcdc3",
+    "docs/profile.json":
+        "2c364ba1f2cd29c7765e96fcf69d729fe57ba7b2ae1377b7f7101ac39705fdf1",
+    "docs/ruleset.json":
+        "11714181bf62a9d1277cfdfd90eabae52e28603640a42ebef55873dffb271443",
+    "max/max-resnet50-s1-history.json":
+        "0ebce37c9dd97af214aa0282d64c00ad4496be74f9766b5fcdb13c0427dcfa47",
+    "max/max-resnet50-s1.json":
+        "9d68cdd856792cb2d7cf79eb56776345b8b9effad55f6956ce55e84ec30781cc",
+    "pareto/pareto-ofa-ofa-npu-s3-history.json":
+        "49b9e6515b13244586361603e58a69d41ea2f9efc5c5a9ae2c9f63a58f9cb64d",
+    "pareto/pareto-ofa-ofa-npu-s3.csv":
+        "72076768e365b6a3e254cc213ef77997138a7c5be7b682dbd09af7131d126183",
+    "pareto/pareto-ofa-ofa-npu-s3.json":
+        "fd1920ddb4894d5198abd25a3b519e3e3fabf79a0d548ccb5f4f46824add6bc7",
+    "pareto/pareto-ofa-ofa-npu-s4-history.json":
+        "9982dbbdab3285771ffb6370b03cdc7e47ca9981f9148958de2efa9f1a3979e8",
+    "pareto/pareto-ofa-ofa-npu-s4.csv":
+        "9858c3c0ad22fba008b02773823608fbf1d4d75e9112f78a7fedadbcb41f2d1c",
+    "pareto/pareto-ofa-ofa-npu-s4.json":
+        "654eebeb2b3456b4752664b9d8532303292922de8e157e4d2374576ac4554996",
+    "reduce/reduced-resnet50-resnet50-maxacc.json":
+        "08c99207efb452b429e2774cff38b287ff8016465082e3df5ea819bea2e9bda2",
+    "sweep/placements-ofa-macs-boundaries.json":
+        "162cc5915eb70d789c801b826f5414162b407636803d1e982afd6a8378d33ad8",
+    "sweep/placements-ofa-macs.csv":
+        "8cfba5ca3f3c58322c86223af6816e20e47f6492638458c00a8f9b3eb178ccc4",
+    "sweep/placements-ofa-macs.dat":
+        "b2d4b823fbbce44222fe56ccd633c8d5dc1a309ba7aebec0ce27e3d56ab8d075",
+}
+
+_RUNS = (
+    ("blocks-acc", "profile", "blocks", "--space", "resnet50", "--metric", "acc",
+     "--samples", "4"),
+    ("blocks-npu", "profile", "blocks", "--space", "ofa", "--metric", "npu-like",
+     "--samples", "2", "--per-resolution"),
+    ("sweep", "profile", "placements", "--space", "ofa", "--metric", "macs",
+     "--samples", "6", "--baseline-samples", "20", "--percentiles", "5,50,95",
+     "--raw", "--plot-data"),
+    ("pareto", "search", "pareto", "--space", "ofa", "--preset", "ofa-npu",
+     "--objectives", "acc:max,npu-like:min", "--population", "8",
+     "--generations", "2", "--children", "10", "--repeats", "2", "--seed", "3"),
+    ("max", "search", "max", "--space", "resnet50", "--population", "6",
+     "--generations", "2", "--children", "8", "--seed", "1"),
+    ("reduce", "reduce", "--space", "resnet50", "--preset", "resnet50-maxacc",
+     "--emit-default"),
+)
+
+
+def _save_documents(out):
+    space = build_mini_space()
+    entries = {
+        (p.unit, p.layer, p.block_code): 0.1 * p.unit + p.layer / 7 + i / 3
+        for i, p in enumerate(iter_placements(space))
+    }
+    save_table(MetricTable(space=space.name, metric="lat", direction="minimize",
+                           units="ms", kind="additive", entries=entries,
+                           resolution_constants={32: 1 / 3}),
+               out / "additive-table.csv")
+    rng = spawn_rng(0, 5)
+    pairs = [(sample_uniform(space, rng), i * 0.37) for i in range(6)]
+    save_table(exact_table_from_pairs(space, "acc", "maximize", "%", pairs),
+               out / "exact-table.csv")
+    save_profile(load_profile("cpu-expansion-bound"), out / "profile.json")
+    save_ruleset(preset("ofa-note10"), out / "ruleset.json")
+
+
+@pytest.fixture(scope="module")
+def digests(tmp_path_factory):
+    out = tmp_path_factory.mktemp("golden")
+    for name, *argv in _RUNS:
+        assert cli.main([*argv, "--out", str(out / name)]) == 0
+    reduced = out / "reduce" / "reduced-resnet50-resnet50-maxacc.json"
+    assert cli.main(["profile", "blocks", "--space", str(reduced), "--metric", "macs",
+                     "--samples", "3", "--out", str(out / "blocks-maxacc")]) == 0
+    pareto = out / "pareto"
+    assert cli.main(["search", "compare", str(pareto / "pareto-ofa-ofa-npu-s3.csv"),
+                     str(pareto / "pareto-ofa-ofa-npu-s4.csv"), "--grid-points", "12",
+                     "--out", str(out / "compare")]) == 0
+    (out / "docs").mkdir()
+    _save_documents(out / "docs")
+    return {
+        path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(out.rglob("*"))
+        if path.is_file() and not path.name.endswith("manifest.json")
+    }
+
+
+def test_file_set_is_pinned(digests):
+    assert sorted(digests) == sorted(EXPECTED)
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED))
+def test_data_file_digest(digests, name):
+    assert digests[name] == EXPECTED[name]

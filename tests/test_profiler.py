@@ -12,6 +12,7 @@ from archscope.profiler import (
     percentile,
     placement_sweep,
 )
+from archscope.reduction import ReductionRule, RuleSet, apply
 from archscope.spaces import Placement, load_space
 
 from .oracles import exact_block_mean, exact_expectation
@@ -122,6 +123,22 @@ def test_heatmap_covers_roster(mini_space):
     assert [r.block_code for r in report.rows] == ["MBConv3-3", "MBConv3-5", "MBConv6-3"]
     assert all(r.resolution is None for r in report.rows)
     assert report.axis_names == ("expansion", "kernel")
+
+
+def test_heatmap_rows_are_means_of_sweep_placements(mini_space):
+    """With resolution=None both reports draw each placement from the same
+    stream, so a heatmap row is the mean of its host placements' raw sweep
+    means, in (unit, layer) order."""
+    space = apply(mini_space, RuleSet(name="slim", space="mini", rules=(
+        ReductionRule(kind="remove_block", units=(2,), blocks=("MBConv6-3",)),)))
+    ev = accuracy_evaluator(space)
+    heat = block_heatmap(space, ev, n_per_placement=40, seed=2)
+    sweep = placement_sweep(space, ev, n_per_placement=40, seed=2, baseline_n=5)
+    for row in heat.rows:
+        hosts = [r.cond_mean for r in sweep.rows if r.placement.block_code == row.block_code]
+        assert row.n_placements == len(hosts)
+        assert row.mean == float(np.mean(hosts))
+    assert [r.excluded_units for r in heat.rows] == [(), (), (2,)]
 
 
 def test_heatmap_splits_resolution_sensitive_metrics(mini_space_2res):

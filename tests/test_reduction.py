@@ -10,7 +10,6 @@ from archscope.reduction import (
     list_rulesets,
     load_ruleset,
     preset,
-    reduced_count,
     ruleset_from_config,
     ruleset_to_config,
     save_ruleset,
@@ -60,7 +59,7 @@ def test_headline_counts_frozen():
 
 @pytest.mark.parametrize("name", PRESETS)
 def test_reduced_counts(name):
-    assert reduced_count(_base(name), preset(name)) == EXPECTED_REDUCED[name]
+    assert count_architectures(apply(_base(name), preset(name))) == EXPECTED_REDUCED[name]
 
 
 @pytest.mark.parametrize("name", PRESETS)

@@ -159,6 +159,15 @@ def test_config_errors_name_the_field():
         parse_space_config(bad)
 
 
+def test_config_rejects_mixed_ratio_and_plain_units():
+    # a unit without ratios beside units with them would sample ratio 1.0
+    # there and then fail validation; the config is rejected at load instead
+    config = space_to_config(load_space("resnet50"))
+    config["units"][1]["channel_ratios"] = []
+    with pytest.raises(ConfigError, match=r"units\[1\]\.channel_ratios"):
+        parse_space_config(config)
+
+
 def test_validate_placement_errors():
     space = load_space("ofa")
     validate_placement(space, Placement(1, 4, "MBConv6-7"))

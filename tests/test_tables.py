@@ -106,6 +106,32 @@ def test_exact_table_file_round_trip(tmp_path, mini_space):
     assert clone.direction == "maximize"
 
 
+@pytest.mark.parametrize("kind", ["additive", "exact"])
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "fast"])
+def test_load_table_rejects_non_finite_values(tmp_path, mini_space, kind, bad):
+    if kind == "additive":
+        table = _flat_table(mini_space, 0.25, {32: 2.5})
+    else:
+        pairs = [(sample_uniform(mini_space, spawn_rng(6, 0)), 1.5)]
+        table = exact_table_from_pairs(mini_space, "m", "maximize", "", pairs)
+    path = tmp_path / "t.csv"
+    save_table(table, path)
+    lines = path.read_text().splitlines()
+    lines[-1] = lines[-1].rsplit(",", 1)[0] + "," + bad
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigError, match=f"row .*{bad!r}"):
+        load_table(path)
+
+
+def test_load_table_rejects_non_finite_resolution_constant(tmp_path, mini_space):
+    path = tmp_path / "t.csv"
+    save_table(_flat_table(mini_space, 0.25, {32: 2.5}), path)
+    path.write_text(path.read_text().replace("resolution_constant.32=2.5",
+                                             "resolution_constant.32=nan"))
+    with pytest.raises(ConfigError, match="resolution_constant.32"):
+        load_table(path)
+
+
 def test_table_schema_errors(tmp_path):
     with pytest.raises(ConfigError, match="kind"):
         MetricTable(space="x", metric="m", direction="minimize", units="",
