@@ -307,31 +307,52 @@ def _axis_rank(value, axis_values) -> float:
     return axis_values.index(value) / (len(axis_values) - 1)
 
 
+def _axis_values(space: DesignSpace) -> dict[str, list]:
+    """Each block axis's distinct values over the whole space, ascending."""
+    values: dict[str, set] = {}
+    for unit in space.units:
+        for b in unit.blocks:
+            for name, value in b.axes().items():
+                values.setdefault(name, set()).add(value)
+    return {name: sorted(v) for name, v in values.items()}
+
+
+def _capacity(block: BlockSpec, axis_values: dict[str, list]) -> float:
+    ranks = [_axis_rank(value, axis_values[name]) for name, value in block.axes().items()]
+    return 0.5 * ranks[0] + 0.5 * ranks[1]
+
+
 def block_capacity(space: DesignSpace, block: BlockSpec) -> float:
     """Capacity score in [0, 1], strictly increasing along both block axes."""
-    if block.family == RESNET_BOTTLENECK:
-        ratios = sorted({b.channel_ratio for u in space.units for b in u.blocks})
-        expansions = sorted({b.expansion for u in space.units for b in u.blocks})
-        return 0.5 * _axis_rank(block.channel_ratio, ratios) + 0.5 * _axis_rank(
-            block.expansion, expansions
-        )
-    expansions = sorted({b.expansion for u in space.units for b in u.blocks})
-    kernels = sorted({b.kernel for u in space.units for b in u.blocks})
-    return 0.5 * _axis_rank(block.expansion, expansions) + 0.5 * _axis_rank(
-        block.kernel, kernels
-    )
+    return _capacity(block, _axis_values(space))
 
 
-def synthetic_accuracy(space: DesignSpace, arch: Architecture, model: AccuracyModel) -> float:
+def accuracy_terms(space: DesignSpace, model: AccuracyModel) -> list[dict[str, float]]:
+    """Per unit, each candidate's unit_weight * capacity, the summand of one layer."""
     if len(model.unit_weights) != space.n_units or len(model.depth_bonus) != space.n_units:
         raise ValidationError("accuracy model does not cover every unit of the space")
     if any(a > b for a, b in zip(model.unit_weights, model.unit_weights[1:])):
         raise ValidationError("accuracy model unit_weights must be nondecreasing")
+    axis_values = _axis_values(space)
+    return [
+        {b.code: model.unit_weights[unit.index - 1] * _capacity(b, axis_values) for b in unit.blocks}
+        for unit in space.units
+    ]
+
+
+def synthetic_accuracy(
+    space: DesignSpace, arch: Architecture, model: AccuracyModel, terms=None
+) -> float:
+    """terms is accuracy_terms(space, model); an evaluator builds it once."""
+    if terms is None:
+        terms = accuracy_terms(space, model)
     score = model.base
-    for unit, codes in zip(space.units, arch.blocks):
-        w = model.unit_weights[unit.index - 1]
+    for unit, codes, unit_terms in zip(space.units, arch.blocks, terms):
         for code in codes:
-            score += w * block_capacity(space, space.block(unit.index, code))
+            term = unit_terms.get(code)
+            if term is None:
+                space.block(unit.index, code)  # raises: not a candidate
+            score += term
         if len(codes) == unit.depth_max:
             score += model.depth_bonus[unit.index - 1]
     return min(model.clamp_hi, max(model.clamp_lo, score))
@@ -339,10 +360,11 @@ def synthetic_accuracy(space: DesignSpace, arch: Architecture, model: AccuracyMo
 
 def accuracy_evaluator(space: DesignSpace, model: AccuracyModel | None = None) -> MetricEvaluator:
     model = model if model is not None else default_accuracy_model(space)
+    terms = accuracy_terms(space, model)
     return MetricEvaluator(
         name="synthetic-acc",
         direction=MAXIMIZE,
-        fn=lambda arch: synthetic_accuracy(space, arch, model),
+        fn=lambda arch: synthetic_accuracy(space, arch, model, terms),
         resolution_sensitive=False,
         params_digest=params_digest({"kind": "synthetic-acc", **model.config()}),
     )

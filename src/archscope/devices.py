@@ -109,33 +109,48 @@ class DeviceProfile:
         }
 
 
-def profile_latency(space: DesignSpace, arch: Architecture, profile: DeviceProfile) -> float:
-    """Latency in model milliseconds under a parametric profile."""
+def _layer_term(space: DesignSpace, profile: DeviceProfile, template: int, u: int,
+                layer: int, code: str) -> float:
+    """One present layer's latency at a padded template size."""
+    scale = float(profile.unit_scale.get(u, 1.0))
+    h_out = unit_spatial_sizes(space, template)[u - 1][1]
+    h_ref = unit_spatial_sizes(space, max(profile.resolution_templates))[u - 1][1]
+    area = (h_out * h_out) / (h_ref * h_ref)
+    block = space.block(u, code)
+    cost = profile._factor(profile.kernel_factor, block.kernel, "kernel_factor")
+    cost *= profile._factor(profile.expansion_factor, block.expansion, "expansion_factor")
+    if block.channel_ratio is not None and profile.ratio_factor:
+        cost *= profile._factor(profile.ratio_factor, block.channel_ratio, "ratio_factor")
+    return cost * scale * profile.layer_base(u, layer) * area
+
+
+def profile_latency(
+    space: DesignSpace, arch: Architecture, profile: DeviceProfile, terms=None
+) -> float:
+    """Latency in model milliseconds under a parametric profile.
+
+    terms memoises each layer term by (template, unit, layer, code); an
+    evaluator keeps one dict for its lifetime, a bare call starts empty.
+    """
     if space.family not in profile.families:
         raise ValidationError(
             f"profile {profile.name!r} covers families {profile.families}, not {space.family!r}"
         )
+    if terms is None:
+        terms = {}
     template = profile.template_for(arch.resolution)
-    reference = max(profile.resolution_templates)
-    sizes = unit_spatial_sizes(space, template)
-    ref_sizes = unit_spatial_sizes(space, reference)
     total = profile.fixed_overhead_ms
     total += profile.pad_cost_ms * (template * template - arch.resolution * arch.resolution) / (
         template * template
     )
     for unit, codes in zip(space.units, arch.blocks):
         u = unit.index
-        scale = float(profile.unit_scale.get(u, 1.0))
-        h_out = sizes[u - 1][1]
-        h_ref = ref_sizes[u - 1][1]
-        area = (h_out * h_out) / (h_ref * h_ref)
         for layer, code in enumerate(codes, start=1):
-            block = space.block(u, code)
-            cost = profile._factor(profile.kernel_factor, block.kernel, "kernel_factor")
-            cost *= profile._factor(profile.expansion_factor, block.expansion, "expansion_factor")
-            if block.channel_ratio is not None and profile.ratio_factor:
-                cost *= profile._factor(profile.ratio_factor, block.channel_ratio, "ratio_factor")
-            total += cost * scale * profile.layer_base(u, layer) * area
+            key = (template, u, layer, code)
+            term = terms.get(key)
+            if term is None:
+                term = terms[key] = _layer_term(space, profile, template, u, layer, code)
+            total += term
     return total
 
 
@@ -243,6 +258,14 @@ def _num(text: str):
         return float(text)
 
 
+def _number(value, where: str, kind=float):
+    """kind(value), or a ConfigError naming the field."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"device profile {where}: expected a number, got {value!r}") from exc
+
+
 def _parse_table(raw, where) -> dict:
     if not isinstance(raw, dict):
         raise ConfigError(f"{where}: expected a mapping of value -> factor")
@@ -250,7 +273,7 @@ def _parse_table(raw, where) -> dict:
     for key, value in raw.items():
         try:
             out[_num(str(key))] = float(value)
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"{where}[{key!r}]: bad entry ({exc})") from exc
     return out
 
@@ -261,6 +284,9 @@ def profile_from_config(config: dict) -> DeviceProfile:
     for key in ("name", "families", "kernel_factor", "expansion_factor"):
         if key not in config:
             raise ConfigError(f"device profile: missing field {key!r}")
+    for key, kind in (("families", list), ("unit_scale", dict), ("resolution_templates", list)):
+        if key in config and not isinstance(config[key], kind):
+            raise ConfigError(f"device profile {key}: expected a {kind.__name__}")
     families = tuple(config["families"])
     for fam in families:
         if fam not in _ALL_FAMILIES:
@@ -269,22 +295,29 @@ def profile_from_config(config: dict) -> DeviceProfile:
     if isinstance(raw_cost, dict):
         cost = {}
         for key, value in raw_cost.items():
-            cost[int(key)] = (
-                [float(v) for v in value] if isinstance(value, list) else float(value)
+            where = f"layer_cost_ms[{key!r}]"
+            cost[_number(key, where, int)] = (
+                [_number(v, where) for v in value] if isinstance(value, list)
+                else _number(value, where)
             )
     else:
-        cost = float(raw_cost)
+        cost = _number(raw_cost, "layer_cost_ms")
+    unit_scale = config.get("unit_scale", {})
     return DeviceProfile(
         name=str(config["name"]),
         families=families,
         kernel_factor=_parse_table(config["kernel_factor"], "kernel_factor"),
         expansion_factor=_parse_table(config["expansion_factor"], "expansion_factor"),
         ratio_factor=_parse_table(config.get("ratio_factor", {}), "ratio_factor"),
-        unit_scale={int(k): float(v) for k, v in config.get("unit_scale", {}).items()},
+        unit_scale={_number(k, f"unit_scale[{k!r}]", int): _number(v, f"unit_scale[{k!r}]")
+                    for k, v in unit_scale.items()},
         layer_cost_ms=cost,
-        resolution_templates=tuple(sorted(int(t) for t in config.get("resolution_templates", [224]))),
-        fixed_overhead_ms=float(config.get("fixed_overhead_ms", 0.0)),
-        pad_cost_ms=float(config.get("pad_cost_ms", 0.0)),
+        resolution_templates=tuple(sorted(
+            _number(t, "resolution_templates", int)
+            for t in config.get("resolution_templates", [224])
+        )),
+        fixed_overhead_ms=_number(config.get("fixed_overhead_ms", 0.0), "fixed_overhead_ms"),
+        pad_cost_ms=_number(config.get("pad_cost_ms", 0.0), "pad_cost_ms"),
     )
 
 
@@ -299,10 +332,11 @@ def save_profile(profile: DeviceProfile, path) -> None:
 
 def latency_evaluator(space: DesignSpace, profile) -> MetricEvaluator:
     profile = load_profile(profile)
+    terms: dict = {}
     return MetricEvaluator(
         name=profile.name,
         direction=MINIMIZE,
-        fn=lambda arch: profile_latency(space, arch, profile),
+        fn=lambda arch: profile_latency(space, arch, profile, terms),
         resolution_sensitive=len(space.resolutions) > 1,
         params_digest=params_digest(profile.config()),
     )

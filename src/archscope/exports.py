@@ -11,9 +11,9 @@ from pathlib import Path
 
 from .errors import ConfigError
 from .formats import read_csv, write_csv, write_json
-from .profiler import HeatmapReport, SweepReport, block_axes
+from .profiler import HeatmapReport, SweepReport
 from .search import EvaluatedArch, FrontierComparison, ParetoFront, SearchResult
-from .spaces import Architecture, DesignSpace, serialize
+from .spaces import Architecture, DesignSpace, block_axes, serialize
 
 EXPORT_VERSION = 1
 

@@ -16,7 +16,9 @@ errors add the two sides in quadrature.
 
 Percentiles use linear interpolation at rank (n - 1) * tau / 100 (the numpy
 default). Percentile standard errors come from a seeded bootstrap (B=200),
-which keeps them deterministic and distribution-free.
+which keeps them deterministic and distribution-free. The bootstrap runs once
+per sample set and tau: a sweep computes the shared baseline's errors once
+and passes them to every placement.
 
 Every placement draws from its own RNG stream derived from the master seed
 (see sampling.spawn_rng), so results are bitwise identical no matter how many
@@ -43,7 +45,7 @@ from .sampling import (
 from .spaces import (
     DesignSpace,
     Placement,
-    RESNET_BOTTLENECK,
+    block_axes,
     block_codes,
     iter_placements,
     validate_placement,
@@ -201,18 +203,6 @@ def estimate_block_mean(
     return _block_stats(space, block_code, sets)
 
 
-def block_axes(space: DesignSpace, code: str) -> dict:
-    """Heatmap axes of a block by name: (expansion, kernel) for MBConv,
-    (channel_ratio, expansion) for bottleneck."""
-    for unit in space.units:
-        for b in unit.blocks:
-            if b.code == code:
-                if b.family == RESNET_BOTTLENECK:
-                    return {"channel_ratio": b.channel_ratio, "expansion": b.expansion}
-                return {"expansion": b.expansion, "kernel": b.kernel}
-    raise ValidationError(f"block {code!r} not in space {space.name!r}")
-
-
 @dataclass
 class HeatmapReport:
     space: str
@@ -277,17 +267,21 @@ class PlacementStats:
 
 
 def placement_stats_from_sets(
-    cond: SampleSet, baseline: SampleSet, taus=DEFAULT_TAUS
+    cond: SampleSet, baseline: SampleSet, taus=DEFAULT_TAUS, baseline_tau_se=None
 ) -> PlacementStats:
+    """baseline_tau_se, one bootstrap error per tau, spares a caller that
+    shares one baseline across placements from recomputing them."""
     taus = tuple(float(t) for t in taus)
+    if baseline_tau_se is None:
+        baseline_tau_se = tuple(baseline.percentile_stderr(t) for t in taus)
     cond_mean = cond.mean()
     rel_mean = cond_mean - baseline.mean()
     rel_mean_se = float(np.hypot(cond.stderr(), baseline.stderr()))
     cond_tau = tuple(cond.percentile(t) for t in taus)
     rel_tau = tuple(ct - baseline.percentile(t) for ct, t in zip(cond_tau, taus))
     rel_tau_se = tuple(
-        float(np.hypot(cond.percentile_stderr(t), baseline.percentile_stderr(t)))
-        for t in taus
+        float(np.hypot(cond.percentile_stderr(t), base_se))
+        for t, base_se in zip(taus, baseline_tau_se)
     )
     return PlacementStats(
         placement=cond.condition,
@@ -380,6 +374,7 @@ def placement_sweep(
         baseline_mean=baseline.mean(),
         baseline_tau=tuple(baseline.percentile(t) for t in taus),
     )
+    baseline_tau_se = tuple(baseline.percentile_stderr(t) for t in taus)
     for cond in sets:
-        report.rows.append(placement_stats_from_sets(cond, baseline, taus))
+        report.rows.append(placement_stats_from_sets(cond, baseline, taus, baseline_tau_se))
     return report

@@ -71,9 +71,6 @@ class SearchConfig:
     def directions(self) -> tuple[str, ...]:
         return tuple(ev.direction for ev in self.objectives)
 
-    def objective_names(self) -> tuple[str, ...]:
-        return tuple(ev.name for ev in self.objectives)
-
 
 @dataclass(frozen=True)
 class EvaluatedArch:
@@ -253,28 +250,28 @@ def pareto_filter(points: list[EvaluatedArch], directions) -> list[EvaluatedArch
 
 
 def _fast_nondominated_fronts(norm) -> list[list[int]]:
-    n = len(norm)
-    dominated_by = [0] * n
-    dominating: list[list[int]] = [[] for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if dominates(norm[i], norm[j]):
-                dominating[i].append(j)
-                dominated_by[j] += 1
-            elif dominates(norm[j], norm[i]):
-                dominating[j].append(i)
-                dominated_by[i] += 1
-    fronts = [[i for i in range(n) if dominated_by[i] == 0]]
+    """Non-dominated fronts (Deb et al. 2002), each in ascending index order.
+
+    dom[i, j] (i dominates j) is built one objective at a time, so no n x n x m
+    temporary exists; fronts are then peeled off by domination counts.
+    """
+    values = np.asarray(norm, dtype=float)
+    n = len(values)
+    no_worse = np.ones((n, n), dtype=bool)
+    better = np.zeros((n, n), dtype=bool)
+    for col in values.T:
+        no_worse &= col[:, None] <= col[None, :]
+        better |= col[:, None] < col[None, :]
+    dom = no_worse & better
+    counts = dom.sum(axis=0)  # how many points dominate each point
+    fronts = [np.flatnonzero(counts == 0)]
     while True:
-        nxt = []
-        for i in fronts[-1]:
-            for j in dominating[i]:
-                dominated_by[j] -= 1
-                if dominated_by[j] == 0:
-                    nxt.append(j)
-        if not nxt:
-            return fronts
-        fronts.append(sorted(nxt))
+        counts[fronts[-1]] = -1  # assigned
+        counts -= dom[fronts[-1]].sum(axis=0)
+        nxt = np.flatnonzero(counts == 0)
+        if not nxt.size:
+            return [front.tolist() for front in fronts]
+        fronts.append(nxt)
 
 
 def _crowding(norm, front) -> dict[int, float]:

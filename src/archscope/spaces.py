@@ -49,6 +49,13 @@ class BlockSpec:
     uses_se: bool = False
     activation: str = "relu"  # recorded for completeness; no metric reads it
 
+    def axes(self) -> dict:
+        """The block's two attribute axes by name: (channel_ratio, expansion)
+        for bottlenecks, (expansion, kernel) for MBConv."""
+        if self.family == RESNET_BOTTLENECK:
+            return {"channel_ratio": self.channel_ratio, "expansion": self.expansion}
+        return {"expansion": self.expansion, "kernel": self.kernel}
+
 
 @dataclass(frozen=True)
 class UnitSpec:
@@ -82,6 +89,15 @@ class DesignSpace:
     resolutions: tuple[int, ...]
     stem: StemSpec = field(default_factory=StemSpec)
     head: HeadSpec = field(default_factory=HeadSpec)
+    # (unit position, code) -> first candidate with that code, built once
+    _blocks: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        index: dict = {}
+        for position, unit in enumerate(self.units, start=1):
+            for b in unit.blocks:
+                index.setdefault((position, b.code), b)
+        object.__setattr__(self, "_blocks", index)
 
     def unit(self, index: int) -> UnitSpec:
         if not 1 <= index <= len(self.units):
@@ -89,9 +105,10 @@ class DesignSpace:
         return self.units[index - 1]
 
     def block(self, unit_index: int, code: str) -> BlockSpec:
-        for b in self.unit(unit_index).blocks:
-            if b.code == code:
-                return b
+        try:
+            return self._blocks[unit_index, code]
+        except KeyError:
+            self.unit(unit_index)  # raises on a bad unit
         raise ValidationError(
             f"block {code!r} not a candidate of unit {unit_index} in space {self.name!r}"
         )
@@ -470,6 +487,15 @@ def iter_placements(space: DesignSpace):
         for layer in range(1, unit.depth_max + 1):
             for block in unit.blocks:
                 yield Placement(unit=unit.index, layer=layer, block_code=block.code)
+
+
+def block_axes(space: DesignSpace, code: str) -> dict:
+    """Named attribute axes of the first candidate with this code (BlockSpec.axes)."""
+    for unit in space.units:
+        for b in unit.blocks:
+            if b.code == code:
+                return b.axes()
+    raise ValidationError(f"block {code!r} not in space {space.name!r}")
 
 
 def block_codes(space: DesignSpace) -> tuple[str, ...]:

@@ -136,6 +136,13 @@ def save_table(table: MetricTable, path) -> None:
     write_csv(path, header, [_COLUMNS[table.kind], *rows])
 
 
+def _integer(text: str, where: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ConfigError(f"{where}: expected an integer, got {text!r}") from None
+
+
 def _finite(text: str, where: str) -> float:
     try:
         value = float(text)
@@ -158,7 +165,8 @@ def load_table(path, space: DesignSpace | None = None) -> MetricTable:
     constants = {}
     for key, value in header.items():
         if key.startswith("resolution_constant."):
-            constants[int(key.split(".", 1)[1])] = _finite(value, f"{path}: header {key}")
+            where = f"{path}: header {key}"
+            constants[_integer(key.split(".", 1)[1], where)] = _finite(value, where)
     columns = _COLUMNS[kind]
     if next(reader, None) != columns:
         raise ConfigError(f"{path}: {kind} table needs columns {','.join(columns)}")
@@ -166,8 +174,12 @@ def load_table(path, space: DesignSpace | None = None) -> MetricTable:
     for row in reader:
         if len(row) != len(columns):
             raise ConfigError(f"{path}: malformed row {row!r}")
-        key = (int(row[0]), int(row[1]), row[2]) if kind == ADDITIVE else row[0]
-        entries[key] = _finite(row[-1], f"{path}: row {row!r}")
+        where = f"{path}: row {row!r}"
+        key = (
+            (_integer(row[0], where), _integer(row[1], where), row[2])
+            if kind == ADDITIVE else row[0]
+        )
+        entries[key] = _finite(row[-1], where)
     table = MetricTable(
         space=header["space"],
         metric=header["metric"],

@@ -2,9 +2,11 @@
 
 Everything here is deliberately written from scratch, in a different style
 from the package, so agreement is evidence rather than tautology: a per-layer
-MAC/parameter walker that simulates the shape chain op by op, an exhaustive
-expectation calculator that enumerates the sampling distribution with explicit
-probability weights, and a quadratic-time Pareto filter.
+MAC/parameter walker that simulates the shape chain op by op, per-layer
+latency and synthetic-accuracy walkers that recompute every factor on every
+layer, an exhaustive expectation calculator that enumerates the sampling
+distribution with explicit probability weights, and a quadratic-time Pareto
+filter and front sort.
 """
 
 from __future__ import annotations
@@ -114,6 +116,72 @@ def walker_params(space, arch, se_reduction=4, include_bias=False):
         c = space.head.hidden
     weights.append(c * space.head.classes + bias * space.head.classes)
     return sum(weights)
+
+
+# ---------------------------------------------------------------------------
+# per-layer latency and accuracy walkers (same float operation order as the
+# package, so results must agree bit for bit)
+
+def _layer_block(unit, code):
+    return next(b for b in unit.blocks if b.code == code)
+
+
+def _out_size(resolution, unit_index):
+    """Feature-map side after the stem and unit_index stride-2 units."""
+    h = _down(resolution)
+    for _ in range(unit_index):
+        h = _down(h)
+    return h
+
+
+def walker_latency(space, arch, profile):
+    """Parametric-profile latency, every factor looked up again per layer."""
+    template = min(t for t in profile.resolution_templates if t >= arch.resolution)
+    reference = max(profile.resolution_templates)
+    total = profile.fixed_overhead_ms
+    total += profile.pad_cost_ms * (template * template - arch.resolution * arch.resolution) / (
+        template * template
+    )
+    for unit, codes in zip(space.units, arch.blocks):
+        scale = float(profile.unit_scale.get(unit.index, 1.0))
+        h_out = _out_size(template, unit.index)
+        h_ref = _out_size(reference, unit.index)
+        area = (h_out * h_out) / (h_ref * h_ref)
+        for layer, code in enumerate(codes, start=1):
+            block = _layer_block(unit, code)
+            cost = float(profile.kernel_factor[block.kernel])
+            cost *= float(profile.expansion_factor[block.expansion])
+            if block.channel_ratio is not None and profile.ratio_factor:
+                cost *= float(profile.ratio_factor[block.channel_ratio])
+            base = profile.layer_cost_ms
+            if not isinstance(base, (int, float)):
+                base = base[unit.index]
+                if not isinstance(base, (int, float)):
+                    base = base[layer - 1]
+            total += cost * scale * float(base) * area
+    return total
+
+
+def walker_accuracy(space, arch, model):
+    """Synthetic accuracy, each layer's capacity re-ranked from the whole space."""
+    every = [b for unit in space.units for b in unit.blocks]
+    score = model.base
+    for unit, codes in zip(space.units, arch.blocks):
+        w = model.unit_weights[unit.index - 1]
+        for code in codes:
+            block = _layer_block(unit, code)
+            if block.family == "resnet_bottleneck":
+                axes = [("channel_ratio", block.channel_ratio), ("expansion", block.expansion)]
+            else:
+                axes = [("expansion", block.expansion), ("kernel", block.kernel)]
+            ranks = []
+            for name, value in axes:
+                values = sorted({getattr(b, name) for b in every})
+                ranks.append(values.index(value) / (len(values) - 1) if len(values) > 1 else 0.0)
+            score += w * (0.5 * ranks[0] + 0.5 * ranks[1])
+        if len(codes) == unit.depth_max:
+            score += model.depth_bonus[unit.index - 1]
+    return min(model.clamp_hi, max(model.clamp_lo, score))
 
 
 # ---------------------------------------------------------------------------
@@ -227,3 +295,34 @@ def brute_frontier(vectors, directions):
         if not dominated:
             keep.append(i)
     return keep
+
+
+def _dominates(a, b):
+    return all(x <= y for x, y in zip(a, b)) and any(x < y for x, y in zip(a, b))
+
+
+def brute_fronts(norm):
+    """Non-dominated fronts of all-minimize vectors by pairwise comparison,
+    each front in ascending index order."""
+    n = len(norm)
+    dominated_by = [0] * n
+    dominating = [[] for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if _dominates(norm[i], norm[j]):
+                dominating[i].append(j)
+                dominated_by[j] += 1
+            elif _dominates(norm[j], norm[i]):
+                dominating[j].append(i)
+                dominated_by[i] += 1
+    fronts = [[i for i in range(n) if dominated_by[i] == 0]]
+    while True:
+        nxt = []
+        for i in fronts[-1]:
+            for j in dominating[i]:
+                dominated_by[j] -= 1
+                if dominated_by[j] == 0:
+                    nxt.append(j)
+        if not nxt:
+            return fronts
+        fronts.append(sorted(nxt))

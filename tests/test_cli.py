@@ -324,6 +324,23 @@ def test_domain_errors_exit_2(capsys, tmp_path, mini_file):
     assert rc == 2 and "unit_weights" in err
 
 
+def test_non_numeric_profile_and_table_fields_exit_2(capsys, tmp_path, mini_file):
+    profile = tmp_path / "p.json"
+    profile.write_text(json.dumps({
+        "name": "p", "families": ["mbconv_v2"], "kernel_factor": {"3": 1.0, "5": 1.0},
+        "expansion_factor": {"3": 1.0, "6": 1.0}, "layer_cost_ms": "fast",
+    }))
+    rc, _, err = _run(capsys, "profile", "blocks", "--space", mini_file,
+                      "--metric", f"profile:{profile}", "--out", str(tmp_path))
+    assert rc == 2 and err.startswith("error:") and "layer_cost_ms" in err
+    table = tmp_path / "t.csv"
+    table.write_text("# space=mini\n# metric=m\n# direction=minimize\n# kind=additive\n"
+                     "unit,layer,block_code,value\nx,1,MBConv3-3,0.5\n")
+    rc, _, err = _run(capsys, "profile", "blocks", "--space", mini_file,
+                      "--metric", f"table:{table}", "--out", str(tmp_path))
+    assert rc == 2 and err.startswith("error:") and "row" in err and "'x'" in err
+
+
 @pytest.mark.parametrize("argv, env, named", [
     (("search", "max", "--repeats", "0"), {}, "--repeats"),
     (("search", "pareto", "--repeats", "-1"), {}, "--repeats"),

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from archscope.devices import (
@@ -151,6 +153,35 @@ def test_profile_config_errors():
         })
     with pytest.raises(ConfigError, match="unknown profile"):
         load_profile("missing-device")
+
+
+_MINIMAL = {"name": "x", "families": ["mbconv_v2"],
+            "kernel_factor": {"3": 1.0}, "expansion_factor": {"3": 1.0}}
+
+
+@pytest.mark.parametrize("field, value, named", [
+    ("layer_cost_ms", "fast", "layer_cost_ms"),
+    ("layer_cost_ms", None, "layer_cost_ms"),
+    ("layer_cost_ms", {"1": "fast"}, "layer_cost_ms['1']"),
+    ("layer_cost_ms", {"one": 1.0}, "layer_cost_ms['one']"),
+    ("layer_cost_ms", {"1": [1.0, "fast"]}, "layer_cost_ms['1']"),
+    ("unit_scale", {"1": "big"}, "unit_scale['1']"),
+    ("unit_scale", {"u1": 1.0}, "unit_scale['u1']"),
+    ("resolution_templates", [224, "huge"], "resolution_templates"),
+    ("fixed_overhead_ms", "none", "fixed_overhead_ms"),
+    ("pad_cost_ms", [0.4], "pad_cost_ms"),
+])
+def test_profile_config_rejects_non_numeric_fields(field, value, named):
+    with pytest.raises(ConfigError, match=f"device profile {re.escape(named)}: expected a number"):
+        profile_from_config({**_MINIMAL, field: value})
+
+
+@pytest.mark.parametrize("field, value", [
+    ("families", "mbconv_v2"), ("unit_scale", [1.0]), ("resolution_templates", 224),
+])
+def test_profile_config_rejects_wrong_containers(field, value):
+    with pytest.raises(ConfigError, match=f"device profile {field}: expected a"):
+        profile_from_config({**_MINIMAL, field: value})
 
 
 def test_latency_evaluator_binding():

@@ -25,6 +25,8 @@ EXPECTED = {
         "b11d36df947516e3fd8ce10cd7c9e5109de70789e287c6b6683f1b2ba084fa49",
     "blocks-maxacc/blocks-resnet50-resnet50-maxacc-macs.csv":
         "a460257374207d2767948c27d71c87ad5634e2187acd989ed653cf3f1b96b916",
+    "blocks-note10/blocks-proxylessnas-note10-linear.csv":
+        "c87f3cfe1c646473722588180d9572d52bb14b5a2ff9af12643b715272e233c9",
     "blocks-npu/blocks-ofa-npu-like.csv":
         "b1b5e782191cb9f8ba5dc2a49277b2a8b28d24041764e5932c55353be27492a1",
     "compare/compare.csv":
@@ -41,6 +43,12 @@ EXPECTED = {
         "0ebce37c9dd97af214aa0282d64c00ad4496be74f9766b5fcdb13c0427dcfa47",
     "max/max-resnet50-s1.json":
         "9d68cdd856792cb2d7cf79eb56776345b8b9effad55f6956ce55e84ec30781cc",
+    "pareto-acc-macs/pareto-ofa-s5-history.json":
+        "95b7eefa15baf9fa6f3723714a0750d6590ef175071c963b77b6059464f7a79f",
+    "pareto-acc-macs/pareto-ofa-s5.csv":
+        "754c1412bd6e7a09b33db95c89759be12a6b0cc32556e95c0909abd5d98c11ee",
+    "pareto-acc-macs/pareto-ofa-s5.json":
+        "c543cb0c45f1f59bb44b2e19e6153c99c9cf38870046d649c3227ffb388091bd",
     "pareto/pareto-ofa-ofa-npu-s3-history.json":
         "49b9e6515b13244586361603e58a69d41ea2f9efc5c5a9ae2c9f63a58f9cb64d",
     "pareto/pareto-ofa-ofa-npu-s3.csv":
@@ -53,6 +61,10 @@ EXPECTED = {
         "9858c3c0ad22fba008b02773823608fbf1d4d75e9112f78a7fedadbcb41f2d1c",
     "pareto/pareto-ofa-ofa-npu-s4.json":
         "654eebeb2b3456b4752664b9d8532303292922de8e157e4d2374576ac4554996",
+    "placements-cpu/placements-resnet50-cpu-expansion-bound-boundaries.json":
+        "eba4192618f817814a681fdc48fe813b313abf9300b3d12a2b5e8c1d6c96acf2",
+    "placements-cpu/placements-resnet50-cpu-expansion-bound.csv":
+        "60e7d0a0ee6c5caf37de00b52de487b65548802e05d3bd7f66ce607d7e278d83",
     "reduce/reduced-resnet50-resnet50-maxacc.json":
         "08c99207efb452b429e2774cff38b287ff8016465082e3df5ea819bea2e9bda2",
     "sweep/placements-ofa-macs-boundaries.json":
@@ -78,6 +90,15 @@ _RUNS = (
      "--generations", "2", "--children", "8", "--seed", "1"),
     ("reduce", "reduce", "--space", "resnet50", "--preset", "resnet50-maxacc",
      "--emit-default"),
+    # ratio factors, three resolution templates and a fixed overhead
+    ("placements-cpu", "profile", "placements", "--space", "resnet50", "--metric",
+     "cpu-expansion-bound", "--samples", "4", "--baseline-samples", "20"),
+    ("blocks-note10", "profile", "blocks", "--space", "proxylessnas", "--metric",
+     "note10-linear", "--samples", "3", "--per-resolution"),
+    # several non-dominated fronts per generation, the last one cut by crowding
+    ("pareto-acc-macs", "search", "pareto", "--space", "ofa", "--objectives",
+     "acc:max,macs:min", "--population", "12", "--generations", "3", "--children", "16",
+     "--seed", "5"),
 )
 
 

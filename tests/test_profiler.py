@@ -186,6 +186,30 @@ def test_sweep_shares_one_baseline(mini_space):
     assert row.rel_mean == cond.mean() - baseline.mean()
 
 
+def test_sweep_bootstraps_each_set_once(mini_space, monkeypatch):
+    calls = []
+    original = SampleSet.percentile_stderr
+
+    def counted(self, tau, *args, **kwargs):
+        calls.append((id(self), tau))
+        return original(self, tau, *args, **kwargs)
+
+    monkeypatch.setattr(SampleSet, "percentile_stderr", counted)
+    taus = (5.0, 50.0, 95.0)
+    report = placement_sweep(mini_space, accuracy_evaluator(mini_space),
+                             n_per_placement=10, seed=1, taus=taus, baseline_n=30)
+    assert len(calls) == len(taus) * (len(report.rows) + 1)
+    assert len(set(calls)) == len(calls)
+    # the shared baseline's errors still enter every row
+    row = report.rows[0]
+    cond = draw_samples(mini_space, accuracy_evaluator(mini_space), 10, seed=1,
+                        placement=row.placement)
+    baseline = draw_samples(mini_space, accuracy_evaluator(mini_space), 30, seed=1)
+    assert row.rel_tau_se == tuple(
+        float(np.hypot(cond.percentile_stderr(t), baseline.percentile_stderr(t))) for t in taus
+    )
+
+
 def test_worker_count_does_not_change_results(mini_space):
     ev = accuracy_evaluator(mini_space)
     serial = placement_sweep(mini_space, ev, n_per_placement=60, seed=7, baseline_n=100)

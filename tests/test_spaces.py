@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -7,6 +8,7 @@ from archscope.spaces import (
     Architecture,
     Placement,
     arch_key,
+    block_axes,
     block_codes,
     consistent_blocks,
     count_architectures,
@@ -177,6 +179,35 @@ def test_validate_placement_errors():
         validate_placement(space, Placement(6, 1, "MBConv6-7"))
     with pytest.raises(ValidationError):
         validate_placement(space, Placement(1, 1, "MBConv9-9"))
+
+
+def test_block_lookup_and_errors():
+    space = load_space("ofa")
+    for unit in space.units:
+        for b in unit.blocks:
+            assert space.block(unit.index, b.code) is b
+    with pytest.raises(ValidationError, match=r"^unit 6 out of range for space 'ofa'$"):
+        space.block(6, "MBConv3-3")
+    with pytest.raises(ValidationError, match=r"^unit 0 out of range"):
+        space.block(0, "MBConv3-3")
+    with pytest.raises(ValidationError,
+                       match=r"^block 'MBConv9-9' not a candidate of unit 1 in space 'ofa'$"):
+        space.block(1, "MBConv9-9")
+    # a derived space gets its own index
+    first = space.units[0]
+    narrow = replace(space, units=(replace(first, blocks=first.blocks[:1]), *space.units[1:]))
+    assert narrow.block(1, "MBConv3-3") is first.blocks[0]
+    with pytest.raises(ValidationError, match="not a candidate"):
+        narrow.block(1, "MBConv6-7")
+    assert narrow == replace(space, units=narrow.units)
+
+
+def test_block_axes_per_family():
+    assert block_axes(load_space("ofa"), "MBConv4-5") == {"expansion": 4, "kernel": 5}
+    assert block_axes(load_space("resnet50"), "C80-B25") == {
+        "channel_ratio": 0.8, "expansion": 0.25}
+    with pytest.raises(ValidationError, match="not in space"):
+        block_axes(load_space("ofa"), "C80-B25")
 
 
 def test_validate_architecture_errors():

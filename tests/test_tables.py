@@ -123,6 +123,27 @@ def test_load_table_rejects_non_finite_values(tmp_path, mini_space, kind, bad):
         load_table(path)
 
 
+@pytest.mark.parametrize("column", [0, 1], ids=["unit", "layer"])
+def test_load_table_rejects_non_integer_unit_and_layer(tmp_path, mini_space, column):
+    path = tmp_path / "t.csv"
+    save_table(_flat_table(mini_space, 0.25, {32: 2.5}), path)
+    lines = path.read_text().splitlines()
+    cells = lines[-1].split(",")
+    cells[column] = "x"
+    lines[-1] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigError, match="row .*expected an integer, got 'x'"):
+        load_table(path)
+
+
+def test_load_table_rejects_non_integer_resolution_key(tmp_path, mini_space):
+    path = tmp_path / "t.csv"
+    save_table(_flat_table(mini_space, 0.25, {32: 2.5}), path)
+    path.write_text(path.read_text().replace("resolution_constant.32=", "resolution_constant.big="))
+    with pytest.raises(ConfigError, match="resolution_constant.big: expected an integer"):
+        load_table(path)
+
+
 def test_load_table_rejects_non_finite_resolution_constant(tmp_path, mini_space):
     path = tmp_path / "t.csv"
     save_table(_flat_table(mini_space, 0.25, {32: 2.5}), path)
