@@ -23,6 +23,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable
 
+import numpy as np
+
 from .errors import EvaluationError, ValidationError
 from .spaces import (
     MBCONV_V2,
@@ -33,6 +35,7 @@ from .spaces import (
     DesignSpace,
     arch_key,
     effective_channels,
+    ratio_values,
 )
 
 MINIMIZE = "minimize"
@@ -88,6 +91,39 @@ def _bottleneck_macs(
     return total
 
 
+def _stem_macs(space: DesignSpace, resolution: int) -> int:
+    h = half(resolution)
+    stem = space.stem
+    return h * h * 3 * stem.out_channels * stem.kernel * stem.kernel
+
+
+def _layer_macs(
+    block: BlockSpec, layer: int, c_in: int, c_out: int, h_in: int, h_out: int,
+    count_se: bool, se_reduction: int,
+) -> int:
+    """One layer; c_in and h_in are the unit's input, which only layer 1 sees."""
+    if layer > 1:
+        c_in, h_in = c_out, h_out
+    if block.family in (MBCONV_V3, MBCONV_V2):
+        return _mbconv_macs(block, c_in, c_out, h_in, h_out, count_se, se_reduction)
+    if block.family == RESNET_BOTTLENECK:
+        # layer 1 strides, so it always carries the projection shortcut
+        return _bottleneck_macs(block, c_in, c_out, h_in, h_out, layer == 1)
+    raise ValidationError(f"no MAC model for block family {block.family!r}")
+
+
+def _head_macs(space: DesignSpace, c: int, h_final: int) -> int:
+    head = space.head
+    total = 0
+    if head.conv_channels:
+        total += h_final * h_final * c * head.conv_channels
+        c = head.conv_channels
+    if head.hidden:
+        total += c * head.hidden
+        c = head.hidden
+    return total + c * head.classes
+
+
 def macs(
     space: DesignSpace,
     arch: Architecture,
@@ -96,39 +132,16 @@ def macs(
     se_reduction: int = 4,
 ) -> int:
     """Exact multiply-accumulate count for the whole network."""
-    total = 0
-    h = half(arch.resolution)
-    stem = space.stem
-    total += h * h * 3 * stem.out_channels * stem.kernel * stem.kernel
-    c_in = stem.out_channels
+    total = _stem_macs(space, arch.resolution)
+    c_in = space.stem.out_channels
     channels = _unit_channels(space, arch)
     sizes = unit_spatial_sizes(space, arch.resolution)
     for unit, codes, c_out, (h_in, h_out) in zip(space.units, arch.blocks, channels, sizes):
         for layer, code in enumerate(codes, start=1):
             block = space.block(unit.index, code)
-            if layer == 1:
-                b_cin, b_hin = c_in, h_in
-            else:
-                b_cin, b_hin = c_out, h_out
-            if block.family in (MBCONV_V3, MBCONV_V2):
-                total += _mbconv_macs(block, b_cin, c_out, b_hin, h_out, count_se, se_reduction)
-            elif block.family == RESNET_BOTTLENECK:
-                # layer 1 strides, so it always carries the projection shortcut
-                total += _bottleneck_macs(block, b_cin, c_out, b_hin, h_out, layer == 1)
-            else:
-                raise ValidationError(f"no MAC model for block family {block.family!r}")
+            total += _layer_macs(block, layer, c_in, c_out, h_in, h_out, count_se, se_reduction)
         c_in = c_out
-    h_final = sizes[-1][1]
-    head = space.head
-    c = c_in
-    if head.conv_channels:
-        total += h_final * h_final * c * head.conv_channels
-        c = head.conv_channels
-    if head.hidden:
-        total += c * head.hidden
-        c = head.hidden
-    total += c * head.classes
-    return total
+    return total + _head_macs(space, c_in, sizes[-1][1])
 
 
 def _mbconv_params(
@@ -159,6 +172,40 @@ def _bottleneck_params(block: BlockSpec, c_in: int, c_out: int, project: bool, i
     return total
 
 
+def _stem_params(space: DesignSpace, include_bias: bool) -> int:
+    stem = space.stem
+    return stem.kernel * stem.kernel * 3 * stem.out_channels + (
+        stem.out_channels if include_bias else 0)
+
+
+def _layer_params(
+    block: BlockSpec, layer: int, c_in: int, c_out: int, count_se: bool, se_reduction: int,
+    include_bias: bool,
+) -> int:
+    """One layer; c_in is the unit's input, which only layer 1 sees."""
+    if layer > 1:
+        c_in = c_out
+    if block.family in (MBCONV_V3, MBCONV_V2):
+        return _mbconv_params(block, c_in, c_out, count_se, se_reduction, include_bias)
+    if block.family == RESNET_BOTTLENECK:
+        return _bottleneck_params(block, c_in, c_out, layer == 1, include_bias)
+    raise ValidationError(f"no parameter model for block family {block.family!r}")
+
+
+def _head_params(space: DesignSpace, c: int, include_bias: bool) -> int:
+    head = space.head
+    total = 0
+    if head.conv_channels:
+        total += c * head.conv_channels
+        if include_bias:
+            total += head.conv_channels
+        c = head.conv_channels
+    if head.hidden:
+        total += c * head.hidden + (head.hidden if include_bias else 0)
+        c = head.hidden
+    return total + c * head.classes + (head.classes if include_bias else 0)
+
+
 def param_count(
     space: DesignSpace,
     arch: Architecture,
@@ -168,35 +215,66 @@ def param_count(
     include_bias: bool = False,
 ) -> int:
     """Exact weight count; batch norm excluded, conv biases behind a flag."""
-    stem = space.stem
-    total = stem.kernel * stem.kernel * 3 * stem.out_channels
-    if include_bias:
-        total += stem.out_channels
-    c_in = stem.out_channels
+    total = _stem_params(space, include_bias)
+    c_in = space.stem.out_channels
     channels = _unit_channels(space, arch)
     for unit, codes, c_out in zip(space.units, arch.blocks, channels):
         for layer, code in enumerate(codes, start=1):
             block = space.block(unit.index, code)
-            b_cin = c_in if layer == 1 else c_out
-            if block.family in (MBCONV_V3, MBCONV_V2):
-                total += _mbconv_params(block, b_cin, c_out, count_se, se_reduction, include_bias)
-            elif block.family == RESNET_BOTTLENECK:
-                total += _bottleneck_params(block, b_cin, c_out, layer == 1, include_bias)
-            else:
-                raise ValidationError(f"no parameter model for block family {block.family!r}")
+            total += _layer_params(block, layer, c_in, c_out, count_se, se_reduction,
+                                   include_bias)
         c_in = c_out
-    head = space.head
-    c = c_in
-    if head.conv_channels:
-        total += c * head.conv_channels
-        if include_bias:
-            total += head.conv_channels
-        c = head.conv_channels
-    if head.hidden:
-        total += c * head.hidden + (head.hidden if include_bias else 0)
-        c = head.hidden
-    total += c * head.classes + (head.classes if include_bias else 0)
-    return total
+    return total + _head_params(space, c_in, include_bias)
+
+
+def _count_batch(space: DesignSpace, stem, layer, head):
+    """Batch function of an exact integer count: stem(resolution) plus, per
+    present layer, layer(block, layer, c_in, c_out, h_in, h_out) plus
+    head(c, h_final), read from int64 tables. Layer 1 is keyed by the previous
+    unit's ratio (its input width) and the head by the last unit's ratio;
+    every later layer has the same term. Raises OverflowError when a total
+    could leave int64."""
+    widths = [
+        [effective_channels(unit.base_channels, r) for r in values]
+        for unit, values in zip(space.units, ratio_values(space))
+    ]
+    n_res = len(space.resolutions)
+    sizes = [unit_spatial_sizes(space, r) for r in space.resolutions]
+    stems = np.array([stem(r) for r in space.resolutions], dtype=np.int64)
+    heads = np.array([[head(c, hw[-1][1]) for c in widths[-1]] for hw in sizes], dtype=np.int64)
+    bound = int(stems.max()) + int(heads.max())
+    firsts, rests = [], []  # per unit: [res, prev ratio, ratio, block], [res, ratio, block]
+    for u, unit in enumerate(space.units):
+        prev = widths[u - 1] if u else [space.stem.out_channels]
+        # one zero column past the last block, read by the -1 of an absent layer
+        first = np.zeros((n_res, len(prev), len(widths[u]), len(unit.blocks) + 1), np.int64)
+        rest = np.zeros((n_res, len(widths[u]), len(unit.blocks) + 1), np.int64)
+        for s, hw in enumerate(sizes):
+            h_in, h_out = hw[u]
+            for r, c_out in enumerate(widths[u]):
+                for b, block in enumerate(unit.blocks):
+                    rest[s, r, b] = layer(block, 2, c_out, c_out, h_out, h_out)
+                    for p, c_in in enumerate(prev):
+                        first[s, p, r, b] = layer(block, 1, c_in, c_out, h_in, h_out)
+        bound += int(first.max()) + (unit.depth_max - 1) * int(rest.max())
+        firsts.append(first)
+        rests.append(rest)
+    if bound >= 2**63:
+        raise OverflowError("a count could exceed the int64 tables")
+
+    def batch(genes):
+        res = genes.resolution
+        total = stems[res] + heads[res, genes.ratio[:, -1]]
+        prev = np.zeros(len(genes), dtype=np.int64)
+        for u, unit in enumerate(space.units):
+            ratio = genes.ratio[:, u]
+            blocks = genes.block[:, u, : unit.depth_max]
+            total += firsts[u][res, prev, ratio, blocks[:, 0]]
+            total += rests[u][res[:, None], ratio[:, None], blocks[:, 1:]].sum(axis=1)
+            prev = ratio
+        return total.astype(float)
+
+    return batch
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +288,8 @@ class MetricEvaluator:
     params_digest fingerprints the evaluator's configuration for manifests.
     resolution_sensitive marks metrics whose value depends on the input
     resolution; profilers use it to decide whether per-resolution grids are
-    worth emitting.
+    worth emitting. batch, when set, maps a sampling.Genes batch to an array
+    of the values fn gives its rows, bit for bit, or to None when it cannot.
     """
 
     name: str
@@ -218,6 +297,7 @@ class MetricEvaluator:
     fn: Callable[[Architecture], float] = field(repr=False)
     resolution_sensitive: bool = False
     params_digest: str = ""
+    batch: Callable | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.direction not in (MINIMIZE, MAXIMIZE):
@@ -235,11 +315,76 @@ class MetricEvaluator:
             ) from exc
         return value
 
+    def evaluate_batch(self, genes) -> np.ndarray:
+        """evaluate() of every row of a gene batch, through batch when it
+        answers; a non-finite value raises EvaluationError for its first row."""
+        values = self.batch(genes) if self.batch is not None else None
+        if values is None:
+            return np.array([self.evaluate(genes.architecture(i)) for i in range(len(genes))],
+                            dtype=float)
+        bad = ~np.isfinite(values)
+        if bad.any():
+            row = int(bad.argmax())
+            raise EvaluationError(
+                f"evaluator {self.name!r} failed: non-finite value {float(values[row])!r}",
+                record=arch_key(genes.architecture(row)),
+            )
+        return values
+
+
+class Lowered:
+    """An evaluator's batch function, built on its first call so resolving an
+    evaluator stays cheap.
+
+    build() returns a function of a Genes batch. When build raises a
+    ValidationError or an ArithmeticError, or a batch comes from another
+    space, the answer is None and the caller evaluates row by row, which
+    raises the scalar path's error at the scalar path's row.
+    """
+
+    def __init__(self, space: DesignSpace, build: Callable[[], Callable]):
+        self._space = space
+        self._build = build
+        self._fn = None
+        self._built = False
+
+    def __call__(self, genes):
+        if genes.space != self._space:
+            return None
+        if not self._built:
+            try:
+                self._fn = self._build()
+            except (ValidationError, ArithmeticError):
+                self._fn = None
+            self._built = True
+        return None if self._fn is None else self._fn(genes)
+
 
 def params_digest(params: dict) -> str:
     return hashlib.sha256(
         json.dumps(params, sort_keys=True, separators=(",", ":"), default=str).encode()
     ).hexdigest()[:16]
+
+
+def _macs_batch(space: DesignSpace, *, count_se: bool = True, se_reduction: int = 4):
+    return _count_batch(
+        space,
+        lambda resolution: _stem_macs(space, resolution),
+        lambda block, layer, c_in, c_out, h_in, h_out: _layer_macs(
+            block, layer, c_in, c_out, h_in, h_out, count_se, se_reduction),
+        lambda c, h_final: _head_macs(space, c, h_final),
+    )
+
+
+def _params_batch(space: DesignSpace, *, count_se: bool = True, se_reduction: int = 4,
+                  include_bias: bool = False):
+    return _count_batch(
+        space,
+        lambda resolution: _stem_params(space, include_bias),
+        lambda block, layer, c_in, c_out, h_in, h_out: _layer_params(
+            block, layer, c_in, c_out, count_se, se_reduction, include_bias),
+        lambda c, h_final: _head_params(space, c, include_bias),
+    )
 
 
 def macs_evaluator(space: DesignSpace, **kw) -> MetricEvaluator:
@@ -249,6 +394,7 @@ def macs_evaluator(space: DesignSpace, **kw) -> MetricEvaluator:
         fn=lambda arch: macs(space, arch, **kw),
         resolution_sensitive=True,
         params_digest=params_digest({"kind": "macs", **kw}),
+        batch=Lowered(space, lambda: _macs_batch(space, **kw)),
     )
 
 
@@ -259,6 +405,7 @@ def params_evaluator(space: DesignSpace, **kw) -> MetricEvaluator:
         fn=lambda arch: param_count(space, arch, **kw),
         resolution_sensitive=False,
         params_digest=params_digest({"kind": "params", **kw}),
+        batch=Lowered(space, lambda: _params_batch(space, **kw)),
     )
 
 
@@ -358,6 +505,29 @@ def synthetic_accuracy(
     return min(model.clamp_hi, max(model.clamp_lo, score))
 
 
+def _accuracy_batch(space: DesignSpace, model: AccuracyModel, terms):
+    """synthetic_accuracy over a gene batch, summed in the scalar order: per
+    unit each layer slot (+ 0.0 past the depth), then the depth bonus."""
+    tables = [
+        np.array([unit_terms[b.code] for b in unit.blocks] + [0.0])
+        for unit, unit_terms in zip(space.units, terms)
+    ]
+
+    def batch(genes):
+        score = np.full(len(genes), model.base, dtype=float)
+        for u, (unit, table) in enumerate(zip(space.units, tables)):
+            slots = table[genes.block[:, u, : unit.depth_max]]
+            for layer in range(unit.depth_max):
+                score = score + slots[:, layer]
+            score = score + np.where(
+                genes.depth[:, u] == unit.depth_max, model.depth_bonus[u], 0.0)
+        # max(lo, score) and min(hi, score) as the builtins pick
+        score = np.where(score > model.clamp_lo, score, model.clamp_lo)
+        return np.where(score < model.clamp_hi, score, model.clamp_hi)
+
+    return batch
+
+
 def accuracy_evaluator(space: DesignSpace, model: AccuracyModel | None = None) -> MetricEvaluator:
     model = model if model is not None else default_accuracy_model(space)
     terms = accuracy_terms(space, model)
@@ -367,4 +537,5 @@ def accuracy_evaluator(space: DesignSpace, model: AccuracyModel | None = None) -
         fn=lambda arch: synthetic_accuracy(space, arch, model, terms),
         resolution_sensitive=False,
         params_digest=params_digest({"kind": "synthetic-acc", **model.config()}),
+        batch=Lowered(space, lambda: _accuracy_batch(space, model, terms)),
     )

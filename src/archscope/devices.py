@@ -24,7 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .costs import MINIMIZE, MetricEvaluator, params_digest, unit_spatial_sizes
+import numpy as np
+
+from .costs import MINIMIZE, Lowered, MetricEvaluator, params_digest, unit_spatial_sizes
 from .errors import ConfigError, ValidationError
 from .formats import resolve_config, write_json
 from .spaces import (
@@ -109,13 +111,17 @@ class DeviceProfile:
         }
 
 
-def _layer_term(space: DesignSpace, profile: DeviceProfile, template: int, u: int,
+def _unit_areas(space: DesignSpace, profile: DeviceProfile, template: int) -> list[float]:
+    """Each unit's output area at a template, relative to the largest template."""
+    sizes = unit_spatial_sizes(space, template)
+    reference = unit_spatial_sizes(space, max(profile.resolution_templates))
+    return [(h_out * h_out) / (h_ref * h_ref) for (_, h_out), (_, h_ref) in zip(sizes, reference)]
+
+
+def _layer_term(space: DesignSpace, profile: DeviceProfile, area: float, u: int,
                 layer: int, code: str) -> float:
-    """One present layer's latency at a padded template size."""
+    """One present layer's latency; area is _unit_areas(...)[u - 1] of its template."""
     scale = float(profile.unit_scale.get(u, 1.0))
-    h_out = unit_spatial_sizes(space, template)[u - 1][1]
-    h_ref = unit_spatial_sizes(space, max(profile.resolution_templates))[u - 1][1]
-    area = (h_out * h_out) / (h_ref * h_ref)
     block = space.block(u, code)
     cost = profile._factor(profile.kernel_factor, block.kernel, "kernel_factor")
     cost *= profile._factor(profile.expansion_factor, block.expansion, "expansion_factor")
@@ -124,34 +130,79 @@ def _layer_term(space: DesignSpace, profile: DeviceProfile, template: int, u: in
     return cost * scale * profile.layer_base(u, layer) * area
 
 
+def _check_families(space: DesignSpace, profile: DeviceProfile) -> None:
+    if space.family not in profile.families:
+        raise ValidationError(
+            f"profile {profile.name!r} covers families {profile.families}, not {space.family!r}"
+        )
+
+
+def _overhead(profile: DeviceProfile, template: int, resolution: int) -> float:
+    """Fixed overhead plus the padding penalty, added as profile_latency adds them."""
+    total = profile.fixed_overhead_ms
+    total += profile.pad_cost_ms * (template * template - resolution * resolution) / (
+        template * template
+    )
+    return total
+
+
 def profile_latency(
     space: DesignSpace, arch: Architecture, profile: DeviceProfile, terms=None
 ) -> float:
     """Latency in model milliseconds under a parametric profile.
 
-    terms memoises each layer term by (template, unit, layer, code); an
-    evaluator keeps one dict for its lifetime, a bare call starts empty.
+    terms memoises each layer term by (template, unit, layer, code), and each
+    template's unit areas by template; an evaluator keeps one dict for its
+    lifetime, a bare call starts empty.
     """
-    if space.family not in profile.families:
-        raise ValidationError(
-            f"profile {profile.name!r} covers families {profile.families}, not {space.family!r}"
-        )
+    _check_families(space, profile)
     if terms is None:
         terms = {}
     template = profile.template_for(arch.resolution)
-    total = profile.fixed_overhead_ms
-    total += profile.pad_cost_ms * (template * template - arch.resolution * arch.resolution) / (
-        template * template
-    )
+    total = _overhead(profile, template, arch.resolution)
     for unit, codes in zip(space.units, arch.blocks):
         u = unit.index
         for layer, code in enumerate(codes, start=1):
             key = (template, u, layer, code)
             term = terms.get(key)
             if term is None:
-                term = terms[key] = _layer_term(space, profile, template, u, layer, code)
+                areas = terms.get(template)
+                if areas is None:
+                    areas = terms[template] = _unit_areas(space, profile, template)
+                term = terms[key] = _layer_term(space, profile, areas[u - 1], u, layer, code)
             total += term
     return total
+
+
+def _latency_batch(space: DesignSpace, profile: DeviceProfile):
+    """profile_latency over a gene batch from per-(resolution, unit, layer,
+    block) tables of the same terms, summed in the scalar order (+ 0.0 past
+    a unit's depth)."""
+    _check_families(space, profile)
+    templates = [profile.template_for(r) for r in space.resolutions]
+    start = np.array([_overhead(profile, t, r) for t, r in zip(templates, space.resolutions)])
+    areas = [_unit_areas(space, profile, t) for t in templates]
+    tables = []  # per unit: [resolution, layer, block], a zero column past the last block
+    for unit in space.units:
+        table = np.zeros((len(templates), unit.depth_max, len(unit.blocks) + 1))
+        for s, unit_areas in enumerate(areas):
+            for layer in range(1, unit.depth_max + 1):
+                for b, block in enumerate(unit.blocks):
+                    table[s, layer - 1, b] = _layer_term(
+                        space, profile, unit_areas[unit.index - 1], unit.index, layer, block.code)
+        tables.append(table)
+
+    def batch(genes):
+        res = genes.resolution
+        total = start[res]
+        for u, (unit, table) in enumerate(zip(space.units, tables)):
+            layers = np.arange(unit.depth_max)
+            slots = table[res[:, None], layers, genes.block[:, u, : unit.depth_max]]
+            for layer in layers:
+                total = total + slots[:, layer]
+        return total
+
+    return batch
 
 
 # ---------------------------------------------------------------------------
@@ -339,4 +390,5 @@ def latency_evaluator(space: DesignSpace, profile) -> MetricEvaluator:
         fn=lambda arch: profile_latency(space, arch, profile, terms),
         resolution_sensitive=len(space.resolutions) > 1,
         params_digest=params_digest(profile.config()),
+        batch=Lowered(space, lambda: _latency_batch(space, profile)),
     )

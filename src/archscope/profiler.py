@@ -38,6 +38,7 @@ from .sampling import (
     STREAM_BASELINE,
     STREAM_BOOTSTRAP,
     STREAM_PLACEMENT,
+    sample_batch,
     sample_fixed,
     sample_uniform,
     spawn_rng,
@@ -122,19 +123,22 @@ def draw_samples(
     placement: Placement | None = None,
     resolution: int | None = None,
 ) -> SampleSet:
-    """n independent metric draws, conditioned on a placement when given."""
+    """n independent metric draws, conditioned on a placement when given.
+
+    The stream is drawn as one gene batch and scored by the evaluator's batch
+    path; when the batch sampler declines (see sampling.sample_batch), the
+    same stream is redrawn one architecture at a time."""
     if n < 1:
         raise ValidationError(f"sample size must be >= 1, got {n}")
     if placement is not None:
         validate_placement(space, placement)
-    rng = spawn_rng(seed, *_stream_key(placement, space, resolution))
-    values = np.empty(n, dtype=float)
-    for i in range(n):
-        if placement is None:
-            arch = sample_uniform(space, rng, resolution=resolution)
-        else:
-            arch = sample_fixed(space, placement, rng, resolution=resolution)
-        values[i] = evaluator.evaluate(arch)
+    key = _stream_key(placement, space, resolution)
+    genes = sample_batch(space, spawn_rng(seed, *key), n, placement, resolution)
+    if genes is not None:
+        values = evaluator.evaluate_batch(genes)
+    else:
+        values = _draw_one_by_one(space, evaluator, n, spawn_rng(seed, *key), placement,
+                                  resolution)
     return SampleSet(
         metric=evaluator.name,
         values=values,
@@ -142,6 +146,17 @@ def draw_samples(
         condition=placement,
         resolution=resolution,
     )
+
+
+def _draw_one_by_one(space, evaluator, n, rng, placement, resolution) -> np.ndarray:
+    values = np.empty(n, dtype=float)
+    for i in range(n):
+        if placement is None:
+            arch = sample_uniform(space, rng, resolution=resolution)
+        else:
+            arch = sample_fixed(space, placement, rng, resolution=resolution)
+        values[i] = evaluator.evaluate(arch)
+    return values
 
 
 # ---------------------------------------------------------------------------

@@ -91,13 +91,19 @@ class DesignSpace:
     head: HeadSpec = field(default_factory=HeadSpec)
     # (unit position, code) -> first candidate with that code, built once
     _blocks: dict = field(init=False, repr=False, compare=False)
+    # (unit position, ratio) -> indices of the consistent candidates, built once
+    _choices: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         index: dict = {}
+        choices: dict = {}
         for position, unit in enumerate(self.units, start=1):
             for b in unit.blocks:
                 index.setdefault((position, b.code), b)
+            for ratio in unit.channel_ratios or (None,):
+                choices[position, ratio] = _consistent_indices(unit, ratio)
         object.__setattr__(self, "_blocks", index)
+        object.__setattr__(self, "_choices", choices)
 
     def unit(self, index: int) -> UnitSpec:
         if not 1 <= index <= len(self.units):
@@ -112,6 +118,14 @@ class DesignSpace:
         raise ValidationError(
             f"block {code!r} not a candidate of unit {unit_index} in space {self.name!r}"
         )
+
+    def candidates(self, unit_index: int, ratio: float | None) -> tuple[int, ...]:
+        """Indices into the unit's blocks of the candidates consistent with a
+        channel ratio (consistent_blocks), in candidate order."""
+        found = self._choices.get((unit_index, ratio))
+        if found is None:  # a pinned block's ratio outside the unit's list
+            found = _consistent_indices(self.unit(unit_index), ratio)
+        return found
 
     @property
     def n_units(self) -> int:
@@ -157,6 +171,20 @@ def consistent_blocks(unit: UnitSpec, ratio: float | None) -> tuple[BlockSpec, .
     if ratio is None:
         return unit.blocks
     return tuple(b for b in unit.blocks if b.channel_ratio is None or b.channel_ratio == ratio)
+
+
+def _consistent_indices(unit: UnitSpec, ratio: float | None) -> tuple[int, ...]:
+    allowed = {id(b) for b in consistent_blocks(unit, ratio)}
+    return tuple(i for i, b in enumerate(unit.blocks) if id(b) in allowed)
+
+
+def ratio_values(space: DesignSpace) -> tuple[tuple[float | None, ...], ...]:
+    """Per unit, the value Architecture.channel_ratios holds for each ratio
+    choice: the unit's ratios (1.0 for a unit without one in a ratio space),
+    or a single None when the space has no ratio gene."""
+    if not any(u.channel_ratios for u in space.units):
+        return tuple((None,) for _ in space.units)
+    return tuple(u.channel_ratios or (1.0,) for u in space.units)
 
 
 def effective_channels(base: int, ratio: float | None) -> int:

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from archscope.costs import (
@@ -15,7 +16,8 @@ from archscope.costs import (
     unit_spatial_sizes,
 )
 from archscope.errors import EvaluationError, ValidationError
-from archscope.sampling import sample_uniform, spawn_rng
+from archscope.profiler import draw_samples
+from archscope.sampling import STREAM_BASELINE, sample_uniform, spawn_rng
 from archscope.spaces import (
     MBCONV_V2,
     Architecture,
@@ -24,6 +26,7 @@ from archscope.spaces import (
     HeadSpec,
     StemSpec,
     UnitSpec,
+    arch_key,
     load_space,
 )
 
@@ -147,6 +150,21 @@ def test_evaluator_rejects_non_finite_values(mini_space, value):
     with pytest.raises(EvaluationError, match="'broken'.*non-finite") as exc:
         ev.evaluate(sample_uniform(mini_space, spawn_rng(0, 0)))
     assert exc.value.record is not None
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_batch_path_rejects_non_finite_values(mini_space, value):
+    def stub(genes):
+        values = np.arange(len(genes), dtype=float)
+        values[[2, 4]] = value
+        return values
+
+    ev = MetricEvaluator(name="broken", direction="maximize", fn=lambda arch: 0.0, batch=stub)
+    with pytest.raises(EvaluationError, match="'broken'.*non-finite") as exc:
+        draw_samples(mini_space, ev, 6, seed=0)
+    rng = spawn_rng(0, STREAM_BASELINE, 0)
+    first_bad = [sample_uniform(mini_space, rng) for _ in range(3)][2]
+    assert exc.value.record == arch_key(first_bad)
 
 
 def test_block_capacity_ordering():

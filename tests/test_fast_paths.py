@@ -1,21 +1,48 @@
-"""The hoisted fast paths against the per-layer oracles.
+"""The fast paths against the scalar code and the per-layer oracles.
 
 Non-dominated fronts from the domination matrix must equal the pairwise front
-sort, and the memoised latency and precomputed accuracy evaluators must equal
-the per-layer walkers bit for bit (==, not approx).
+sort. The memoised latency and precomputed accuracy evaluators, and every
+evaluator's batch function over gene arrays, must equal the per-layer walkers
+bit for bit (==, not approx). The batch sampler must decode to exactly the
+architectures the scalar sampler draws from the same stream.
 """
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from archscope.costs import accuracy_evaluator, default_accuracy_model
-from archscope.devices import latency_evaluator, list_profiles, load_profile
-from archscope.sampling import sample_uniform, spawn_rng
+from archscope import profiler
+from archscope.costs import (
+    accuracy_evaluator,
+    default_accuracy_model,
+    macs_evaluator,
+    params_evaluator,
+)
+from archscope.devices import identity_profile, latency_evaluator, list_profiles, load_profile
+from archscope.reduction import apply, preset
+from archscope.sampling import (
+    STREAM_BASELINE,
+    _lemire,
+    sample_batch,
+    sample_fixed,
+    sample_uniform,
+    spawn_rng,
+)
 from archscope.search import _fast_nondominated_fronts
-from archscope.spaces import list_spaces, load_space
+from archscope.spaces import (
+    FAMILIES,
+    RESNET_BOTTLENECK,
+    iter_placements,
+    list_spaces,
+    load_space,
+    parse_space_config,
+)
+from archscope.tables import ADDITIVE, MetricTable, table_evaluator
 
-from .oracles import brute_fronts, walker_accuracy, walker_latency
+from .oracles import brute_fronts, walker_accuracy, walker_latency, walker_macs, walker_params
 
 # a few repeated values make ties and equal vectors common
 _VALUES = st.one_of(
@@ -83,3 +110,227 @@ def test_accuracy_evaluator_equals_walker(space_name, seed):
         for _ in range(4):
             arch = sample_uniform(space, rng, resolution=resolution)
             assert ev.evaluate(arch) == walker_accuracy(space, arch, model)
+
+
+# ---------------------------------------------------------------------------
+# gene batches
+
+_RATIOS = (0.5, 0.75, 1.0)
+
+
+@st.composite
+def _space_configs(draw):
+    """Small spaces that reach every k = 1 draw: one resolution, a fixed depth,
+    one candidate, one ratio, or one candidate consistent with a ratio."""
+    family = draw(st.sampled_from(FAMILIES))
+    ratio_gene = family == RESNET_BOTTLENECK and draw(st.booleans())
+    units = []
+    for _ in range(draw(st.integers(1, 3))):
+        lo = draw(st.integers(1, 3))
+        ratios = sorted(set(draw(st.lists(st.sampled_from(_RATIOS), min_size=1, max_size=3))))
+        blocks = []
+        for b in range(draw(st.integers(1, 4))):
+            entry = {"code": f"B{b}", "kernel": draw(st.sampled_from((1, 3, 5)))}
+            if family == RESNET_BOTTLENECK:
+                entry["expansion"] = draw(st.sampled_from((0.2, 0.25, 0.5)))
+                if ratio_gene and draw(st.booleans()):  # possibly outside the unit's ratios
+                    entry["channel_ratio"] = draw(st.sampled_from(_RATIOS))
+            else:
+                entry["expansion"] = draw(st.integers(1, 6))
+            blocks.append(entry)
+        for r in ratios if ratio_gene else ():
+            if not any(b.get("channel_ratio") in (None, r) for b in blocks):
+                blocks.append({"code": f"B{len(blocks)}", "kernel": 3, "expansion": 0.25,
+                               "channel_ratio": r})
+        units.append({
+            "depth_min": lo,
+            "depth_max": draw(st.integers(lo, 4)),
+            "base_channels": draw(st.integers(4, 32)),
+            "channel_ratios": ratios if ratio_gene else [],
+            "blocks": blocks,
+        })
+    resolutions = draw(st.lists(st.sampled_from((16, 23, 32, 40)), min_size=1, max_size=3,
+                                unique=True))
+    return {"name": "prop", "family": family, "resolutions": resolutions, "units": units,
+            "head": {"conv_channels": draw(st.sampled_from((0, 24))), "classes": 10}}
+
+
+def _scalar_draws(space, rng, n, placement, resolution):
+    if placement is None:
+        return [sample_uniform(space, rng, resolution=resolution) for _ in range(n)]
+    return [sample_fixed(space, placement, rng, resolution=resolution) for _ in range(n)]
+
+
+def _rows(genes):
+    return [genes.architecture(i) for i in range(len(genes))]
+
+
+@settings(max_examples=40, deadline=None)
+@given(config=_space_configs(), seed=st.integers(0, 2**32 - 1))
+def test_sample_batch_decodes_to_the_scalar_sampler(config, seed):
+    space = parse_space_config(config)
+    for resolution in (None, *space.resolutions):
+        for key, placement in enumerate((None, *iter_placements(space))):
+            expected = _scalar_draws(space, spawn_rng(seed, key), 6, placement, resolution)
+            genes = sample_batch(space, spawn_rng(seed, key), 6, placement, resolution)
+            if genes is None:  # the pinned ratio is not a value of the unit's ratio gene
+                unit = space.unit(placement.unit)
+                assert space.block(unit.index, placement.block_code).channel_ratio not in (
+                    None, *unit.channel_ratios)
+                continue
+            assert _rows(genes) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(config=_space_configs(), seed=st.integers(0, 2**32 - 1))
+def test_count_and_accuracy_batches_equal_walkers_on_random_spaces(config, seed):
+    space = parse_space_config(config)
+    model = default_accuracy_model(space)
+    genes = sample_batch(space, spawn_rng(seed), 12)
+    archs = _rows(genes)
+    assert macs_evaluator(space).batch(genes).tolist() == [walker_macs(space, a) for a in archs]
+    for bias in (False, True):
+        assert params_evaluator(space, include_bias=bias).batch(genes).tolist() == [
+            walker_params(space, a, include_bias=bias) for a in archs]
+    # synthetic-acc cannot rank ratio-free bottleneck blocks beside ratio-bound ones
+    ratios = {b.channel_ratio for u in space.units for b in u.blocks}
+    if None not in ratios or len(ratios) == 1:
+        # the default model never reaches its clamps; a tight one clamps both ways
+        for m in (model, replace(model, clamp_lo=70.3, clamp_hi=70.9)):
+            assert accuracy_evaluator(space, m).batch(genes).tolist() == [
+                walker_accuracy(space, a, m) for a in archs]
+
+
+@settings(max_examples=100, deadline=None)
+@given(bounds=st.lists(st.tuples(st.integers(0, 5), st.integers(1, 17)), min_size=1,
+                       max_size=60),
+       seed=st.integers(0, 2**32 - 1))
+def test_lemire_map_equals_integers(bounds, seed):
+    rng = np.random.default_rng(seed)
+    expected = [int(rng.integers(k)) if lo == 0 else int(rng.integers(lo, lo + k))
+                for lo, k in bounds]
+    words = iter(np.random.default_rng(seed).integers(2**32, size=len(bounds), dtype=np.uint64))
+    got = []
+    for lo, k in bounds:
+        if k == 1:  # no word taken
+            got.append(lo)
+            continue
+        value, rejected = _lemire(np.array([next(words)]), k)
+        assert not rejected[0]
+        got.append(lo + int(value[0]))
+    assert got == expected
+
+
+def test_lemire_rejection_zone():
+    words = np.array([0, 1, 2**31, 2**32 - 1], dtype=np.uint64)
+    for k in range(1, 18):
+        _, rejected = _lemire(words, k)
+        expected = [(int(w) * k) % 2**32 < 2**32 % k for w in words]
+        assert rejected.tolist() == expected
+        assert rejected[0] == (k & (k - 1) != 0)  # 0 is rejected unless k is a power of 2
+
+
+class _CraftedWords:
+    """A generator whose first batch of words starts with the given words."""
+
+    def __init__(self, rng, head):
+        self.rng, self.head = rng, head
+
+    def integers(self, *args, **kwargs):
+        words = self.rng.integers(*args, **kwargs)
+        words[: len(self.head)] = self.head
+        return words
+
+
+# 0 is in the rejection zone of every k that is not a power of 2
+_REJECTED_WORDS = [
+    ("ofa", [0]),  # the resolution, over 3 choices
+    ("resnet50", [0]),  # unit 1's ratio, over 3
+    ("proxylessnas", [0]),  # unit 1's depth, over 3
+    ("proxylessnas", [1, 0]),  # unit 1's first block, over 9
+]
+
+
+@pytest.mark.parametrize("space_name,head", _REJECTED_WORDS)
+def test_rejection_word_takes_the_scalar_fallback(monkeypatch, space_name, head):
+    space = load_space(space_name)
+    assert sample_batch(space, _CraftedWords(spawn_rng(4), head), 5) is None
+    assert sample_batch(space, _CraftedWords(spawn_rng(4), [1] * len(head)), 5) is not None
+    ev = macs_evaluator(space)
+    spawn = profiler.spawn_rng
+    keys = []
+
+    def crafted(seed, *key):
+        keys.append(key)
+        rng = spawn(seed, *key)
+        return _CraftedWords(rng, head) if len(keys) == 1 else rng
+
+    monkeypatch.setattr(profiler, "spawn_rng", crafted)
+    got = profiler.draw_samples(space, ev, 30, seed=4)
+    assert keys == [(STREAM_BASELINE, 0)] * 2  # the stream was drawn again
+    rng = spawn(4, STREAM_BASELINE, 0)
+    assert got.values.tolist() == [ev.evaluate(sample_uniform(space, rng)) for _ in range(30)]
+
+
+@pytest.mark.parametrize("profile,space_name", _LATENCY_CASES)
+@settings(max_examples=3, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), pick=st.integers(0, 10**6))
+def test_latency_batch_equals_walker(profile, space_name, seed, pick):
+    space = load_space(space_name)
+    ev = latency_evaluator(space, profile)
+    reference = load_profile(profile)
+    placements = list(iter_placements(space))
+    for resolution in space.resolutions:
+        for placement in (None, placements[pick % len(placements)]):
+            genes = sample_batch(space, spawn_rng(seed, resolution), 20, placement, resolution)
+            assert ev.batch(genes).tolist() == [
+                walker_latency(space, a, reference) for a in _rows(genes)]
+
+
+@pytest.mark.parametrize("space_name", list_spaces())
+@settings(max_examples=3, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), pick=st.integers(0, 10**6))
+def test_count_and_accuracy_batches_equal_walkers(space_name, seed, pick):
+    space = load_space(space_name)
+    model = default_accuracy_model(space)
+    placements = list(iter_placements(space))
+    evaluators = (
+        (macs_evaluator(space), lambda a: walker_macs(space, a)),
+        (params_evaluator(space), lambda a: walker_params(space, a)),
+        (accuracy_evaluator(space), lambda a: walker_accuracy(space, a, model)),
+    )
+    for resolution in space.resolutions:
+        for placement in (None, placements[pick % len(placements)]):
+            genes = sample_batch(space, spawn_rng(seed, resolution), 20, placement, resolution)
+            for ev, walker in evaluators:
+                assert ev.batch(genes).tolist() == [walker(a) for a in _rows(genes)]
+
+
+def test_draw_samples_equals_the_scalar_loop_for_every_evaluator_kind(mini_space_2res):
+    space = mini_space_2res
+    entries = {(p.unit, p.layer, p.block_code): p.layer + i / 7
+               for i, p in enumerate(iter_placements(space))}
+    table = MetricTable(space=space.name, metric="lat", direction="minimize", units="ms",
+                        kind=ADDITIVE, entries=entries,
+                        resolution_constants={32: 0.25, 64: 1.0})
+    evaluators = (
+        macs_evaluator(space), params_evaluator(space), accuracy_evaluator(space),
+        latency_evaluator(space, identity_profile(space)), table_evaluator(space, table),
+    )
+    assert evaluators[-1].batch is None  # decoded and evaluated row by row
+    placement = next(iter_placements(space))
+    for ev in evaluators:
+        for p in (None, placement):
+            got = profiler.draw_samples(space, ev, 25, seed=2, placement=p)
+            rng = spawn_rng(2, *profiler._stream_key(p, space, None))
+            assert got.values.tolist() == [
+                ev.evaluate(a) for a in _scalar_draws(space, rng, 25, p, None)]
+
+
+def test_batch_of_another_space_is_evaluated_row_by_row():
+    ofa = load_space("ofa")
+    reduced = apply(ofa, preset("ofa-npu"))  # fewer candidates: other block indices
+    ev = macs_evaluator(ofa)
+    genes = sample_batch(reduced, spawn_rng(0), 5)
+    assert ev.batch(genes) is None
+    assert ev.evaluate_batch(genes).tolist() == [ev.evaluate(a) for a in _rows(genes)]

@@ -29,6 +29,8 @@ EXPECTED = {
         "c87f3cfe1c646473722588180d9572d52bb14b5a2ff9af12643b715272e233c9",
     "blocks-npu/blocks-ofa-npu-like.csv":
         "b1b5e782191cb9f8ba5dc2a49277b2a8b28d24041764e5932c55353be27492a1",
+    "blocks-params/blocks-resnet50-params.csv":
+        "2f93e8a229dc5db93721b185ed90115e3121e6568ed470cd65ed6c17cebf2619",
     "compare/compare.csv":
         "03c1f1563b79d2dc5caa03c1e98cf50b41964dfdfb2b0b75df06b4f6c856a2d2",
     "docs/additive-table.csv":
@@ -65,6 +67,10 @@ EXPECTED = {
         "eba4192618f817814a681fdc48fe813b313abf9300b3d12a2b5e8c1d6c96acf2",
     "placements-cpu/placements-resnet50-cpu-expansion-bound.csv":
         "60e7d0a0ee6c5caf37de00b52de487b65548802e05d3bd7f66ce607d7e278d83",
+    "placements-gpu/placements-proxylessnas-gpu-flat-boundaries.json":
+        "9bad662cee2d21f9e0b6fb66bf9f761ae07134ca30f8098ff735d1044f64a692",
+    "placements-gpu/placements-proxylessnas-gpu-flat.csv":
+        "fa14a40a0dc5ec64620bc6ff79ca0fdf71290680e03a727de11ecd9cc16f57eb",
     "reduce/reduced-resnet50-resnet50-maxacc.json":
         "08c99207efb452b429e2774cff38b287ff8016465082e3df5ea819bea2e9bda2",
     "sweep/placements-ofa-macs-boundaries.json":
@@ -95,6 +101,12 @@ _RUNS = (
      "cpu-expansion-bound", "--samples", "4", "--baseline-samples", "20"),
     ("blocks-note10", "profile", "blocks", "--space", "proxylessnas", "--metric",
      "note10-linear", "--samples", "3", "--per-resolution"),
+    # exact integer parameter tables keyed by the previous unit's channel ratio
+    ("blocks-params", "profile", "blocks", "--space", "resnet50", "--metric", "params",
+     "--samples", "4"),
+    # a unit with a single depth, so its depth draw takes no word
+    ("placements-gpu", "profile", "placements", "--space", "proxylessnas", "--metric",
+     "gpu-flat", "--samples", "5", "--baseline-samples", "20", "--raw"),
     # several non-dominated fronts per generation, the last one cut by crowding
     ("pareto-acc-macs", "search", "pareto", "--space", "ofa", "--objectives",
      "acc:max,macs:min", "--population", "12", "--generations", "3", "--children", "16",
