@@ -455,12 +455,24 @@ def _axis_rank(value, axis_values) -> float:
 
 
 def _axis_values(space: DesignSpace) -> dict[str, list]:
-    """Each block axis's distinct values over the whole space, ascending."""
+    """Each block axis's distinct values over the whole space, ascending.
+
+    Raises ValidationError for a block without a value on an axis where
+    other blocks have one (a ratio-free bottleneck beside ratio-bound ones),
+    since it has no place on that axis."""
     values: dict[str, set] = {}
     for unit in space.units:
         for b in unit.blocks:
             for name, value in b.axes().items():
                 values.setdefault(name, set()).add(value)
+    for name, v in values.items():
+        if None in v and len(v) > 1:
+            unit, block = next((u, b) for u in space.units for b in u.blocks
+                               if b.axes()[name] is None)
+            raise ValidationError(
+                f"unit {unit.index} block {block.code!r}: no {name}, which block capacity "
+                f"needs when other blocks of the space have one"
+            )
     return {name: sorted(v) for name, v in values.items()}
 
 

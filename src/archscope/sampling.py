@@ -146,6 +146,45 @@ class Genes:
     def __len__(self) -> int:
         return len(self.resolution)
 
+    @classmethod
+    def from_architectures(cls, space: DesignSpace, archs) -> "Genes":
+        """The batch whose row i is archs[i], exactly: the inverse of
+        architecture(). Raises ValidationError for an architecture of another
+        space, a depth outside its unit's range or a gene the space lacks."""
+        lmax = max(u.depth_max for u in space.units)
+        resolutions = {r: i for i, r in enumerate(space.resolutions)}
+        ratio_index = [{r: i for i, r in enumerate(values)} for values in ratio_values(space)]
+        block_index = [{b.code: i for i, b in enumerate(unit.blocks)} for unit in space.units]
+        has_ratio = any(u.channel_ratios for u in space.units)
+        no_ratio = [0] * space.n_units
+        shape = (space.n_units, space.n_units, space.n_units if has_ratio else 0)
+        res, ratio, depth, block = [], [], [], []
+        for i, arch in enumerate(archs):
+            try:
+                fits = arch.space == space.name and shape == (
+                    len(arch.depths), len(arch.blocks), len(arch.channel_ratios)) and all(
+                    unit.depth_min <= d <= unit.depth_max and len(codes) == d
+                    for unit, d, codes in zip(space.units, arch.depths, arch.blocks))
+                if fits:
+                    res.append(resolutions[arch.resolution])
+                    ratio.append([index[r] for index, r in zip(ratio_index, arch.channel_ratios)]
+                                 if has_ratio else no_ratio)
+                    block.append([[index[c] for c in codes] + [-1] * (lmax - len(codes))
+                                  for index, codes in zip(block_index, arch.blocks)])
+                    depth.append(arch.depths)
+            except (KeyError, TypeError):
+                fits = False
+            if not fits:
+                raise ValidationError(f"architecture {i} is not a member of space {space.name!r}")
+        n, units = len(res), space.n_units
+        return cls(
+            space=space,
+            resolution=np.array(res, dtype=np.int64),
+            ratio=np.array(ratio, dtype=np.int64).reshape(n, units),
+            depth=np.array(depth, dtype=np.int64).reshape(n, units),
+            block=np.array(block, dtype=np.int64).reshape(n, units, lmax),
+        )
+
     def architecture(self, i: int) -> Architecture:
         """Row i as the Architecture the scalar sampler builds."""
         space = self.space
@@ -184,9 +223,8 @@ class _UnitDraws(NamedTuple):
     pin: tuple[int, int] | None  # (layer slot, block index) of a placement
 
 
-def _unit_draws(space: DesignSpace, placement: Placement | None):
-    """Per-unit draw shapes, or None when a pinned block's ratio is not one of
-    its unit's ratios (the ratio gene cannot hold it)."""
+def _unit_draws(space: DesignSpace, placement: Placement | None) -> list[_UnitDraws]:
+    """Per-unit draw shapes."""
     out = []
     for unit in space.units:
         pin = placement if placement is not None and placement.unit == unit.index else None
@@ -195,8 +233,6 @@ def _unit_draws(space: DesignSpace, placement: Placement | None):
         if pin is not None:
             pinned = space.block(unit.index, pin.block_code).channel_ratio
             if unit.channel_ratios and pinned is not None:
-                if pinned not in ratios:
-                    return None
                 ratio_k, ratio_idx = 1, ratios.index(pinned)
         picks = [space.candidates(unit.index, r) for r in ratios]
         choices = np.zeros((len(picks), max(map(len, picks))), dtype=np.int64)
@@ -229,10 +265,10 @@ def sample_batch(
     """n architectures as gene arrays, equal to n sample_uniform calls (or
     sample_fixed calls, given a placement) on the same generator.
 
-    Returns None when a word the draws use falls in a rejection zone, or when
-    a pinned block's ratio is not one of its unit's ratios; redraw the stream
-    with the scalar sampler then. The generator is spent either way: it is
-    advanced past every word the batch may need, not just the used ones.
+    Returns None when a word the draws use falls in a rejection zone; redraw
+    the stream with the scalar sampler then. The generator is spent either
+    way: it is advanced past every word the batch may need, not just the
+    used ones.
     """
     if placement is not None:
         validate_placement(space, placement)
@@ -243,8 +279,6 @@ def sample_batch(
     else:
         raise ValidationError(f"resolution {resolution} not one of {space.resolutions}")
     units = _unit_draws(space, placement)
-    if units is None:
-        return None
     per_arch = int(res_k > 1) + sum(
         int(d.ratio_k > 1) + int(d.depth_k > 1) + d.depth_max * int(d.block_w.max())
         for d in units

@@ -6,8 +6,15 @@ evaluates the children, merges parents and children, and truncates back to P
 by rank, so the best individuals can never be lost. Ranking is direction-aware
 metric order for one objective; for several, non-dominated sorting with
 crowding-distance tie-breaks (a rank-sum alternative sits behind
-fitness_mode="rank_sum"). The budget is exact: P + G * K evaluator calls per
-objective vector, with no caching.
+fitness_mode="rank_sum"). The budget is exact: P + G * K evaluated
+architectures, with no caching.
+
+No mutation draw depends on a metric, so a generation's K children are all
+mutated (and deduped) first and then scored as one gene batch, one
+evaluate_batch call per objective; generation zero is drawn as one batch by
+sample_batch. When a batch fails in any way, that generation is scored again
+one architecture at a time, so an error names the architecture and the
+evaluator the one-at-a-time loop would have stopped at.
 
 Mutation picks a unit (uniformly, or by the given unit weights), then one
 applicable action uniformly: add a layer (appended at the end, new block
@@ -16,7 +23,8 @@ different admissible one, swap the unit's channel ratio (ratio spaces,
 remapping the unit's joint codes), or swap the input resolution (when the
 space has more than one). The result always differs from the input. With
 dedupe on, children already evaluated are re-mutated from their parent up to
-ten times, then accepted as-is.
+ten times, then accepted as-is. docs/FORMATS.md ("Search stream") states the
+draw order of both streams.
 """
 
 from __future__ import annotations
@@ -27,7 +35,14 @@ import numpy as np
 
 from .costs import MAXIMIZE, MINIMIZE, MetricEvaluator
 from .errors import EvaluationError, ValidationError
-from .sampling import STREAM_SEARCH_INIT, STREAM_SEARCH_MUTATE, sample_uniform, spawn_rng
+from .sampling import (
+    STREAM_SEARCH_INIT,
+    STREAM_SEARCH_MUTATE,
+    Genes,
+    sample_batch,
+    sample_uniform,
+    spawn_rng,
+)
 from .spaces import (
     Architecture,
     DesignSpace,
@@ -109,16 +124,28 @@ class SearchResult:
 # ---------------------------------------------------------------------------
 # mutation
 
-def _weights(space: DesignSpace, unit_weights) -> np.ndarray:
-    if unit_weights is None:
-        w = np.ones(space.n_units)
-    else:
-        w = np.asarray(unit_weights, dtype=float)
-        if w.size != space.n_units or np.any(w < 0) or not np.any(w > 0):
+class UnitPicker:
+    """Validated mutation unit weights, normalised, and the CDF that
+    Generator.choice(n, p=...) builds from them; a search builds it once."""
+
+    def __init__(self, space: DesignSpace, unit_weights=None):
+        w = np.ones(space.n_units) if unit_weights is None else np.asarray(
+            unit_weights, dtype=float)
+        with np.errstate(over="ignore"):
+            total = w.sum()
+        if w.shape != (space.n_units,) or np.any(w < 0) or not 0 < total < np.inf:
             raise ValidationError(
                 f"unit_weights must be {space.n_units} non-negative values with a positive sum"
             )
-    return w / w.sum()
+        self.probs = w / total
+        # Generator.choice normalises p once more and then normalises its cumsum
+        p = self.probs / self.probs.sum()
+        self.cdf = p.cumsum()
+        self.cdf /= self.cdf[-1]
+
+    def pick(self, rng: np.random.Generator) -> int:
+        """A 1-based unit, drawn with one double exactly as choice(n, p) draws."""
+        return int(self.cdf.searchsorted(rng.random(), side="right")) + 1
 
 
 def _unit_actions(space: DesignSpace, arch: Architecture, u: int) -> list[str]:
@@ -147,19 +174,26 @@ def mutate(
 ) -> tuple[Architecture, str]:
     """One uniformly chosen applicable mutation; returns (child, description).
 
-    The child always differs from the input. Raises if no gene of the space
-    can move at all.
+    unit_weights is None (uniform), one weight per unit, or a UnitPicker
+    built from either. The child always differs from the input. Raises if no
+    gene of the space can move at all.
     """
-    probs = _weights(space, unit_weights)
-    live = probs.copy()
-    while np.any(live > 0):
-        u = int(rng.choice(space.n_units, p=live / live.sum())) + 1
-        actions = _unit_actions(space, arch, u)
-        if actions:
-            break
+    picker = unit_weights if isinstance(unit_weights, UnitPicker) else UnitPicker(
+        space, unit_weights)
+    u = picker.pick(rng)
+    actions = _unit_actions(space, arch, u)
+    if not actions:  # re-pick among the units not yet tried
+        live = picker.probs.copy()
         live[u - 1] = 0.0
-    else:
-        raise ValidationError(f"space {space.name!r} admits no mutation from this architecture")
+        while np.any(live > 0):
+            u = int(rng.choice(space.n_units, p=live / live.sum())) + 1
+            actions = _unit_actions(space, arch, u)
+            if actions:
+                break
+            live[u - 1] = 0.0
+        else:
+            raise ValidationError(
+                f"space {space.name!r} admits no mutation from this architecture")
 
     unit = space.unit(u)
     action = actions[int(rng.integers(len(actions)))]
@@ -352,66 +386,90 @@ def _median_per_objective(points) -> tuple[float, ...]:
 # ---------------------------------------------------------------------------
 # the loop
 
+def _metrics(objectives, arch: Architecture) -> tuple[float, ...]:
+    try:
+        return tuple(ev.evaluate(arch) for ev in objectives)
+    except EvaluationError:
+        raise
+    except Exception as exc:
+        raise EvaluationError(
+            f"objective evaluation failed: {exc}", record=arch_key(arch)
+        ) from exc
+
+
+def _score(space: DesignSpace, objectives, archs, genes: Genes | None = None):
+    """Metric vectors of archs, one evaluate_batch call per objective. When
+    anything in the batch fails, archs are scored again one at a time, so a
+    failure raises at the architecture and objective where the one-at-a-time
+    loop stops, with that loop's message and record."""
+    try:
+        if genes is None:
+            genes = Genes.from_architectures(space, archs)
+        columns = [ev.evaluate_batch(genes).tolist() for ev in objectives]
+    except Exception:
+        return [_metrics(objectives, arch) for arch in archs]
+    return list(zip(*columns))
+
+
 def evolve(space: DesignSpace, config: SearchConfig) -> SearchResult:
     """Run the elitist EA; deterministic for a fixed (space, config)."""
-    rng_init = spawn_rng(config.seed, STREAM_SEARCH_INIT)
-    rng_mut = spawn_rng(config.seed, STREAM_SEARCH_MUTATE)
-    evaluations = 0
-
-    def evaluate(arch: Architecture, generation: int, parent_id: int, mutation: str) -> EvaluatedArch:
-        nonlocal evaluations
-        try:
-            metrics = tuple(ev.evaluate(arch) for ev in config.objectives)
-        except EvaluationError:
-            raise
-        except Exception as exc:
-            raise EvaluationError(
-                f"objective evaluation failed: {exc}", record=arch_key(arch)
-            ) from exc
-        evaluations += 1
-        return EvaluatedArch(
-            arch=arch,
-            metrics=metrics,
-            eval_id=evaluations - 1,
-            generation=generation,
-            parent_id=parent_id,
-            mutation=mutation,
-        )
-
+    genes = sample_batch(space, spawn_rng(config.seed, STREAM_SEARCH_INIT), config.population)
+    if genes is not None:
+        archs = [genes.architecture(i) for i in range(len(genes))]
+    else:  # a rejected word: redraw the stream one architecture at a time
+        rng_init = spawn_rng(config.seed, STREAM_SEARCH_INIT)
+        archs = [sample_uniform(space, rng_init) for _ in range(config.population)]
     population = [
-        evaluate(sample_uniform(space, rng_init), 0, -1, "") for _ in range(config.population)
+        EvaluatedArch(arch=arch, metrics=metrics, eval_id=i, generation=0)
+        for i, (arch, metrics) in enumerate(
+            zip(archs, _score(space, config.objectives, archs, genes)))
     ]
     all_points: list[EvaluatedArch] = list(population)
-    seen = {arch_key(p.arch) for p in population}
+    seen = set(archs)
     directions = config.directions()
     history = [
         GenerationStats(
             generation=0,
-            evaluations=evaluations,
+            evaluations=len(all_points),
             best=_best_per_objective(population, directions),
             median=_median_per_objective(population),
         )
     ]
 
+    rng_mut = spawn_rng(config.seed, STREAM_SEARCH_MUTATE)
+    picker = UnitPicker(space, config.unit_weights)
     for gen in range(1, config.generations + 1):
-        children = []
+        archs, parents, descs = [], [], []
         for _ in range(config.children):
             parent = population[int(rng_mut.integers(len(population)))]
-            child, desc = mutate(space, parent.arch, rng_mut, config.unit_weights)
+            child, desc = mutate(space, parent.arch, rng_mut, picker)
             if config.dedupe:
                 tries = 0
-                while arch_key(child) in seen and tries < DEDUPE_RETRIES:
-                    child, desc = mutate(space, parent.arch, rng_mut, config.unit_weights)
+                while child in seen and tries < DEDUPE_RETRIES:
+                    child, desc = mutate(space, parent.arch, rng_mut, picker)
                     tries += 1
-            evaluated = evaluate(child, gen, parent.eval_id, desc)
-            seen.add(arch_key(child))
-            children.append(evaluated)
+            seen.add(child)
+            archs.append(child)
+            parents.append(parent.eval_id)
+            descs.append(desc)
+        children = [
+            EvaluatedArch(
+                arch=arch,
+                metrics=metrics,
+                eval_id=len(all_points) + k,
+                generation=gen,
+                parent_id=parent_id,
+                mutation=desc,
+            )
+            for k, (arch, metrics, parent_id, desc) in enumerate(
+                zip(archs, _score(space, config.objectives, archs), parents, descs))
+        ]
         all_points.extend(children)
         population = _truncate(population + children, config.population, config)
         history.append(
             GenerationStats(
                 generation=gen,
-                evaluations=evaluations,
+                evaluations=len(all_points),
                 best=_best_per_objective(population, directions),
                 median=_median_per_objective(population),
             )
@@ -430,7 +488,7 @@ def evolve(space: DesignSpace, config: SearchConfig) -> SearchResult:
             "fitness_mode": config.fitness_mode,
         },
         history=history,
-        total_evaluations=evaluations,
+        total_evaluations=len(all_points),
     )
     if len(config.objectives) == 1:
         sign = 1.0 if directions[0] == MINIMIZE else -1.0
@@ -440,9 +498,8 @@ def evolve(space: DesignSpace, config: SearchConfig) -> SearchResult:
         if config.dedupe:
             unique, kept = set(), []
             for p in frontier:
-                key = arch_key(p.arch)
-                if key not in unique:
-                    unique.add(key)
+                if p.arch not in unique:
+                    unique.add(p.arch)
                     kept.append(p)
             frontier = kept
         result.frontier = ParetoFront(

@@ -120,12 +120,10 @@ class DesignSpace:
         )
 
     def candidates(self, unit_index: int, ratio: float | None) -> tuple[int, ...]:
-        """Indices into the unit's blocks of the candidates consistent with a
-        channel ratio (consistent_blocks), in candidate order."""
-        found = self._choices.get((unit_index, ratio))
-        if found is None:  # a pinned block's ratio outside the unit's list
-            found = _consistent_indices(self.unit(unit_index), ratio)
-        return found
+        """Indices into the unit's blocks of the candidates consistent with
+        one of the unit's channel ratios (None without a ratio gene), in
+        candidate order."""
+        return self._choices[unit_index, ratio]
 
     @property
     def n_units(self) -> int:
@@ -425,6 +423,12 @@ def _parse_unit(entry, index, family) -> UnitSpec:
     for r in unit.channel_ratios:
         if not consistent_blocks(unit, r):
             raise ConfigError(f"{where}.channel_ratios: no candidate block matches ratio {r}")
+    for j, b in enumerate(blocks):
+        if unit.channel_ratios and b.channel_ratio not in (None, *unit.channel_ratios):
+            raise ConfigError(
+                f"{where}.blocks[{j}].channel_ratio: {b.channel_ratio} not one of the "
+                f"unit's channel_ratios {list(unit.channel_ratios)}"
+            )
     return unit
 
 

@@ -6,14 +6,22 @@ MAC/parameter walker that simulates the shape chain op by op, per-layer
 latency and synthetic-accuracy walkers that recompute every factor on every
 layer, an exhaustive expectation calculator that enumerates the sampling
 distribution with explicit probability weights, and a quadratic-time Pareto
-filter and front sort.
+filter and front sort. The one exception is reference_evolve: the
+one-child-at-a-time search loop and its mutation operator as they were
+before the search scored its children in batches, kept so the batched
+search can be checked against them.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from archscope.spaces import Architecture, consistent_blocks
+import numpy as np
+
+from archscope import search
+from archscope.errors import EvaluationError, ValidationError
+from archscope.sampling import STREAM_SEARCH_INIT, STREAM_SEARCH_MUTATE, sample_uniform, spawn_rng
+from archscope.spaces import Architecture, arch_key, consistent_blocks
 
 # upper 0.1% points of the chi-square distribution, from standard tables
 CHI2_CRIT_001 = {1: 10.828, 2: 13.816, 8: 26.124}
@@ -326,3 +334,168 @@ def brute_fronts(norm):
         if not nxt:
             return fronts
         fronts.append(sorted(nxt))
+
+
+# ---------------------------------------------------------------------------
+# reference search: one child at a time, string dedupe keys
+
+def _reference_weights(space, unit_weights):
+    if unit_weights is None:
+        w = np.ones(space.n_units)
+    else:
+        w = np.asarray(unit_weights, dtype=float)
+        if w.size != space.n_units or np.any(w < 0) or not np.any(w > 0):
+            raise ValidationError(
+                f"unit_weights must be {space.n_units} non-negative values with a positive sum"
+            )
+    return w / w.sum()
+
+
+def reference_mutate(space, arch, rng, unit_weights=None):
+    """The mutation operator that renormalises the unit weights and calls
+    Generator.choice on every call; the applicable actions are the library's."""
+    probs = _reference_weights(space, unit_weights)
+    live = probs.copy()
+    while np.any(live > 0):
+        u = int(rng.choice(space.n_units, p=live / live.sum())) + 1
+        actions = search._unit_actions(space, arch, u)
+        if actions:
+            break
+        live[u - 1] = 0.0
+    else:
+        raise ValidationError(f"space {space.name!r} admits no mutation from this architecture")
+
+    unit = space.unit(u)
+    action = actions[int(rng.integers(len(actions)))]
+    depths = list(arch.depths)
+    blocks = [list(codes) for codes in arch.blocks]
+    ratios = list(arch.channel_ratios)
+    resolution = arch.resolution
+    ratio = ratios[u - 1] if ratios else None
+
+    if action == "add_layer":
+        choices = [b.code for b in consistent_blocks(unit, ratio)]
+        code = choices[int(rng.integers(len(choices)))]
+        blocks[u - 1].append(code)
+        depths[u - 1] += 1
+        desc = f"add_layer:u{u}:{code}"
+    elif action == "remove_layer":
+        pos = int(rng.integers(depths[u - 1]))
+        removed = blocks[u - 1].pop(pos)
+        depths[u - 1] -= 1
+        desc = f"remove_layer:u{u}l{pos + 1}:{removed}"
+    elif action == "change_block":
+        pos = int(rng.integers(depths[u - 1]))
+        old = blocks[u - 1][pos]
+        choices = [b.code for b in consistent_blocks(unit, ratio) if b.code != old]
+        new = choices[int(rng.integers(len(choices)))]
+        blocks[u - 1][pos] = new
+        desc = f"change_block:u{u}l{pos + 1}:{old}->{new}"
+    elif action == "change_ratio":
+        old = ratios[u - 1]
+        choices = [r for r in unit.channel_ratios if r != old]
+        new = choices[int(rng.integers(len(choices)))]
+        ratios[u - 1] = new
+        remap = {}
+        for b in consistent_blocks(unit, old):
+            for nb in consistent_blocks(unit, new):
+                if nb.expansion == b.expansion and nb.kernel == b.kernel:
+                    remap[b.code] = nb.code
+        fallback = [b.code for b in consistent_blocks(unit, new)]
+        blocks[u - 1] = [
+            remap.get(c) or fallback[int(rng.integers(len(fallback)))]
+            for c in blocks[u - 1]
+        ]
+        desc = f"change_ratio:u{u}:{old}->{new}"
+    else:
+        choices = [r for r in space.resolutions if r != resolution]
+        resolution = choices[int(rng.integers(len(choices)))]
+        desc = f"change_resolution:{arch.resolution}->{resolution}"
+
+    child = Architecture(
+        space=arch.space,
+        resolution=resolution,
+        depths=tuple(depths),
+        blocks=tuple(tuple(c) for c in blocks),
+        channel_ratios=tuple(ratios),
+    )
+    return child, desc
+
+
+def reference_evolve(space, config):
+    """The elitist loop that samples, mutates, evaluates and dedupes one
+    architecture at a time, with arch_key strings as dedupe keys. The ranking
+    helpers are the library's own."""
+    rng_init = spawn_rng(config.seed, STREAM_SEARCH_INIT)
+    rng_mut = spawn_rng(config.seed, STREAM_SEARCH_MUTATE)
+    evaluations = 0
+
+    def evaluate(arch, generation, parent_id, mutation):
+        nonlocal evaluations
+        try:
+            metrics = tuple(ev.evaluate(arch) for ev in config.objectives)
+        except EvaluationError:
+            raise
+        except Exception as exc:
+            raise EvaluationError(
+                f"objective evaluation failed: {exc}", record=arch_key(arch)
+            ) from exc
+        evaluations += 1
+        return search.EvaluatedArch(
+            arch=arch, metrics=metrics, eval_id=evaluations - 1, generation=generation,
+            parent_id=parent_id, mutation=mutation,
+        )
+
+    population = [
+        evaluate(sample_uniform(space, rng_init), 0, -1, "") for _ in range(config.population)
+    ]
+    all_points = list(population)
+    seen = {arch_key(p.arch) for p in population}
+    directions = config.directions()
+
+    def stats(generation):
+        return search.GenerationStats(
+            generation=generation,
+            evaluations=evaluations,
+            best=search._best_per_objective(population, directions),
+            median=search._median_per_objective(population),
+        )
+
+    history = [stats(0)]
+    for gen in range(1, config.generations + 1):
+        children = []
+        for _ in range(config.children):
+            parent = population[int(rng_mut.integers(len(population)))]
+            child, desc = reference_mutate(space, parent.arch, rng_mut, config.unit_weights)
+            if config.dedupe:
+                tries = 0
+                while arch_key(child) in seen and tries < search.DEDUPE_RETRIES:
+                    child, desc = reference_mutate(space, parent.arch, rng_mut,
+                                                   config.unit_weights)
+                    tries += 1
+            children.append(evaluate(child, gen, parent.eval_id, desc))
+            seen.add(arch_key(child))
+        all_points.extend(children)
+        population = search._truncate(population + children, config.population, config)
+        history.append(stats(gen))
+
+    result = search.SearchResult(space=space.name, config={}, history=history,
+                                 total_evaluations=evaluations)
+    if len(config.objectives) == 1:
+        sign = 1.0 if directions[0] == "minimize" else -1.0
+        result.best = min(all_points, key=lambda p: (sign * p.metrics[0], p.eval_id))
+    else:
+        frontier = search.pareto_filter(all_points, directions)
+        if config.dedupe:
+            unique, kept = set(), []
+            for p in frontier:
+                key = arch_key(p.arch)
+                if key not in unique:
+                    unique.add(key)
+                    kept.append(p)
+            frontier = kept
+        result.frontier = search.ParetoFront(
+            objectives=tuple((ev.name, ev.direction) for ev in config.objectives),
+            points=frontier,
+        )
+    return result

@@ -324,6 +324,35 @@ def test_domain_errors_exit_2(capsys, tmp_path, mini_file):
     assert rc == 2 and "unit_weights" in err
 
 
+def _bottleneck_config(path, blocks, ratios):
+    path.write_text(json.dumps({
+        "name": "bn", "family": "resnet_bottleneck", "resolutions": [32],
+        "units": [{"depth_min": 1, "depth_max": 2, "base_channels": 8,
+                   "channel_ratios": ratios, "blocks": blocks}],
+    }))
+    return str(path)
+
+
+def test_bottleneck_block_ratio_errors_exit_2(capsys, tmp_path):
+    free = {"code": "A", "kernel": 3, "expansion": 0.25}
+    bound = {"code": "B", "kernel": 3, "expansion": 0.25, "channel_ratio": 0.5}
+    # a ratio-free block beside a ratio-bound one has no place on the capacity axis
+    mixed = _bottleneck_config(tmp_path / "mixed.json", [free, bound], [0.5])
+    rc, _, err = _run(capsys, "profile", "blocks", "--space", mixed, "--metric", "acc",
+                      "--samples", "2", "--out", str(tmp_path / "o1"))
+    assert rc == 2 and err.startswith("error: unit 1 block 'A': no channel_ratio")
+    rc, _, err = _run(capsys, "profile", "blocks", "--space", mixed, "--metric", "macs",
+                      "--samples", "2", "--out", str(tmp_path / "o2"))
+    assert rc == 0, err
+    # a block bound to a ratio the unit does not list is rejected at load
+    outside = _bottleneck_config(tmp_path / "outside.json",
+                                 [dict(bound, code="C", channel_ratio=1.0), bound], [1.0])
+    rc, _, err = _run(capsys, "profile", "placements", "--space", outside, "--metric", "macs",
+                      "--samples", "2", "--baseline-samples", "4",
+                      "--out", str(tmp_path / "o3"))
+    assert rc == 2 and err.startswith("error: units[0].blocks[1].channel_ratio: 0.5")
+
+
 def test_non_numeric_profile_and_table_fields_exit_2(capsys, tmp_path, mini_file):
     profile = tmp_path / "p.json"
     profile.write_text(json.dumps({

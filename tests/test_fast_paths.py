@@ -4,7 +4,8 @@ Non-dominated fronts from the domination matrix must equal the pairwise front
 sort. The memoised latency and precomputed accuracy evaluators, and every
 evaluator's batch function over gene arrays, must equal the per-layer walkers
 bit for bit (==, not approx). The batch sampler must decode to exactly the
-architectures the scalar sampler draws from the same stream.
+architectures the scalar sampler draws from the same stream. The batched
+search must return what the one-child-at-a-time reference search returns.
 """
 
 from dataclasses import replace
@@ -14,27 +15,43 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from archscope import profiler
+from archscope import profiler, search
 from archscope.costs import (
+    MAXIMIZE,
+    MINIMIZE,
+    MetricEvaluator,
     accuracy_evaluator,
     default_accuracy_model,
     macs_evaluator,
     params_evaluator,
 )
 from archscope.devices import identity_profile, latency_evaluator, list_profiles, load_profile
+from archscope.errors import EvaluationError, ValidationError
 from archscope.reduction import apply, preset
 from archscope.sampling import (
     STREAM_BASELINE,
+    STREAM_SEARCH_INIT,
+    STREAM_SEARCH_MUTATE,
+    Genes,
     _lemire,
     sample_batch,
     sample_fixed,
     sample_uniform,
     spawn_rng,
 )
-from archscope.search import _fast_nondominated_fronts
+from archscope.search import (
+    FITNESS_DOMINANCE,
+    FITNESS_RANK_SUM,
+    SearchConfig,
+    UnitPicker,
+    _fast_nondominated_fronts,
+    evolve,
+    mutate,
+)
 from archscope.spaces import (
     FAMILIES,
     RESNET_BOTTLENECK,
+    arch_key,
     iter_placements,
     list_spaces,
     load_space,
@@ -42,7 +59,15 @@ from archscope.spaces import (
 )
 from archscope.tables import ADDITIVE, MetricTable, table_evaluator
 
-from .oracles import brute_fronts, walker_accuracy, walker_latency, walker_macs, walker_params
+from .oracles import (
+    brute_fronts,
+    reference_evolve,
+    reference_mutate,
+    walker_accuracy,
+    walker_latency,
+    walker_macs,
+    walker_params,
+)
 
 # a few repeated values make ties and equal vectors common
 _VALUES = st.one_of(
@@ -133,8 +158,8 @@ def _space_configs(draw):
             entry = {"code": f"B{b}", "kernel": draw(st.sampled_from((1, 3, 5)))}
             if family == RESNET_BOTTLENECK:
                 entry["expansion"] = draw(st.sampled_from((0.2, 0.25, 0.5)))
-                if ratio_gene and draw(st.booleans()):  # possibly outside the unit's ratios
-                    entry["channel_ratio"] = draw(st.sampled_from(_RATIOS))
+                if ratio_gene and draw(st.booleans()):
+                    entry["channel_ratio"] = draw(st.sampled_from(ratios))
             else:
                 entry["expansion"] = draw(st.integers(1, 6))
             blocks.append(entry)
@@ -173,11 +198,6 @@ def test_sample_batch_decodes_to_the_scalar_sampler(config, seed):
         for key, placement in enumerate((None, *iter_placements(space))):
             expected = _scalar_draws(space, spawn_rng(seed, key), 6, placement, resolution)
             genes = sample_batch(space, spawn_rng(seed, key), 6, placement, resolution)
-            if genes is None:  # the pinned ratio is not a value of the unit's ratio gene
-                unit = space.unit(placement.unit)
-                assert space.block(unit.index, placement.block_code).channel_ratio not in (
-                    None, *unit.channel_ratios)
-                continue
             assert _rows(genes) == expected
 
 
@@ -194,11 +214,14 @@ def test_count_and_accuracy_batches_equal_walkers_on_random_spaces(config, seed)
             walker_params(space, a, include_bias=bias) for a in archs]
     # synthetic-acc cannot rank ratio-free bottleneck blocks beside ratio-bound ones
     ratios = {b.channel_ratio for u in space.units for b in u.blocks}
-    if None not in ratios or len(ratios) == 1:
-        # the default model never reaches its clamps; a tight one clamps both ways
-        for m in (model, replace(model, clamp_lo=70.3, clamp_hi=70.9)):
-            assert accuracy_evaluator(space, m).batch(genes).tolist() == [
-                walker_accuracy(space, a, m) for a in archs]
+    if None in ratios and len(ratios) > 1:
+        with pytest.raises(ValidationError, match=r"unit \d+ block 'B\d+': no channel_ratio"):
+            accuracy_evaluator(space, model)
+        return
+    # the default model never reaches its clamps; a tight one clamps both ways
+    for m in (model, replace(model, clamp_lo=70.3, clamp_hi=70.9)):
+        assert accuracy_evaluator(space, m).batch(genes).tolist() == [
+            walker_accuracy(space, a, m) for a in archs]
 
 
 @settings(max_examples=100, deadline=None)
@@ -334,3 +357,235 @@ def test_batch_of_another_space_is_evaluated_row_by_row():
     genes = sample_batch(reduced, spawn_rng(0), 5)
     assert ev.batch(genes) is None
     assert ev.evaluate_batch(genes).tolist() == [ev.evaluate(a) for a in _rows(genes)]
+
+
+# ---------------------------------------------------------------------------
+# the batched search against the one-child-at-a-time reference
+
+def _outcome(run, space, config):
+    """The fields both searches must agree on, or the error they raise."""
+    try:
+        result = run(space, config)
+    except (EvaluationError, ValidationError) as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "record", None)
+    points = [result.best] if result.frontier is None else result.frontier.points
+    return (
+        result.history,
+        result.total_evaluations,
+        [(p.arch, p.metrics, p.eval_id, p.generation, p.parent_id, p.mutation)
+         for p in points],
+    )
+
+
+def _objectives(space, names):
+    walk = MetricEvaluator(name="walk", direction=MINIMIZE,  # no batch: row by row
+                           fn=lambda arch: walker_macs(space, arch))
+    try:
+        acc = accuracy_evaluator(space)
+    except ValidationError:  # ratio-free bottleneck blocks beside ratio-bound ones
+        acc = params_evaluator(space)
+    table = {"acc": acc, "macs": macs_evaluator(space), "walk": walk,
+             "params": params_evaluator(space, include_bias=True)}
+    return tuple(table[name] for name in names)
+
+
+@settings(max_examples=60, deadline=None)
+@given(config=_space_configs(), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_evolve_equals_the_reference_search(config, seed, data):
+    space = parse_space_config(config)
+    names = data.draw(st.sampled_from([
+        ("acc",), ("macs",), ("walk",), ("acc", "macs"), ("params", "walk"),
+        ("acc", "macs", "params"),
+    ]))
+    weights = data.draw(st.none() | st.lists(
+        st.sampled_from((0.0, 0.5, 1.0, 2.5)), min_size=space.n_units,
+        max_size=space.n_units).filter(any))
+    search_config = SearchConfig(
+        objectives=_objectives(space, names),
+        population=data.draw(st.integers(1, 6)),
+        generations=data.draw(st.integers(1, 3)),
+        children=data.draw(st.integers(1, 8)),
+        seed=seed,
+        unit_weights=None if weights is None else tuple(weights),
+        dedupe=data.draw(st.booleans()),
+        fitness_mode=data.draw(st.sampled_from((FITNESS_DOMINANCE, FITNESS_RANK_SUM))),
+    )
+    assert (_outcome(evolve, space, search_config)
+            == _outcome(reference_evolve, space, search_config))
+
+
+@pytest.mark.parametrize("space_name,head", _REJECTED_WORDS)
+def test_evolve_redraws_generation_zero_after_a_rejected_word(monkeypatch, space_name, head):
+    space = load_space(space_name)
+    config = SearchConfig(objectives=(accuracy_evaluator(space), macs_evaluator(space)),
+                          population=5, generations=2, children=6, seed=4)
+    expected = _outcome(reference_evolve, space, config)
+    spawn = search.spawn_rng
+    keys = []
+
+    def crafted(seed, *key):
+        keys.append(key)
+        rng = spawn(seed, *key)
+        return _CraftedWords(rng, head) if len(keys) == 1 else rng
+
+    monkeypatch.setattr(search, "spawn_rng", crafted)
+    assert _outcome(evolve, space, config) == expected
+    assert keys == [(STREAM_SEARCH_INIT,), (STREAM_SEARCH_INIT,), (STREAM_SEARCH_MUTATE,)]
+
+
+def _frozen_unit_space():
+    """Unit 1 admits no mutation; unit 2 does, under a ratio gene."""
+    return parse_space_config({
+        "name": "frozen", "family": RESNET_BOTTLENECK, "resolutions": [32],
+        "units": [
+            {"depth_min": 2, "depth_max": 2, "base_channels": 8, "channel_ratios": [1.0],
+             "blocks": [{"code": "A", "kernel": 3, "expansion": 0.25}]},
+            {"depth_min": 1, "depth_max": 3, "base_channels": 16, "channel_ratios": [0.5, 1.0],
+             "blocks": [{"code": "C50", "kernel": 3, "expansion": 0.25, "channel_ratio": 0.5},
+                        {"code": "C100", "kernel": 3, "expansion": 0.25, "channel_ratio": 1.0},
+                        {"code": "D100", "kernel": 3, "expansion": 0.5, "channel_ratio": 1.0}]},
+        ],
+    })
+
+
+@pytest.mark.parametrize("weights", [None, (1.0, 1.0), (3.0, 0.5), (0.0, 1.0), (1.0, 0.0)])
+@pytest.mark.parametrize("dedupe", [True, False])
+def test_evolve_equals_the_reference_where_a_unit_cannot_move(weights, dedupe):
+    space = _frozen_unit_space()
+    for names in (("acc", "macs"), ("macs",)):
+        config = SearchConfig(objectives=_objectives(space, names), population=4,
+                              generations=3, children=10, seed=9, unit_weights=weights,
+                              dedupe=dedupe)
+        got = _outcome(evolve, space, config)
+        assert got == _outcome(reference_evolve, space, config)
+        if weights == (1.0, 0.0):  # only the frozen unit may be picked
+            assert got[0] == "ValidationError" and "admits no mutation" in got[1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(weights=st.lists(st.sampled_from((0.0, 1e-3, 0.2, 1.0, 3.0, 7.5)), min_size=5,
+                        max_size=5).filter(any),
+       seed=st.integers(0, 2**32 - 1))
+def test_cdf_pick_equals_generator_choice(weights, seed):
+    space = load_space("ofa")
+    picker = UnitPicker(space, weights)
+    w = np.asarray(weights) / np.sum(weights)
+    assert picker.probs.tolist() == w.tolist()
+    ours, theirs = spawn_rng(seed), spawn_rng(seed)
+    for _ in range(20):
+        assert picker.pick(ours) == int(theirs.choice(5, p=w / w.sum())) + 1
+    assert ours.random() == theirs.random()  # one double per pick on both sides
+
+
+@settings(max_examples=40, deadline=None)
+@given(config=_space_configs(), seed=st.integers(0, 2**32 - 1))
+def test_mutate_equals_the_reference_mutation(config, seed):
+    space = parse_space_config(config)
+    archs = [sample_uniform(space, spawn_rng(seed, 1)) for _ in range(5)]
+    ours, theirs = spawn_rng(seed, 2), spawn_rng(seed, 2)
+    picker = UnitPicker(space)
+    for arch in archs:
+        for weights in (None, picker):
+            try:
+                got = mutate(space, arch, ours, weights)
+            except ValidationError as exc:
+                got = str(exc)
+            try:
+                expected = reference_mutate(space, arch, theirs)
+            except ValidationError as exc:
+                expected = str(exc)
+            assert got == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(config=_space_configs(), seed=st.integers(0, 2**32 - 1))
+def test_genes_round_trip_sampled_and_mutated_architectures(config, seed):
+    space = parse_space_config(config)
+    genes = sample_batch(space, spawn_rng(seed), 8)
+    sampled = _rows(genes)
+    again = Genes.from_architectures(space, sampled)
+    for name in ("resolution", "ratio", "depth", "block"):
+        assert np.array_equal(getattr(again, name), getattr(genes, name)), name
+    rng = spawn_rng(seed, 1)
+    mutated = []
+    for arch in sampled:
+        try:
+            mutated.append(mutate(space, arch, rng)[0])
+        except ValidationError:  # nothing in this space can move
+            break
+    for archs in (sampled, mutated):
+        assert _rows(Genes.from_architectures(space, archs)) == archs
+
+
+def test_from_architectures_rejects_non_members():
+    space = load_space("ofa")
+    arch = sample_uniform(space, spawn_rng(0))
+    bad = [
+        replace(arch, space="proxylessnas"),
+        replace(arch, resolution=200),
+        replace(arch, depths=(1, *arch.depths[1:])),  # depth disagrees with the codes
+        replace(arch, blocks=(("nope",) * arch.depths[0], *arch.blocks[1:])),
+        replace(arch, channel_ratios=(1.0,) * 5),  # ofa has no ratio gene
+    ]
+    for other in bad:
+        with pytest.raises(ValidationError, match="architecture 1 is not a member"):
+            Genes.from_architectures(space, [arch, other])
+
+
+def _failing(space, bad_arch, kind):
+    """A macs objective that fails for one architecture: by raising, from the
+    metric function and the batch function alike or from a metric function
+    without a batch, or with a NaN from both functions."""
+    ev = macs_evaluator(space)
+
+    def fn(arch):
+        if arch == bad_arch:
+            if kind == "nan":
+                return float("nan")
+            raise RuntimeError("backend lost")
+        return ev.fn(arch)
+
+    def batch(genes):
+        values = ev.batch(genes)
+        bad = [i for i, a in enumerate(_rows(genes)) if a == bad_arch]
+        if bad and kind == "raise":
+            raise RuntimeError("batch backend lost")
+        values[bad] = np.nan
+        return values
+
+    return MetricEvaluator(name="flaky", direction=MINIMIZE, fn=fn,
+                           batch=None if kind == "no-batch" else batch)
+
+
+def _evaluated(space, config):
+    """(generation, arch) of every evaluation the reference search makes."""
+    seen = []
+    objective = config.objectives[0]
+
+    def fn(arch):
+        seen.append(arch)
+        return objective.fn(arch)
+
+    recording = MetricEvaluator(name=objective.name, direction=objective.direction, fn=fn)
+    reference_evolve(space, replace(config, objectives=(recording, *config.objectives[1:])))
+    sizes = [config.population] + [config.children] * config.generations
+    generations = [g for g, size in enumerate(sizes) for _ in range(size)]
+    return list(zip(generations, seen))
+
+
+@pytest.mark.parametrize("kind", ["raise", "no-batch", "nan"])
+@pytest.mark.parametrize("generation,k", [(0, 3), (1, 0), (2, 5)])
+def test_objective_failing_at_child_k_raises_the_scalar_error(kind, generation, k):
+    space = load_space("ofa")
+    config = SearchConfig(objectives=(accuracy_evaluator(space), macs_evaluator(space)),
+                          population=6, generations=2, children=8, seed=11)
+    bad = [arch for g, arch in _evaluated(space, config) if g == generation][k]
+    failing = replace(config, objectives=(config.objectives[0], _failing(space, bad, kind)))
+    with pytest.raises(EvaluationError) as ours:
+        evolve(space, failing)
+    with pytest.raises(EvaluationError) as reference:
+        reference_evolve(space, failing)
+    assert str(ours.value) == str(reference.value)
+    assert ours.value.record == reference.value.record == arch_key(bad)
+    expected = "non-finite value nan" if kind == "nan" else "backend lost"
+    assert expected in str(ours.value) and "batch" not in str(ours.value)

@@ -45,12 +45,22 @@ EXPECTED = {
         "0ebce37c9dd97af214aa0282d64c00ad4496be74f9766b5fcdb13c0427dcfa47",
     "max/max-resnet50-s1.json":
         "9d68cdd856792cb2d7cf79eb56776345b8b9effad55f6956ce55e84ec30781cc",
+    "max-weights/max-ofa-s2-history.json":
+        "72f572d270d1780e51b65a8dddac0bcc08dac6400a668c5431c694212d79fc61",
+    "max-weights/max-ofa-s2.json":
+        "676454f9b38d668cd58d42bd450fc548973d9efd02ec4e5afd11de1685710238",
     "pareto-acc-macs/pareto-ofa-s5-history.json":
         "95b7eefa15baf9fa6f3723714a0750d6590ef175071c963b77b6059464f7a79f",
     "pareto-acc-macs/pareto-ofa-s5.csv":
         "754c1412bd6e7a09b33db95c89759be12a6b0cc32556e95c0909abd5d98c11ee",
     "pareto-acc-macs/pareto-ofa-s5.json":
         "c543cb0c45f1f59bb44b2e19e6153c99c9cf38870046d649c3227ffb388091bd",
+    "pareto-rank-sum/pareto-proxylessnas-s7-history.json":
+        "3a7bdc1df776c004197c6ef1ca9ecec118c2409558c725ff881959cee2222a72",
+    "pareto-rank-sum/pareto-proxylessnas-s7.csv":
+        "b3d33c7d5835c8f159d8f25dcbc1512e91001a4620dc6b0d3c39a248f0dfa04f",
+    "pareto-rank-sum/pareto-proxylessnas-s7.json":
+        "b3b2afb50111c6284aae614af5fa222eca1964d4bd8e4f8bfe2bb3f180e237f2",
     "pareto/pareto-ofa-ofa-npu-s3-history.json":
         "49b9e6515b13244586361603e58a69d41ea2f9efc5c5a9ae2c9f63a58f9cb64d",
     "pareto/pareto-ofa-ofa-npu-s3.csv":
@@ -111,6 +121,13 @@ _RUNS = (
     ("pareto-acc-macs", "search", "pareto", "--space", "ofa", "--objectives",
      "acc:max,macs:min", "--population", "12", "--generations", "3", "--children", "16",
      "--seed", "5"),
+    # duplicates allowed and the rank-sum ranking instead of fronts
+    ("pareto-rank-sum", "search", "pareto", "--space", "proxylessnas", "--objectives",
+     "acc:max,params:min", "--population", "8", "--generations", "3", "--children", "12",
+     "--no-dedupe", "--fitness-mode", "rank_sum", "--seed", "7"),
+    # mutation unit weights with a zero: unit 1 is never mutated
+    ("max-weights", "search", "max", "--space", "ofa", "--unit-weights", "0,1,1,2,3",
+     "--population", "6", "--generations", "3", "--children", "8", "--seed", "2"),
 )
 
 

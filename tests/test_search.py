@@ -214,6 +214,20 @@ def test_unit_weights_validation(mini_space):
         mutate(mini_space, arch, rng, unit_weights=(1, -1))
 
 
+@pytest.mark.parametrize("weights", [(float("nan"), 1.0), (float("inf"), 1.0), (1e308, 1e308)])
+def test_unit_weights_must_have_a_finite_sum(mini_space, weights):
+    # these once normalised to NaN or zero probabilities and were reported
+    # as a space that admits no mutation
+    rng = spawn_rng(0, 12)
+    arch = sample_uniform(mini_space, rng)
+    with pytest.raises(ValidationError, match="unit_weights"):
+        mutate(mini_space, arch, rng, unit_weights=weights)
+    config = SearchConfig(objectives=(macs_evaluator(mini_space),), population=2,
+                          generations=1, children=2, unit_weights=weights)
+    with pytest.raises(ValidationError, match="unit_weights"):
+        evolve(mini_space, config)
+
+
 def test_resolution_is_last_resort_mutation(mini_space_2res):
     frozen = apply(mini_space_2res, _FREEZE_BODY)
     rng = spawn_rng(0, 13)

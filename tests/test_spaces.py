@@ -170,6 +170,19 @@ def test_config_rejects_mixed_ratio_and_plain_units():
         parse_space_config(config)
 
 
+def test_config_rejects_block_ratio_outside_unit_ratios():
+    # pinning such a block would write a ratio the unit's gene cannot hold
+    config = space_to_config(load_space("resnet50"))
+    config["units"][2]["channel_ratios"] = [0.65, 1.0]
+    config["units"][2]["blocks"] = [
+        b for b in config["units"][2]["blocks"] if b["channel_ratio"] != 0.8
+    ] + [{"code": "C80-B20", "kernel": 3, "expansion": 0.2, "channel_ratio": 0.8}]
+    with pytest.raises(ConfigError, match=r"units\[2\]\.blocks\[6\]\.channel_ratio: 0\.8"):
+        parse_space_config(config)
+    del config["units"][2]["blocks"][6]
+    assert parse_space_config(config).units[2].channel_ratios == (0.65, 1.0)
+
+
 def test_validate_placement_errors():
     space = load_space("ofa")
     validate_placement(space, Placement(1, 4, "MBConv6-7"))
