@@ -24,6 +24,7 @@ from .errors import ArchscopeError, ConfigError
 from .evaluators import parse_objectives, resolve_evaluator
 from .exports import (
     read_frontier_csv,
+    tau_label,
     write_comparison_csv,
     write_frontier_csv,
     write_frontier_json,
@@ -161,9 +162,15 @@ def cmd_profile_placements(args) -> int:
     space = load_space(args.space)
     evaluator = resolve_evaluator(args.metric, space)
     taus = _parse_floats(args.percentiles, "--percentiles")
+    columns: dict[str, float] = {}
     for tau in taus:
         if not 0.0 <= tau <= 100.0:
             raise ConfigError(f"--percentiles: rank must be in [0, 100], got {tau:g}")
+        label = tau_label(tau)
+        if label in columns:
+            raise ConfigError(f"--percentiles: ranks {columns[label]!r} and {tau!r} both "
+                              f"make column {label!r}")
+        columns[label] = tau
     out = _out_dir(args)
     manifest = _manifest(args, space)
     manifest.evaluators.append(_evaluator_entry(evaluator))

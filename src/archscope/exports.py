@@ -28,7 +28,8 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _tau_label(tau: float) -> str:
+def tau_label(tau: float) -> str:
+    """Column stem of a percentile rank: 5 -> p5, 12.5 -> p12_5 (6 significant digits)."""
     text = f"{tau:g}".replace(".", "_")
     return f"p{text}"
 
@@ -60,7 +61,7 @@ def _sweep_stats(report: SweepReport, raw: bool):
     """Statistic column names, and per-row cells: conditioned when raw,
     else differences against the baseline."""
     suffix = "" if raw else "_rel"
-    names = [f"mean{suffix}"] + [f"{_tau_label(t)}{suffix}" for t in report.taus]
+    names = [f"mean{suffix}"] + [f"{tau_label(t)}{suffix}" for t in report.taus]
     cells = []
     for r in report.rows:
         stats = [r.cond_mean, *r.cond_tau] if raw else [r.rel_mean, *r.rel_tau]
@@ -83,7 +84,7 @@ def write_sweep_csv(report: SweepReport, path, raw: bool = False) -> None:
     }
     names, cells = _sweep_stats(report, raw)
     rows = [["unit", "layer", "block_code", *names, "baseline_mean",
-             *[f"baseline_{_tau_label(t)}" for t in report.taus]]]
+             *[f"baseline_{tau_label(t)}" for t in report.taus]]]
     baseline = [_fmt(report.baseline_mean), *[_fmt(v) for v in report.baseline_tau]]
     for row, stats in zip(report.rows, cells):
         p = row.placement

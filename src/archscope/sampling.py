@@ -19,7 +19,7 @@ stream with the scalar sampler, so results never depend on which path ran.
 
 Stream splitting: independent generators are derived as
 ``default_rng(SeedSequence([seed, *key]))`` where key is a tuple of small
-non-negative ints naming the consumer (worker, placement, bootstrap...). The
+non-negative ints naming the consumer (baseline, placement, search...). The
 rule is used everywhere results must not depend on scheduling.
 """
 
@@ -41,7 +41,8 @@ from .spaces import (
 # stream namespace tags for spawn_rng keys
 STREAM_BASELINE = 0
 STREAM_PLACEMENT = 1
-STREAM_BOOTSTRAP = 2
+# 2 is retired: it seeded the resampling bootstrap that exact percentile
+# standard errors replaced. Do not reuse it.
 STREAM_SEARCH_INIT = 3
 STREAM_SEARCH_MUTATE = 4
 

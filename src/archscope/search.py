@@ -376,10 +376,17 @@ def _best_per_objective(points, directions) -> tuple[float, ...]:
     return tuple(out)
 
 
+def _median(values) -> float:
+    """np.median's value for finite values, without its NaN check, which
+    imports numpy.ma."""
+    ordered = sorted(float(v) for v in values)
+    mid = len(ordered) // 2
+    return ordered[mid] if len(ordered) % 2 else (ordered[mid - 1] + ordered[mid]) / 2
+
+
 def _median_per_objective(points) -> tuple[float, ...]:
     return tuple(
-        float(np.median([p.metrics[k] for p in points]))
-        for k in range(len(points[0].metrics))
+        _median([p.metrics[k] for p in points]) for k in range(len(points[0].metrics))
     )
 
 

@@ -6,10 +6,11 @@ MAC/parameter walker that simulates the shape chain op by op, per-layer
 latency and synthetic-accuracy walkers that recompute every factor on every
 layer, an exhaustive expectation calculator that enumerates the sampling
 distribution with explicit probability weights, and a quadratic-time Pareto
-filter and front sort. The one exception is reference_evolve: the
-one-child-at-a-time search loop and its mutation operator as they were
-before the search scored its children in batches, kept so the batched
-search can be checked against them.
+filter and front sort. Two are the library's earlier code, kept as
+referees for what replaced it: reference_evolve, the one-child-at-a-time
+search loop and its mutation operator as they were before the search scored
+its children in batches, and bootstrap_percentile_stderr, the resampling
+bootstrap that the exact percentile standard errors replaced.
 """
 
 from __future__ import annotations
@@ -499,3 +500,26 @@ def reference_evolve(space, config):
             points=frontier,
         )
     return result
+
+
+# ---------------------------------------------------------------------------
+# resampling bootstrap of a percentile
+
+def bootstrap_percentile_stderr(values, tau, resamples, rng, chunk_cells=1 << 21):
+    """Resampling bootstrap standard error of the tau-percentile, and the
+    Monte Carlo standard error of that estimate (delta method: se(sd) =
+    sqrt((m4 - var**2) / B) / (2 sd)). Resamples are drawn with rng in
+    chunks of at most chunk_cells indices, so large n stays small in memory."""
+    values = np.asarray(values, dtype=float)
+    n = values.size
+    rows = max(1, chunk_cells // n)
+    stats = []
+    for start in range(0, resamples, rows):
+        idx = rng.integers(0, n, size=(min(rows, resamples - start), n))
+        stats.append(np.percentile(values[idx], tau, method="linear", axis=1))
+    stats = np.concatenate(stats)
+    sd = float(np.std(stats, ddof=1))
+    if sd == 0.0:
+        return 0.0, 0.0
+    m4 = float(np.mean((stats - stats.mean()) ** 4))
+    return sd, float(np.sqrt(max(m4 - sd**4, 0.0) / resamples) / (2.0 * sd))

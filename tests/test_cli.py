@@ -377,8 +377,13 @@ def test_non_numeric_profile_and_table_fields_exit_2(capsys, tmp_path, mini_file
     (("profile", "blocks", "--metric", "macs"), {"ARCHSCOPE_WORKERS": "abc"}, "--workers"),
     (("profile", "placements", "--metric", "macs", "--percentiles", "5,150"), {},
      "--percentiles"),
+    # ranks that would write the same column; the error names the label
+    (("profile", "placements", "--metric", "macs", "--percentiles", "5,5.0"), {},
+     "--percentiles: ranks 5.0 and 5.0 both make column 'p5'"),
+    (("profile", "placements", "--metric", "macs", "--percentiles", "33.333331,33.333332"), {},
+     "column 'p33_3333'"),
 ], ids=["max-repeats-0", "pareto-repeats-negative", "workers-0", "workers-env",
-        "percentile-150"])
+        "percentile-150", "percentile-repeated", "percentile-same-label"])
 def test_bad_input_exits_2_before_sampling(capsys, monkeypatch, tmp_path, mini_file,
                                            argv, env, named):
     def never(*args, **kwargs):

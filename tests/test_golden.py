@@ -89,6 +89,12 @@ EXPECTED = {
         "8cfba5ca3f3c58322c86223af6816e20e47f6492638458c00a8f9b3eb178ccc4",
     "sweep/placements-ofa-macs.dat":
         "b2d4b823fbbce44222fe56ccd633c8d5dc1a309ba7aebec0ce27e3d56ab8d075",
+    "sweep-pct/placements-ofa-npu-like-boundaries.json":
+        "3a63115815cd4db51f8960ec65ed6542560aeea40007a2421a68bfe9a7a103bc",
+    "sweep-pct/placements-ofa-npu-like.csv":
+        "84a17974188e56d07ce69cac67df0e30b424dd8b151136dfe4b3bdde3a945adb",
+    "sweep-pct/placements-ofa-npu-like.dat":
+        "3f8d33da998f94ddcd2d1bb3af94c14d2a0e258794bc2b365dd4a6a798b038c7",
 }
 
 _RUNS = (
@@ -98,6 +104,10 @@ _RUNS = (
      "--samples", "2", "--per-resolution"),
     ("sweep", "profile", "placements", "--space", "ofa", "--metric", "macs",
      "--samples", "6", "--baseline-samples", "20", "--percentiles", "5,50,95",
+     "--raw", "--plot-data"),
+    # percentile ranks on grid points of both sample sizes (9 and 25), ends included
+    ("sweep-pct", "profile", "placements", "--space", "ofa", "--metric", "npu-like",
+     "--samples", "9", "--baseline-samples", "25", "--percentiles", "0,12.5,50,100",
      "--raw", "--plot-data"),
     ("pareto", "search", "pareto", "--space", "ofa", "--preset", "ofa-npu",
      "--objectives", "acc:max,npu-like:min", "--population", "8",

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -54,7 +56,6 @@ def test_bootstrap_percentile_stderr_deterministic():
     se_a = a.percentile_stderr(95)
     assert se_a > 0
     assert se_a == b.percentile_stderr(95)
-    assert a.percentile_stderr(5) != se_a  # separate stream per rank
 
 
 def test_constant_metric_collapses(mini_space):
@@ -186,28 +187,53 @@ def test_sweep_shares_one_baseline(mini_space):
     assert row.rel_mean == cond.mean() - baseline.mean()
 
 
-def test_sweep_bootstraps_each_set_once(mini_space, monkeypatch):
-    calls = []
-    original = SampleSet.percentile_stderr
+def test_sweep_rows_match_single_placement_stats(mini_space):
+    """The stacked pass gives every row what a one-placement call gives
+    against the same baseline: means and percentiles exactly, standard
+    errors up to rounding (stacked and single-row products differ in ulps)."""
+    ev = accuracy_evaluator(mini_space)
+    taus = (0.0, 5.0, 12.5, 50.0, 95.0, 100.0)
+    report = placement_sweep(mini_space, ev, n_per_placement=9, seed=1, taus=taus,
+                             baseline_n=30)
+    baseline = draw_samples(mini_space, ev, 30, seed=1)
+    assert report.baseline_mean == baseline.mean()
+    assert report.baseline_tau == tuple(baseline.percentile(t) for t in taus)
+    for row in report.rows:
+        one = estimate_placement_stats(mini_space, row.placement, ev, n=9, seed=1,
+                                       taus=taus, baseline=baseline)
+        assert (row.placement, row.n, row.taus) == (one.placement, one.n, one.taus)
+        assert (row.cond_mean, row.rel_mean) == (one.cond_mean, one.rel_mean)
+        assert (row.cond_tau, row.rel_tau) == (one.cond_tau, one.rel_tau)
+        assert row.rel_mean_se == pytest.approx(one.rel_mean_se, rel=1e-12, abs=0)
+        assert row.rel_tau_se == pytest.approx(one.rel_tau_se, rel=1e-12, abs=0)
+        cond = draw_samples(mini_space, ev, 9, seed=1, placement=row.placement)
+        assert row.cond_tau == tuple(cond.percentile(t) for t in taus)
+        assert row.rel_mean_se == float(np.hypot(cond.stderr(), baseline.stderr()))
+        assert row.rel_tau_se == pytest.approx(
+            [float(np.hypot(cond.percentile_stderr(t), baseline.percentile_stderr(t)))
+             for t in taus], rel=1e-12, abs=0)
 
-    def counted(self, tau, *args, **kwargs):
-        calls.append((id(self), tau))
-        return original(self, tau, *args, **kwargs)
 
-    monkeypatch.setattr(SampleSet, "percentile_stderr", counted)
-    taus = (5.0, 50.0, 95.0)
-    report = placement_sweep(mini_space, accuracy_evaluator(mini_space),
-                             n_per_placement=10, seed=1, taus=taus, baseline_n=30)
-    assert len(calls) == len(taus) * (len(report.rows) + 1)
-    assert len(set(calls)) == len(calls)
-    # the shared baseline's errors still enter every row
-    row = report.rows[0]
-    cond = draw_samples(mini_space, accuracy_evaluator(mini_space), 10, seed=1,
-                        placement=row.placement)
-    baseline = draw_samples(mini_space, accuracy_evaluator(mini_space), 30, seed=1)
-    assert row.rel_tau_se == tuple(
-        float(np.hypot(cond.percentile_stderr(t), baseline.percentile_stderr(t))) for t in taus
-    )
+def test_single_draw_sets_have_nan_errors_without_warnings(mini_space):
+    ev = accuracy_evaluator(mini_space)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = placement_sweep(mini_space, ev, n_per_placement=1, seed=0, baseline_n=1)
+        single = draw_samples(mini_space, ev, 1, seed=0)
+        assert np.isnan(single.percentile_stderr(50))
+    assert all(np.isnan(row.rel_mean_se) for row in report.rows)
+    assert all(np.isnan(se) for row in report.rows for se in row.rel_tau_se)
+    assert all(row.rel_tau == (row.rel_mean,) * 2 for row in report.rows)
+
+
+def test_sweep_rejects_ranks_out_of_range_before_sampling(mini_space):
+    ev = MetricEvaluator(name="never", direction="minimize",
+                         fn=lambda arch: pytest.fail("sampling started"))
+    with pytest.raises(ValidationError, match="rank"):
+        placement_sweep(mini_space, ev, n_per_placement=5, taus=(5, 100.5))
+    with pytest.raises(ValidationError, match="rank"):
+        estimate_placement_stats(mini_space, Placement(1, 1, "MBConv3-3"), ev, n=5,
+                                 taus=(-1,))
 
 
 def test_worker_count_does_not_change_results(mini_space):
