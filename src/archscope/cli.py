@@ -75,15 +75,18 @@ def _parse_floats(text: str, flag: str) -> tuple[float, ...]:
     return values
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for counts that must be at least 1."""
-    try:
-        value = int(text)
-        if value >= 1:
-            return value
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+def _int_at_least(low: int):
+    """argparse type for integers that must be at least low."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+            if value >= low:
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+
+    return parse
 
 
 def _out_dir(args) -> Path:
@@ -387,10 +390,11 @@ def cmd_search_compare(args) -> int:
 # parser
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0, help="master random seed (default 0)")
+    parser.add_argument("--seed", type=_int_at_least(0), default=0,
+                        help="master random seed (default 0)")
     parser.add_argument(
         "--workers",
-        type=_positive_int,
+        type=_int_at_least(1),
         # a string default goes through type, so a bad variable is a usage error
         default=os.environ.get("ARCHSCOPE_WORKERS", "1"),
         help="parallel placement workers (env ARCHSCOPE_WORKERS)",
@@ -409,7 +413,7 @@ def _add_search_common(parser: argparse.ArgumentParser, defaults: dict) -> None:
     parser.add_argument("--generations", type=int, default=defaults["generations"])
     parser.add_argument("--population", type=int, default=defaults["population"])
     parser.add_argument("--children", type=int, default=defaults["children"])
-    parser.add_argument("--repeats", type=_positive_int, default=1,
+    parser.add_argument("--repeats", type=_int_at_least(1), default=1,
                         help="seeds run: seed..seed+R-1")
     parser.add_argument(
         "--unit-weights",

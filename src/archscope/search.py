@@ -262,23 +262,24 @@ def _normalized(metrics, directions) -> tuple[float, ...]:
     return tuple(m if d == MINIMIZE else -m for m, d in zip(metrics, directions))
 
 
-def dominates(a, b) -> bool:
-    """True when a is no worse everywhere and strictly better somewhere (all-minimize)."""
-    return all(x <= y for x, y in zip(a, b)) and any(x < y for x, y in zip(a, b))
-
-
 def pareto_filter(points: list[EvaluatedArch], directions) -> list[EvaluatedArch]:
     """Exact non-dominated subset, sorted by the first objective (direction-aware).
 
     Lexicographic pre-sort means no later point can dominate an accepted one,
-    so one pass against the running frontier suffices. Duplicates of a
-    non-dominated metric vector are all kept.
+    so one pass against the running frontier suffices; the frontier is kept as
+    rows of an array, and each point is checked against all of it at once.
+    Duplicates of a non-dominated metric vector are all kept.
     """
     norm = [_normalized(p.metrics, directions) for p in points]
     order = sorted(range(len(points)), key=lambda i: norm[i])
+    values = np.array(norm, dtype=float).reshape(len(points), len(directions))
+    front = np.empty_like(values)
     kept: list[int] = []
     for i in order:
-        if not any(dominates(norm[j], norm[i]) for j in kept):
+        x = values[i]
+        rows = front[: len(kept)]
+        if not ((rows <= x).all(axis=1) & (rows < x).any(axis=1)).any():
+            front[len(kept)] = x
             kept.append(i)
     return [points[i] for i in kept]
 

@@ -382,8 +382,12 @@ def test_non_numeric_profile_and_table_fields_exit_2(capsys, tmp_path, mini_file
      "--percentiles: ranks 5.0 and 5.0 both make column 'p5'"),
     (("profile", "placements", "--metric", "macs", "--percentiles", "33.333331,33.333332"), {},
      "column 'p33_3333'"),
+    (("profile", "placements", "--metric", "macs", "--seed", "-1"), {}, "--seed"),
+    (("profile", "blocks", "--metric", "macs", "--seed", "-1"), {}, "--seed"),
+    (("search", "pareto", "--seed", "-1"), {}, "--seed"),
 ], ids=["max-repeats-0", "pareto-repeats-negative", "workers-0", "workers-env",
-        "percentile-150", "percentile-repeated", "percentile-same-label"])
+        "percentile-150", "percentile-repeated", "percentile-same-label",
+        "placements-seed-negative", "blocks-seed-negative", "pareto-seed-negative"])
 def test_bad_input_exits_2_before_sampling(capsys, monkeypatch, tmp_path, mini_file,
                                            argv, env, named):
     def never(*args, **kwargs):

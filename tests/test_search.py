@@ -280,6 +280,10 @@ def test_pareto_filter_matches_quadratic_oracle(directions):
         kept = pareto_filter(points, directions)
         expected = {vectors[i] for i in brute_frontier(vectors, directions)}
         assert {p.metrics for p in kept} == expected
+        # in lexicographic order of the direction-aware vectors, ties by index
+        flip = [1 if d == "minimize" else -1 for d in directions]
+        ids = [p.eval_id for p in kept]
+        assert ids == sorted(ids, key=lambda i: tuple(f * v for f, v in zip(flip, vectors[i])))
         # duplicates of surviving vectors are all kept
         for v in expected:
             assert sum(1 for p in kept if p.metrics == v) == vectors.count(v)
