@@ -1,7 +1,7 @@
 """archscope: block-level profiling, reduction and evolutionary search over
 mobile network design spaces."""
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .errors import (
     ArchscopeError,

@@ -39,6 +39,9 @@ import numpy as np
 
 from .costs import MetricEvaluator
 from .errors import ValidationError
+# sample_fixed and sample_uniform are unused here: the benchmark's tracer
+# patches them on this module (and sample_uniform on search); they go with the
+# next benchmark change (ROADMAP item 5)
 from .sampling import (
     STREAM_BASELINE,
     STREAM_PLACEMENT,
@@ -235,38 +238,20 @@ def draw_samples(
 ) -> SampleSet:
     """n independent metric draws, conditioned on a placement when given.
 
-    The stream is drawn as one gene batch and scored by the evaluator's batch
-    path; when the batch sampler declines (see sampling.sample_batch), the
-    same stream is redrawn one architecture at a time."""
+    The stream named by the placement and resolution is drawn as one gene
+    batch (sampling.sample_batch) and scored by the evaluator's batch path."""
     if n < 1:
         raise ValidationError(f"sample size must be >= 1, got {n}")
     if placement is not None:
         validate_placement(space, placement)
-    key = _stream_key(placement, space, resolution)
-    genes = sample_batch(space, spawn_rng(seed, *key), n, placement, resolution)
-    if genes is not None:
-        values = evaluator.evaluate_batch(genes)
-    else:
-        values = _draw_one_by_one(space, evaluator, n, spawn_rng(seed, *key), placement,
-                                  resolution)
+    rng = spawn_rng(seed, *_stream_key(placement, space, resolution))
     return SampleSet(
         metric=evaluator.name,
-        values=values,
+        values=evaluator.evaluate_batch(sample_batch(space, rng, n, placement, resolution)),
         seed=seed,
         condition=placement,
         resolution=resolution,
     )
-
-
-def _draw_one_by_one(space, evaluator, n, rng, placement, resolution) -> np.ndarray:
-    values = np.empty(n, dtype=float)
-    for i in range(n):
-        if placement is None:
-            arch = sample_uniform(space, rng, resolution=resolution)
-        else:
-            arch = sample_fixed(space, placement, rng, resolution=resolution)
-        values[i] = evaluator.evaluate(arch)
-    return values
 
 
 # ---------------------------------------------------------------------------

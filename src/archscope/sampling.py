@@ -1,21 +1,19 @@
 """Uniform and placement-conditioned sampling.
 
-Draw order is part of the contract (same seed, same architecture): resolution
-first, then per unit in stack order a channel ratio (ratio spaces only), the
-depth, and one block index per present layer. A placement condition pins the
-named block at its (unit, layer) slot and resamples nothing else, so every
-other slot keeps its unconditioned marginal; the pinned unit's depth is drawn
-uniformly from {max(layer, depth_min) .. depth_max} so the slot exists. The
-pinned slot still takes its draw, which the pin then overwrites.
+Every draw is a batch: sample_batch draws n architectures as integer gene
+arrays (Genes) with two Generator.integers calls, first the resolution and
+each unit's channel ratio and depth for the whole batch, then one block per
+layer slot from the candidates consistent with that architecture's ratio.
+docs/FORMATS.md ("Sampling stream") states the layout; it is part of the
+contract (same seed, same architectures). sample_uniform and sample_fixed
+are batches of one.
 
-Word-level contract (numpy's Generator.integers on PCG64, checked by the
-tests): a draw over k > 1 choices takes one 32-bit word w of the stream and
-maps it to (w * k) >> 32 (Lemire 2019, ACM TOMACS 29:3); a draw over k = 1
-choice takes no word. The map rejects w, and integers() takes another word,
-when (w * k) mod 2**32 < 2**32 mod k. sample_batch pulls the words of a
-whole batch in one call and decodes them with the same map; when a word it
-uses falls in a rejection zone it returns None, and the caller redraws that
-stream with the scalar sampler, so results never depend on which path ran.
+A placement condition pins the named block at its (unit, layer) slot and
+resamples nothing else, so every other slot keeps its unconditioned
+marginal; the pinned unit's depth is drawn uniformly from
+{max(layer, depth_min) .. depth_max} so the slot exists, and a pinned block
+bound to a channel ratio fixes its unit's ratio. The pinned slot still takes
+its draw, which the pin then overwrites.
 
 Stream splitting: independent generators are derived as
 ``default_rng(SeedSequence([seed, *key]))`` where key is a tuple of small
@@ -24,8 +22,6 @@ rule is used everywhere results must not depend on scheduling.
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 import numpy as np
 
@@ -52,61 +48,11 @@ def spawn_rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), *[int(k) for k in key]]))
 
 
-def _pick(rng: np.random.Generator, items):
-    return items[int(rng.integers(len(items)))]
-
-
-def _sample(
-    space: DesignSpace,
-    rng: np.random.Generator,
-    placement: Placement | None,
-    resolution: int | None,
-) -> Architecture:
-    if resolution is None:
-        resolution = _pick(rng, space.resolutions)
-    elif resolution not in space.resolutions:
-        raise ValidationError(f"resolution {resolution} not one of {space.resolutions}")
-
-    pinned_block = (
-        space.block(placement.unit, placement.block_code) if placement is not None else None
-    )
-    depths = []
-    blocks = []
-    ratios = []
-    has_ratio = any(u.channel_ratios for u in space.units)
-    for unit in space.units:
-        pin = placement if placement is not None and placement.unit == unit.index else None
-        if unit.channel_ratios:
-            if pin is not None and pinned_block.channel_ratio is not None:
-                ratio = pinned_block.channel_ratio
-            else:
-                ratio = _pick(rng, unit.channel_ratios)
-        else:
-            ratio = None
-        lo = max(pin.layer, unit.depth_min) if pin is not None else unit.depth_min
-        depth = int(rng.integers(lo, unit.depth_max + 1))
-        choices = space.candidates(unit.index, ratio)
-        codes = [unit.blocks[_pick(rng, choices)].code for _ in range(depth)]
-        if pin is not None:
-            codes[pin.layer - 1] = pin.block_code
-        depths.append(depth)
-        blocks.append(tuple(codes))
-        if has_ratio:
-            ratios.append(ratio if ratio is not None else 1.0)
-    return Architecture(
-        space=space.name,
-        resolution=int(resolution),
-        depths=tuple(depths),
-        blocks=tuple(blocks),
-        channel_ratios=tuple(ratios) if has_ratio else (),
-    )
-
-
 def sample_uniform(
     space: DesignSpace, rng: np.random.Generator, *, resolution: int | None = None
 ) -> Architecture:
-    """One architecture with every gene uniform over its choices."""
-    return _sample(space, rng, None, resolution)
+    """One architecture with every gene uniform over its choices: a batch of one."""
+    return sample_batch(space, rng, 1, resolution=resolution).architecture(0)
 
 
 def sample_fixed(
@@ -116,17 +62,12 @@ def sample_fixed(
     *,
     resolution: int | None = None,
 ) -> Architecture:
-    """One architecture conditioned on a pinned (unit, layer, block)."""
-    validate_placement(space, placement)
-    return _sample(space, rng, placement, resolution)
+    """One architecture conditioned on a pinned (unit, layer, block): a batch of one."""
+    return sample_batch(space, rng, 1, placement, resolution).architecture(0)
 
 
 # ---------------------------------------------------------------------------
 # batches of gene arrays
-
-_WORD = 2**32
-_CHUNK = 4096  # word offsets per step of sample_batch's start pass
-
 
 class Genes:
     """A batch of architectures of one space as integer gene arrays.
@@ -187,7 +128,7 @@ class Genes:
         )
 
     def architecture(self, i: int) -> Architecture:
-        """Row i as the Architecture the scalar sampler builds."""
+        """Row i as an Architecture."""
         space = self.space
         depths = self.depth[i].tolist()
         has_ratio = any(u.channel_ratios for u in space.units)
@@ -205,141 +146,50 @@ class Genes:
         )
 
 
-def _lemire(words: np.ndarray, k) -> tuple[np.ndarray, np.ndarray]:
-    """Map uint64-held 32-bit words onto range(k) as Generator.integers does;
-    also flag each word in the rejection zone. k is an int or a uint64 array."""
-    m = words * k
-    return (m >> 32).astype(np.int64), (m & (_WORD - 1)) < (_WORD % k)
-
-
-class _UnitDraws(NamedTuple):
-    ratio_k: int  # choices of the ratio draw; 1 when fixed
-    ratio_idx: int  # the ratio index when ratio_k == 1
-    lo: int  # smallest depth
-    depth_k: int
-    choices: np.ndarray  # [ratios, widest] candidate block indices per ratio
-    block_k: np.ndarray  # [ratios] uint64, choices of each layer's draw
-    block_w: np.ndarray  # [ratios] int64, words per layer: 1 when block_k > 1
-    depth_max: int
-    pin: tuple[int, int] | None  # (layer slot, block index) of a placement
-
-
-def _unit_draws(space: DesignSpace, placement: Placement | None) -> list[_UnitDraws]:
-    """Per-unit draw shapes."""
-    out = []
-    for unit in space.units:
-        pin = placement if placement is not None and placement.unit == unit.index else None
-        ratios = unit.channel_ratios or (None,)
-        ratio_k, ratio_idx = len(ratios), 0
-        if pin is not None:
-            pinned = space.block(unit.index, pin.block_code).channel_ratio
-            if unit.channel_ratios and pinned is not None:
-                ratio_k, ratio_idx = 1, ratios.index(pinned)
-        picks = [space.candidates(unit.index, r) for r in ratios]
-        choices = np.zeros((len(picks), max(map(len, picks))), dtype=np.int64)
-        for r, pick in enumerate(picks):
-            choices[r, : len(pick)] = pick
-        block_k = np.array([len(p) for p in picks], dtype=np.uint64)
-        lo = max(pin.layer, unit.depth_min) if pin is not None else unit.depth_min
-        out.append(_UnitDraws(
-            ratio_k=ratio_k,
-            ratio_idx=ratio_idx,
-            lo=lo,
-            depth_k=unit.depth_max - lo + 1,
-            choices=choices,
-            block_k=block_k,
-            block_w=(block_k > 1).astype(np.int64),
-            depth_max=unit.depth_max,
-            pin=None if pin is None else (
-                pin.layer - 1, [b.code for b in unit.blocks].index(pin.block_code)),
-        ))
-    return out
-
-
 def sample_batch(
     space: DesignSpace,
     rng: np.random.Generator,
     n: int,
     placement: Placement | None = None,
     resolution: int | None = None,
-) -> Genes | None:
-    """n architectures as gene arrays, equal to n sample_uniform calls (or
-    sample_fixed calls, given a placement) on the same generator.
+) -> Genes:
+    """n architectures as gene arrays, uniform or conditioned on a placement,
+    at a given resolution or over all of them.
 
-    Returns None when a word the draws use falls in a rejection zone; redraw
-    the stream with the scalar sampler then. The generator is spent either
-    way: it is advanced past every word the batch may need, not just the
-    used ones.
+    Exactly two rng.integers calls with array bounds: a head matrix
+    [1 + 2U, n] (the resolution row, then per unit a ratio row and a depth
+    row, each offset by its low), then the block picks [n, U, Lmax], each
+    slot below its row's depth bounded by the candidates consistent with the
+    row's ratio and every other slot by 1. A fixed gene has bound 1.
     """
     if placement is not None:
         validate_placement(space, placement)
-    if resolution is None:
-        res_k, res_idx = len(space.resolutions), 0
-    elif resolution in space.resolutions:
-        res_k, res_idx = 1, space.resolutions.index(resolution)
-    else:
-        raise ValidationError(f"resolution {resolution} not one of {space.resolutions}")
-    units = _unit_draws(space, placement)
-    per_arch = int(res_k > 1) + sum(
-        int(d.ratio_k > 1) + int(d.depth_k > 1) + d.depth_max * int(d.block_w.max())
-        for d in units
-    )
-    words = rng.integers(_WORD, size=n * per_arch, dtype=np.uint64)
-    # zero padding lets an offset near the end read a whole architecture
-    words = np.concatenate([words, np.zeros(per_arch + 1, dtype=np.uint64)])
+    units = space.units
+    low, bound = [0], [len(space.resolutions)]
+    if resolution is not None:
+        if resolution not in space.resolutions:
+            raise ValidationError(f"resolution {resolution} not one of {space.resolutions}")
+        low[0], bound[0] = space.resolutions.index(resolution), 1
+    for unit in units:
+        low += (0, unit.depth_min)
+        bound += (len(unit.channel_ratios) or 1, unit.depth_max - unit.depth_min + 1)
+    if placement is not None:
+        pin, unit = placement.unit - 1, space.unit(placement.unit)
+        ratio = space.block(placement.unit, placement.block_code).channel_ratio
+        if unit.channel_ratios and ratio is not None:
+            low[1 + 2 * pin], bound[1 + 2 * pin] = unit.channel_ratios.index(ratio), 1
+        lo = max(placement.layer, unit.depth_min)
+        low[2 + 2 * pin], bound[2 + 2 * pin] = lo, unit.depth_max - lo + 1
+    head = np.array(low)[:, None] + rng.integers(0, np.array(bound)[:, None],
+                                                 size=(len(bound), n))
 
-    # where the next architecture starts if one started at each offset,
-    # computed a chunk of offsets at a time to keep the temporaries small
-    following = np.empty(n * per_arch + 1, dtype=np.int64)
-    for first in range(0, len(following), _CHUNK):
-        pos = np.arange(first, min(first + _CHUNK, len(following))) + int(res_k > 1)
-        for d in units:
-            ratio = d.ratio_idx
-            if d.ratio_k > 1:
-                ratio = _lemire(words[pos], d.ratio_k)[0]
-                pos = pos + 1
-            depth = d.lo
-            if d.depth_k > 1:
-                depth = d.lo + _lemire(words[pos], d.depth_k)[0]
-                pos = pos + 1
-            pos = pos + depth * d.block_w[ratio]
-        following[first : first + len(pos)] = pos
-    chain = []
-    start = 0
-    for _ in range(n):
-        chain.append(start)
-        start = following.item(start)
-
-    # decode the architectures on the chain, checking every word they use
-    pos = np.array(chain, dtype=np.int64)
-    rejected = False
-
-    def draw(k, fixed):
-        nonlocal pos, rejected
-        if k == 1:
-            return np.full(n, fixed, dtype=np.int64)
-        value, reject = _lemire(words[pos], k)
-        pos, rejected = pos + 1, rejected or reject.any()
-        return value
-
-    res = draw(res_k, res_idx)
-    ratios = np.empty((n, len(units)), dtype=np.int64)
-    depths = np.empty((n, len(units)), dtype=np.int64)
-    blocks = np.full((n, len(units), max(d.depth_max for d in units)), -1, dtype=np.int64)
-    for u, d in enumerate(units):
-        ratio = ratios[:, u] = draw(d.ratio_k, d.ratio_idx)
-        depth = depths[:, u] = d.lo + draw(d.depth_k, 0)
-        layers = np.arange(d.depth_max)
-        width = d.block_w[ratio]
-        picks, reject = _lemire(words[pos[:, None] + layers * width[:, None]],
-                                d.block_k[ratio][:, None])
-        present = layers < depth[:, None]
-        rejected = rejected or (reject & present).any()
-        chosen = np.where(present, d.choices[ratio[:, None], picks], -1)
-        if d.pin is not None:
-            chosen[:, d.pin[0]] = d.pin[1]
-        blocks[:, u, : d.depth_max] = chosen
-        pos = pos + depth * width
-    if rejected:
-        return None
-    return Genes(space=space, resolution=res, ratio=ratios, depth=depths, block=blocks)
+    ratio, depth = head[1::2].T, head[2::2].T  # [n, U]
+    candidates, counts = space.candidate_table()
+    unit_index = np.arange(len(units))
+    present = np.arange(max(u.depth_max for u in units)) < depth[:, :, None]
+    picks = rng.integers(0, np.where(present, counts[unit_index, ratio][:, :, None], 1))
+    block = np.where(present, candidates[unit_index[:, None], ratio[:, :, None], picks], -1)
+    if placement is not None:
+        codes = [b.code for b in unit.blocks]
+        block[:, pin, placement.layer - 1] = codes.index(placement.block_code)
+    return Genes(space=space, resolution=head[0], ratio=ratio, depth=depth, block=block)

@@ -35,6 +35,8 @@ import numpy as np
 
 from .costs import MAXIMIZE, MINIMIZE, MetricEvaluator
 from .errors import EvaluationError, ValidationError
+# sample_uniform is unused here: the benchmark's tracer patches it on this
+# module; it goes with the next benchmark change (ROADMAP item 5)
 from .sampling import (
     STREAM_SEARCH_INIT,
     STREAM_SEARCH_MUTATE,
@@ -422,11 +424,7 @@ def _score(space: DesignSpace, objectives, archs, genes: Genes | None = None):
 def evolve(space: DesignSpace, config: SearchConfig) -> SearchResult:
     """Run the elitist EA; deterministic for a fixed (space, config)."""
     genes = sample_batch(space, spawn_rng(config.seed, STREAM_SEARCH_INIT), config.population)
-    if genes is not None:
-        archs = [genes.architecture(i) for i in range(len(genes))]
-    else:  # a rejected word: redraw the stream one architecture at a time
-        rng_init = spawn_rng(config.seed, STREAM_SEARCH_INIT)
-        archs = [sample_uniform(space, rng_init) for _ in range(config.population)]
+    archs = [genes.architecture(i) for i in range(len(genes))]
     population = [
         EvaluatedArch(arch=arch, metrics=metrics, eval_id=i, generation=0)
         for i, (arch, metrics) in enumerate(

@@ -17,6 +17,8 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import ConfigError, ValidationError
 from .formats import resolve_config, write_json
 
@@ -91,19 +93,29 @@ class DesignSpace:
     head: HeadSpec = field(default_factory=HeadSpec)
     # (unit position, code) -> first candidate with that code, built once
     _blocks: dict = field(init=False, repr=False, compare=False)
-    # (unit position, ratio) -> indices of the consistent candidates, built once
-    _choices: dict = field(init=False, repr=False, compare=False)
+    # the sampler's tables, built once (see candidate_table)
+    _candidates: np.ndarray = field(init=False, repr=False, compare=False)
+    _candidate_counts: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         index: dict = {}
-        choices: dict = {}
+        picks = []
         for position, unit in enumerate(self.units, start=1):
             for b in unit.blocks:
                 index.setdefault((position, b.code), b)
-            for ratio in unit.channel_ratios or (None,):
-                choices[position, ratio] = _consistent_indices(unit, ratio)
+            picks.append([_consistent_indices(unit, r) for r in unit.channel_ratios or (None,)])
+        ratios = max(map(len, picks), default=0)
+        width = max((len(p) for per_ratio in picks for p in per_ratio), default=0)
+        candidates = np.zeros((len(picks), ratios, width), dtype=np.int64)
+        counts = np.zeros((len(picks), ratios), dtype=np.int64)
+        for u, per_ratio in enumerate(picks):
+            for r, pick in enumerate(per_ratio):
+                candidates[u, r, : len(pick)] = pick
+                counts[u, r] = len(pick)
+        candidates.flags.writeable = counts.flags.writeable = False
         object.__setattr__(self, "_blocks", index)
-        object.__setattr__(self, "_choices", choices)
+        object.__setattr__(self, "_candidates", candidates)
+        object.__setattr__(self, "_candidate_counts", counts)
 
     def unit(self, index: int) -> UnitSpec:
         if not 1 <= index <= len(self.units):
@@ -119,11 +131,13 @@ class DesignSpace:
             f"block {code!r} not a candidate of unit {unit_index} in space {self.name!r}"
         )
 
-    def candidates(self, unit_index: int, ratio: float | None) -> tuple[int, ...]:
-        """Indices into the unit's blocks of the candidates consistent with
-        one of the unit's channel ratios (None without a ratio gene), in
-        candidate order."""
-        return self._choices[unit_index, ratio]
+    def candidate_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """(candidates [U, R, W], counts [U, R]), read-only. Row [u, r] lists,
+        in candidate order, the indices into unit u's blocks of the candidates
+        consistent with its r-th channel ratio (the r-th entry of
+        ratio_values; r = 0 without a ratio gene), zero-padded past
+        counts[u, r]; counts is 0 past the unit's ratios."""
+        return self._candidates, self._candidate_counts
 
     @property
     def n_units(self) -> int:

@@ -5,27 +5,44 @@ from the package, so agreement is evidence rather than tautology: a per-layer
 MAC/parameter walker that simulates the shape chain op by op, per-layer
 latency and synthetic-accuracy walkers that recompute every factor on every
 layer, an exhaustive expectation calculator that enumerates the sampling
-distribution with explicit probability weights, and a quadratic-time Pareto
-filter and front sort. Two are the library's earlier code, kept as
-referees for what replaced it: reference_evolve, the one-child-at-a-time
-search loop and its mutation operator as they were before the search scored
-its children in batches, and bootstrap_percentile_stderr, the resampling
-bootstrap that the exact percentile standard errors replaced.
+distribution with explicit probability weights, a literal loop-by-loop
+reading of the sampling stream's layout (docs/FORMATS.md), and a
+quadratic-time Pareto filter and front sort. Two are the library's earlier
+code, kept as referees for what replaced it: reference_evolve, the
+one-child-at-a-time search loop and its mutation operator as they were
+before the search scored its children in batches, and
+bootstrap_percentile_stderr, the resampling bootstrap that the exact
+percentile standard errors replaced.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
 from archscope import search
 from archscope.errors import EvaluationError, ValidationError
-from archscope.sampling import STREAM_SEARCH_INIT, STREAM_SEARCH_MUTATE, sample_uniform, spawn_rng
+from archscope.sampling import STREAM_SEARCH_INIT, STREAM_SEARCH_MUTATE, sample_batch, spawn_rng
 from archscope.spaces import Architecture, arch_key, consistent_blocks
 
 # upper 0.1% points of the chi-square distribution, from standard tables
 CHI2_CRIT_001 = {1: 10.828, 2: 13.816, 8: 26.124}
+
+
+def chi2_sf(x, df):
+    """P(X >= x) for X chi-square with df degrees of freedom, from the closed
+    forms of the regularised upper incomplete gamma function at integer and
+    half-integer order, summed in log space so no term overflows."""
+    h = x / 2.0
+    if df % 2 == 0:
+        orders, base = range(df // 2), 0.0
+    else:
+        orders, base = [k + 0.5 for k in range(df // 2)], math.erfc(math.sqrt(h))
+    if h == 0.0:
+        return 1.0
+    return base + sum(math.exp(a * math.log(h) - h - math.lgamma(a + 1)) for a in orders)
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +301,81 @@ def exact_block_mean(space, code, fn):
 
 
 # ---------------------------------------------------------------------------
+# the sampling stream, read literally
+
+def reference_sample_batch(space, rng, n, placement=None, resolution=None):
+    """The n architectures of docs/FORMATS.md "Sampling stream", with every
+    bound written out by plain loops: first rng.integers over the head
+    bounds [1 + 2U, n] (the resolution row, then a ratio row and a depth row
+    per unit, as [low, high) pairs), then over the block bounds [n, U, Lmax]
+    (the candidates under the row's ratio below its depth, 1 elsewhere)."""
+    lows, highs = [], []
+
+    def row(low, high):
+        lows.append([low] * n)
+        highs.append([high] * n)
+
+    if resolution is None:
+        row(0, len(space.resolutions))
+    else:
+        fixed = list(space.resolutions).index(resolution)
+        row(fixed, fixed + 1)
+    pins = {}
+    for unit in space.units:
+        ratios = list(unit.channel_ratios) or [None]
+        if placement is not None and placement.unit == unit.index:
+            block = next(b for b in unit.blocks if b.code == placement.block_code)
+            pins[unit.index] = placement
+            if unit.channel_ratios and block.channel_ratio is not None:
+                fixed = ratios.index(block.channel_ratio)
+                row(fixed, fixed + 1)
+            else:
+                row(0, len(ratios))
+            row(max(placement.layer, unit.depth_min), unit.depth_max + 1)
+        else:
+            row(0, len(ratios))
+            row(unit.depth_min, unit.depth_max + 1)
+    head = rng.integers(np.array(lows), np.array(highs))
+
+    lmax = max(unit.depth_max for unit in space.units)
+    choices = []  # [i][u]: the candidate codes under row i's ratio of unit u
+    block_bounds = []
+    for i in range(n):
+        choices.append([])
+        block_bounds.append([])
+        for u, unit in enumerate(space.units):
+            ratio = (list(unit.channel_ratios) or [None])[int(head[1 + 2 * u][i])]
+            codes = [b.code for b in consistent_blocks(unit, ratio)]
+            depth = int(head[2 + 2 * u][i])
+            choices[i].append(codes)
+            block_bounds[i].append([len(codes) if l < depth else 1 for l in range(lmax)])
+    picks = rng.integers(0, np.array(block_bounds))
+
+    has_ratio = any(unit.channel_ratios for unit in space.units)
+    archs = []
+    for i in range(n):
+        ratios, depths, blocks = [], [], []
+        for u, unit in enumerate(space.units):
+            depth = int(head[2 + 2 * u][i])
+            codes = [choices[i][u][int(picks[i][u][l])] for l in range(depth)]
+            pin = pins.get(unit.index)
+            if pin is not None:
+                codes[pin.layer - 1] = pin.block_code
+            r = (list(unit.channel_ratios) or [1.0])[int(head[1 + 2 * u][i])]
+            ratios.append(r)
+            depths.append(depth)
+            blocks.append(tuple(codes))
+        archs.append(Architecture(
+            space=space.name,
+            resolution=space.resolutions[int(head[0][i])],
+            depths=tuple(depths),
+            blocks=tuple(blocks),
+            channel_ratios=tuple(ratios) if has_ratio else (),
+        ))
+    return archs
+
+
+# ---------------------------------------------------------------------------
 # quadratic Pareto oracle
 
 def brute_frontier(vectors, directions):
@@ -424,8 +516,9 @@ def reference_mutate(space, arch, rng, unit_weights=None):
 
 
 def reference_evolve(space, config):
-    """The elitist loop that samples, mutates, evaluates and dedupes one
-    architecture at a time, with arch_key strings as dedupe keys. The ranking
+    """The elitist loop that mutates, evaluates and dedupes one architecture
+    at a time, with arch_key strings as dedupe keys. Generation zero is the
+    library's one sample_batch draw, evaluated row by row; the ranking
     helpers are the library's own."""
     rng_init = spawn_rng(config.seed, STREAM_SEARCH_INIT)
     rng_mut = spawn_rng(config.seed, STREAM_SEARCH_MUTATE)
@@ -447,8 +540,9 @@ def reference_evolve(space, config):
             parent_id=parent_id, mutation=mutation,
         )
 
+    genes = sample_batch(space, rng_init, config.population)
     population = [
-        evaluate(sample_uniform(space, rng_init), 0, -1, "") for _ in range(config.population)
+        evaluate(genes.architecture(i), 0, -1, "") for i in range(config.population)
     ]
     all_points = list(population)
     seen = {arch_key(p.arch) for p in population}

@@ -17,7 +17,7 @@ from archscope.costs import (
 )
 from archscope.errors import EvaluationError, ValidationError
 from archscope.profiler import draw_samples
-from archscope.sampling import STREAM_BASELINE, sample_uniform, spawn_rng
+from archscope.sampling import STREAM_BASELINE, sample_batch, sample_uniform, spawn_rng
 from archscope.spaces import (
     MBCONV_V2,
     Architecture,
@@ -162,8 +162,7 @@ def test_batch_path_rejects_non_finite_values(mini_space, value):
     ev = MetricEvaluator(name="broken", direction="maximize", fn=lambda arch: 0.0, batch=stub)
     with pytest.raises(EvaluationError, match="'broken'.*non-finite") as exc:
         draw_samples(mini_space, ev, 6, seed=0)
-    rng = spawn_rng(0, STREAM_BASELINE, 0)
-    first_bad = [sample_uniform(mini_space, rng) for _ in range(3)][2]
+    first_bad = sample_batch(mini_space, spawn_rng(0, STREAM_BASELINE, 0), 6).architecture(2)
     assert exc.value.record == arch_key(first_bad)
 
 

@@ -3,11 +3,13 @@
 Non-dominated fronts from the domination matrix must equal the pairwise front
 sort. The memoised latency and precomputed accuracy evaluators, and every
 evaluator's batch function over gene arrays, must equal the per-layer walkers
-bit for bit (==, not approx). The batch sampler must decode to exactly the
-architectures the scalar sampler draws from the same stream. The batched
-search must return what the one-child-at-a-time reference search returns.
+bit for bit (==, not approx). The sampler must draw exactly the
+architectures that a loop-by-loop reading of the stream layout draws, and
+its counts must fit the exactly enumerated distribution. The batched search
+must return what the one-child-at-a-time reference search returns.
 """
 
+import collections
 from dataclasses import replace
 
 import numpy as np
@@ -15,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from archscope import profiler, search
+from archscope import profiler
 from archscope.costs import (
     MAXIMIZE,
     MINIMIZE,
@@ -28,17 +30,7 @@ from archscope.costs import (
 from archscope.devices import identity_profile, latency_evaluator, list_profiles, load_profile
 from archscope.errors import EvaluationError, ValidationError
 from archscope.reduction import apply, preset
-from archscope.sampling import (
-    STREAM_BASELINE,
-    STREAM_SEARCH_INIT,
-    STREAM_SEARCH_MUTATE,
-    Genes,
-    _lemire,
-    sample_batch,
-    sample_fixed,
-    sample_uniform,
-    spawn_rng,
-)
+from archscope.sampling import Genes, sample_batch, sample_uniform, spawn_rng
 from archscope.search import (
     FITNESS_DOMINANCE,
     FITNESS_RANK_SUM,
@@ -51,6 +43,7 @@ from archscope.search import (
 from archscope.spaces import (
     FAMILIES,
     RESNET_BOTTLENECK,
+    Placement,
     arch_key,
     iter_placements,
     list_spaces,
@@ -60,9 +53,12 @@ from archscope.spaces import (
 from archscope.tables import ADDITIVE, MetricTable, table_evaluator
 
 from .oracles import (
+    _unit_configs,
     brute_fronts,
+    chi2_sf,
     reference_evolve,
     reference_mutate,
+    reference_sample_batch,
     walker_accuracy,
     walker_latency,
     walker_macs,
@@ -144,11 +140,14 @@ _RATIOS = (0.5, 0.75, 1.0)
 
 
 @st.composite
-def _space_configs(draw):
+def _space_configs(draw, ratio_gene=None):
     """Small spaces that reach every k = 1 draw: one resolution, a fixed depth,
-    one candidate, one ratio, or one candidate consistent with a ratio."""
-    family = draw(st.sampled_from(FAMILIES))
-    ratio_gene = family == RESNET_BOTTLENECK and draw(st.booleans())
+    one candidate, one ratio, or one candidate consistent with a ratio.
+    ratio_gene=True gives a bottleneck space with a ratio gene, False a space
+    without one."""
+    family = RESNET_BOTTLENECK if ratio_gene else draw(st.sampled_from(FAMILIES))
+    if ratio_gene is None:
+        ratio_gene = family == RESNET_BOTTLENECK and draw(st.booleans())
     units = []
     for _ in range(draw(st.integers(1, 3))):
         lo = draw(st.integers(1, 3))
@@ -180,25 +179,83 @@ def _space_configs(draw):
             "head": {"conv_channels": draw(st.sampled_from((0, 24))), "classes": 10}}
 
 
-def _scalar_draws(space, rng, n, placement, resolution):
-    if placement is None:
-        return [sample_uniform(space, rng, resolution=resolution) for _ in range(n)]
-    return [sample_fixed(space, placement, rng, resolution=resolution) for _ in range(n)]
-
-
 def _rows(genes):
     return [genes.architecture(i) for i in range(len(genes))]
 
 
 @settings(max_examples=40, deadline=None)
 @given(config=_space_configs(), seed=st.integers(0, 2**32 - 1))
-def test_sample_batch_decodes_to_the_scalar_sampler(config, seed):
+def test_sample_batch_equals_the_reference_stream(config, seed):
     space = parse_space_config(config)
     for resolution in (None, *space.resolutions):
         for key, placement in enumerate((None, *iter_placements(space))):
-            expected = _scalar_draws(space, spawn_rng(seed, key), 6, placement, resolution)
-            genes = sample_batch(space, spawn_rng(seed, key), 6, placement, resolution)
-            assert _rows(genes) == expected
+            for n in (1, 6):
+                ours, theirs = spawn_rng(seed, key), spawn_rng(seed, key)
+                genes = sample_batch(space, ours, n, placement, resolution)
+                assert _rows(genes) == reference_sample_batch(space, theirs, n, placement,
+                                                              resolution)
+                assert ours.integers(2**62) == theirs.integers(2**62)  # same words spent
+
+
+def _fits(observed, expected, n):
+    """Every observed outcome has positive probability, and the counts pass a
+    chi-square test at p >= 1e-6; outcomes expected fewer than 5 times share
+    one cell, merged into the smallest other cell while it is still short."""
+    assert set(observed) <= {key for key, p in expected.items() if p > 0}
+    cells = sorted(((n * p, observed[key]) for key, p in expected.items() if n * p >= 5),
+                   reverse=True)
+    short = [(n * p, observed[key]) for key, p in expected.items() if n * p < 5]
+    if short:
+        cell = (sum(e for e, _ in short), sum(o for _, o in short))
+        if cell[0] < 5 and cells:
+            last = cells.pop()
+            cell = (cell[0] + last[0], cell[1] + last[1])
+        cells.append(cell)
+    if len(cells) > 1:
+        stat = sum((o - e) ** 2 / e for e, o in cells)
+        assert chi2_sf(stat, len(cells) - 1) >= 1e-6, (stat, len(cells))
+
+
+def _unit_outcomes(genes, u):
+    """Counts of unit u's (channel ratio, block codes) over a batch: the joint
+    of its ratio, depth and blocks."""
+    unit = genes.space.units[u]
+    ratios = unit.channel_ratios or (None,)
+    rows, counts = np.unique(np.column_stack([genes.ratio[:, u], genes.block[:, u]]), axis=0,
+                             return_counts=True)
+    return {
+        (ratios[row[0]], tuple(unit.blocks[b].code for b in row[1:] if b >= 0)): count
+        for row, count in zip(rows.tolist(), counts.tolist())
+    }
+
+
+@pytest.mark.parametrize("ratio_gene", [False, True])
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_sample_batch_matches_exact_enumeration(ratio_gene, data):
+    space = parse_space_config(data.draw(_space_configs(ratio_gene)))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    cases = [(None, None)]
+    for unit in space.units:  # one pin per unit, at a drawn layer and block
+        layer = data.draw(st.integers(1, unit.depth_max))
+        code = data.draw(st.sampled_from(unit.blocks)).code
+        cases.append((Placement(unit.index, layer, code),
+                      data.draw(st.none() | st.sampled_from(space.resolutions))))
+    n = 10_000
+    for placement, resolution in cases:
+        genes = sample_batch(space, spawn_rng(seed), n, placement, resolution)
+        resolutions = space.resolutions if resolution is None else (resolution,)
+        values, counts = np.unique(genes.resolution, return_counts=True)
+        _fits({space.resolutions[v]: c for v, c in zip(values.tolist(), counts.tolist())},
+              {r: 1 / len(resolutions) for r in resolutions}, n)
+        for u, unit in enumerate(space.units):
+            pin = None
+            if placement is not None and placement.unit == unit.index:
+                pin = (placement.layer, space.block(unit.index, placement.block_code))
+            expected = collections.Counter()
+            for p, ratio, codes in _unit_configs(unit, pin):
+                expected[ratio, codes] += p
+            _fits(_unit_outcomes(genes, u), expected, n)
 
 
 @settings(max_examples=40, deadline=None)
@@ -222,77 +279,6 @@ def test_count_and_accuracy_batches_equal_walkers_on_random_spaces(config, seed)
     for m in (model, replace(model, clamp_lo=70.3, clamp_hi=70.9)):
         assert accuracy_evaluator(space, m).batch(genes).tolist() == [
             walker_accuracy(space, a, m) for a in archs]
-
-
-@settings(max_examples=100, deadline=None)
-@given(bounds=st.lists(st.tuples(st.integers(0, 5), st.integers(1, 17)), min_size=1,
-                       max_size=60),
-       seed=st.integers(0, 2**32 - 1))
-def test_lemire_map_equals_integers(bounds, seed):
-    rng = np.random.default_rng(seed)
-    expected = [int(rng.integers(k)) if lo == 0 else int(rng.integers(lo, lo + k))
-                for lo, k in bounds]
-    words = iter(np.random.default_rng(seed).integers(2**32, size=len(bounds), dtype=np.uint64))
-    got = []
-    for lo, k in bounds:
-        if k == 1:  # no word taken
-            got.append(lo)
-            continue
-        value, rejected = _lemire(np.array([next(words)]), k)
-        assert not rejected[0]
-        got.append(lo + int(value[0]))
-    assert got == expected
-
-
-def test_lemire_rejection_zone():
-    words = np.array([0, 1, 2**31, 2**32 - 1], dtype=np.uint64)
-    for k in range(1, 18):
-        _, rejected = _lemire(words, k)
-        expected = [(int(w) * k) % 2**32 < 2**32 % k for w in words]
-        assert rejected.tolist() == expected
-        assert rejected[0] == (k & (k - 1) != 0)  # 0 is rejected unless k is a power of 2
-
-
-class _CraftedWords:
-    """A generator whose first batch of words starts with the given words."""
-
-    def __init__(self, rng, head):
-        self.rng, self.head = rng, head
-
-    def integers(self, *args, **kwargs):
-        words = self.rng.integers(*args, **kwargs)
-        words[: len(self.head)] = self.head
-        return words
-
-
-# 0 is in the rejection zone of every k that is not a power of 2
-_REJECTED_WORDS = [
-    ("ofa", [0]),  # the resolution, over 3 choices
-    ("resnet50", [0]),  # unit 1's ratio, over 3
-    ("proxylessnas", [0]),  # unit 1's depth, over 3
-    ("proxylessnas", [1, 0]),  # unit 1's first block, over 9
-]
-
-
-@pytest.mark.parametrize("space_name,head", _REJECTED_WORDS)
-def test_rejection_word_takes_the_scalar_fallback(monkeypatch, space_name, head):
-    space = load_space(space_name)
-    assert sample_batch(space, _CraftedWords(spawn_rng(4), head), 5) is None
-    assert sample_batch(space, _CraftedWords(spawn_rng(4), [1] * len(head)), 5) is not None
-    ev = macs_evaluator(space)
-    spawn = profiler.spawn_rng
-    keys = []
-
-    def crafted(seed, *key):
-        keys.append(key)
-        rng = spawn(seed, *key)
-        return _CraftedWords(rng, head) if len(keys) == 1 else rng
-
-    monkeypatch.setattr(profiler, "spawn_rng", crafted)
-    got = profiler.draw_samples(space, ev, 30, seed=4)
-    assert keys == [(STREAM_BASELINE, 0)] * 2  # the stream was drawn again
-    rng = spawn(4, STREAM_BASELINE, 0)
-    assert got.values.tolist() == [ev.evaluate(sample_uniform(space, rng)) for _ in range(30)]
 
 
 @pytest.mark.parametrize("profile,space_name", _LATENCY_CASES)
@@ -347,7 +333,7 @@ def test_draw_samples_equals_the_scalar_loop_for_every_evaluator_kind(mini_space
             got = profiler.draw_samples(space, ev, 25, seed=2, placement=p)
             rng = spawn_rng(2, *profiler._stream_key(p, space, None))
             assert got.values.tolist() == [
-                ev.evaluate(a) for a in _scalar_draws(space, rng, 25, p, None)]
+                ev.evaluate(a) for a in _rows(sample_batch(space, rng, 25, p))]
 
 
 def test_batch_of_another_space_is_evaluated_row_by_row():
@@ -412,25 +398,6 @@ def test_evolve_equals_the_reference_search(config, seed, data):
     )
     assert (_outcome(evolve, space, search_config)
             == _outcome(reference_evolve, space, search_config))
-
-
-@pytest.mark.parametrize("space_name,head", _REJECTED_WORDS)
-def test_evolve_redraws_generation_zero_after_a_rejected_word(monkeypatch, space_name, head):
-    space = load_space(space_name)
-    config = SearchConfig(objectives=(accuracy_evaluator(space), macs_evaluator(space)),
-                          population=5, generations=2, children=6, seed=4)
-    expected = _outcome(reference_evolve, space, config)
-    spawn = search.spawn_rng
-    keys = []
-
-    def crafted(seed, *key):
-        keys.append(key)
-        rng = spawn(seed, *key)
-        return _CraftedWords(rng, head) if len(keys) == 1 else rng
-
-    monkeypatch.setattr(search, "spawn_rng", crafted)
-    assert _outcome(evolve, space, config) == expected
-    assert keys == [(STREAM_SEARCH_INIT,), (STREAM_SEARCH_INIT,), (STREAM_SEARCH_MUTATE,)]
 
 
 def _frozen_unit_space():

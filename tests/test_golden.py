@@ -22,79 +22,79 @@ from .conftest import build_mini_space
 
 EXPECTED = {
     "blocks-acc/blocks-resnet50-synthetic-acc.csv":
-        "b11d36df947516e3fd8ce10cd7c9e5109de70789e287c6b6683f1b2ba084fa49",
+        "31a478acc9d7861958d84977ed6b3be8fe450670a1e0cf45f0c98798f8f1f027",
     "blocks-maxacc/blocks-resnet50-resnet50-maxacc-macs.csv":
-        "a460257374207d2767948c27d71c87ad5634e2187acd989ed653cf3f1b96b916",
+        "f7e87ba0b7aa87bb53cd45b319ab57b53a6895b2ffd1dd60d2ffbe5d49e2ca56",
     "blocks-note10/blocks-proxylessnas-note10-linear.csv":
-        "c87f3cfe1c646473722588180d9572d52bb14b5a2ff9af12643b715272e233c9",
+        "d937cd517bdd40cfb0b40d06b17a9e4f941b4f3b02e1334b472a6f5eb636dde8",
     "blocks-npu/blocks-ofa-npu-like.csv":
-        "b1b5e782191cb9f8ba5dc2a49277b2a8b28d24041764e5932c55353be27492a1",
+        "d7f817dbfc007cff53a1e83155174d908c3f36fbf773c2f0cc21029646cd2410",
     "blocks-params/blocks-resnet50-params.csv":
-        "2f93e8a229dc5db93721b185ed90115e3121e6568ed470cd65ed6c17cebf2619",
+        "5c4a11fd68576334dcb44424e256d43db65cf5bc228bf508bf8ebe598a26c3cf",
     "compare/compare.csv":
-        "03c1f1563b79d2dc5caa03c1e98cf50b41964dfdfb2b0b75df06b4f6c856a2d2",
+        "5cf587fac6b29b21a89655d71a6fd240b358d451b5afb179df6185506e94cc72",
     "docs/additive-table.csv":
         "c0f946ad1c30dca21e10c17921cb11fd69f40d58e70828764a4d5e073350014a",
     "docs/exact-table.csv":
-        "2b9aa66f4848aee094eb38e9fbc6042546a1f24f173ff01f7804ac12e5adcdc3",
+        "edf641e51cae1f9c311807d93ddb09d4cec25796be690bcf1e48194d99a64ee2",
     "docs/profile.json":
         "2c364ba1f2cd29c7765e96fcf69d729fe57ba7b2ae1377b7f7101ac39705fdf1",
     "docs/ruleset.json":
         "11714181bf62a9d1277cfdfd90eabae52e28603640a42ebef55873dffb271443",
     "max/max-resnet50-s1-history.json":
-        "0ebce37c9dd97af214aa0282d64c00ad4496be74f9766b5fcdb13c0427dcfa47",
+        "2d69f37b4f887a847ee9b1e66eadd602b03c07205fb95608910a49ee810f48ab",
     "max/max-resnet50-s1.json":
-        "9d68cdd856792cb2d7cf79eb56776345b8b9effad55f6956ce55e84ec30781cc",
+        "c04a150dcb130accafdf2f4ab702f6386ac01c1aaa09a8f6cd143c66a43888e5",
     "max-weights/max-ofa-s2-history.json":
-        "72f572d270d1780e51b65a8dddac0bcc08dac6400a668c5431c694212d79fc61",
+        "06642236c1dba18257033ab0caab559542559d706d390b125682671cdfa71102",
     "max-weights/max-ofa-s2.json":
-        "676454f9b38d668cd58d42bd450fc548973d9efd02ec4e5afd11de1685710238",
+        "398e82771671997ba8226799316846564ffe4e41418edf6102d5acf9a215df3f",
     "pareto-acc-macs/pareto-ofa-s5-history.json":
-        "95b7eefa15baf9fa6f3723714a0750d6590ef175071c963b77b6059464f7a79f",
+        "5b6b8b97b281d98352c28d02c59317c2834fd0bd2859dffdbeb6fab5188e63c7",
     "pareto-acc-macs/pareto-ofa-s5.csv":
-        "754c1412bd6e7a09b33db95c89759be12a6b0cc32556e95c0909abd5d98c11ee",
+        "5ecc681b58ebfcd5e52612116562a5867eca7a62debd725166366b5393f56874",
     "pareto-acc-macs/pareto-ofa-s5.json":
-        "c543cb0c45f1f59bb44b2e19e6153c99c9cf38870046d649c3227ffb388091bd",
+        "84d3f7fae3c8a9e0cfbffd6e80472bd0d84e73f9aeb36a11d1bdbc547e13fb0c",
     "pareto-rank-sum/pareto-proxylessnas-s7-history.json":
-        "3a7bdc1df776c004197c6ef1ca9ecec118c2409558c725ff881959cee2222a72",
+        "9e1dd31598c58920af629309c3594e47f288673c84d2cf0cffa7433a460a97bf",
     "pareto-rank-sum/pareto-proxylessnas-s7.csv":
-        "b3d33c7d5835c8f159d8f25dcbc1512e91001a4620dc6b0d3c39a248f0dfa04f",
+        "d8ec3b09ad55f61bec2c91070a59633e88458e514dc321fe0dcfc3587b28a48b",
     "pareto-rank-sum/pareto-proxylessnas-s7.json":
-        "b3b2afb50111c6284aae614af5fa222eca1964d4bd8e4f8bfe2bb3f180e237f2",
+        "56efb6cb8394704298eff61db06043bd62404b79cc01532b406253640139a598",
     "pareto/pareto-ofa-ofa-npu-s3-history.json":
-        "49b9e6515b13244586361603e58a69d41ea2f9efc5c5a9ae2c9f63a58f9cb64d",
+        "30f934b97e8a617314a0800e84ec0a9275201e9db4e865c928edd8d78d0f0d79",
     "pareto/pareto-ofa-ofa-npu-s3.csv":
-        "72076768e365b6a3e254cc213ef77997138a7c5be7b682dbd09af7131d126183",
+        "6d0c2d2c5856a82263d954e5aac2d3c7eac31cfd6a37c859f9d607c1ac31224e",
     "pareto/pareto-ofa-ofa-npu-s3.json":
-        "fd1920ddb4894d5198abd25a3b519e3e3fabf79a0d548ccb5f4f46824add6bc7",
+        "88868c8243eb9c71baa47447032ead2bb635f8a156c0509b2d2854fc17bf27ba",
     "pareto/pareto-ofa-ofa-npu-s4-history.json":
-        "9982dbbdab3285771ffb6370b03cdc7e47ca9981f9148958de2efa9f1a3979e8",
+        "b793a2e1c9bec785a1daedaa2653782a291975fe33ea56ef5cf5d36ebe228098",
     "pareto/pareto-ofa-ofa-npu-s4.csv":
-        "9858c3c0ad22fba008b02773823608fbf1d4d75e9112f78a7fedadbcb41f2d1c",
+        "08d4275525b76ea1cfe5697504a7913fd43ea8e7220d7948ac3016485837f160",
     "pareto/pareto-ofa-ofa-npu-s4.json":
-        "654eebeb2b3456b4752664b9d8532303292922de8e157e4d2374576ac4554996",
+        "210f7d9285f418aa4044c7602dbcd287384b0b8a2c1951006f2684f777ebb794",
     "placements-cpu/placements-resnet50-cpu-expansion-bound-boundaries.json":
         "eba4192618f817814a681fdc48fe813b313abf9300b3d12a2b5e8c1d6c96acf2",
     "placements-cpu/placements-resnet50-cpu-expansion-bound.csv":
-        "60e7d0a0ee6c5caf37de00b52de487b65548802e05d3bd7f66ce607d7e278d83",
+        "e77311b9251f69e0741f4e1ec1ebecbec34b3242d4704deec61ad04939921de3",
     "placements-gpu/placements-proxylessnas-gpu-flat-boundaries.json":
         "9bad662cee2d21f9e0b6fb66bf9f761ae07134ca30f8098ff735d1044f64a692",
     "placements-gpu/placements-proxylessnas-gpu-flat.csv":
-        "fa14a40a0dc5ec64620bc6ff79ca0fdf71290680e03a727de11ecd9cc16f57eb",
+        "831c3d86ee92fcb6fddc4060ee42d18e05444bc74fcbbc72056ad67b7f97e457",
     "reduce/reduced-resnet50-resnet50-maxacc.json":
         "08c99207efb452b429e2774cff38b287ff8016465082e3df5ea819bea2e9bda2",
     "sweep/placements-ofa-macs-boundaries.json":
         "162cc5915eb70d789c801b826f5414162b407636803d1e982afd6a8378d33ad8",
     "sweep/placements-ofa-macs.csv":
-        "8cfba5ca3f3c58322c86223af6816e20e47f6492638458c00a8f9b3eb178ccc4",
+        "3017a3ce2636dfb3b87298e55f6ca748c370a98f6aa093d749e334fb97bb57be",
     "sweep/placements-ofa-macs.dat":
-        "b2d4b823fbbce44222fe56ccd633c8d5dc1a309ba7aebec0ce27e3d56ab8d075",
+        "1ce8fca28eb33f9163a73bb2ed3112c33936aed69fc2e072e025bab7db06879d",
     "sweep-pct/placements-ofa-npu-like-boundaries.json":
         "3a63115815cd4db51f8960ec65ed6542560aeea40007a2421a68bfe9a7a103bc",
     "sweep-pct/placements-ofa-npu-like.csv":
-        "84a17974188e56d07ce69cac67df0e30b424dd8b151136dfe4b3bdde3a945adb",
+        "ef7deb47752185bbe4a47a9e7f38675a961fec66c4aeb086b443a5bbb62a7328",
     "sweep-pct/placements-ofa-npu-like.dat":
-        "3f8d33da998f94ddcd2d1bb3af94c14d2a0e258794bc2b365dd4a6a798b038c7",
+        "c94310a203a1b9aa2352e1e7811c2f8f02a308030b9dce0e096e82665a73664c",
 }
 
 _RUNS = (
@@ -124,7 +124,7 @@ _RUNS = (
     # exact integer parameter tables keyed by the previous unit's channel ratio
     ("blocks-params", "profile", "blocks", "--space", "resnet50", "--metric", "params",
      "--samples", "4"),
-    # a unit with a single depth, so its depth draw takes no word
+    # a unit with a single depth, so its depth row has bound 1
     ("placements-gpu", "profile", "placements", "--space", "proxylessnas", "--metric",
      "gpu-flat", "--samples", "5", "--baseline-samples", "20", "--raw"),
     # several non-dominated fronts per generation, the last one cut by crowding
