@@ -175,9 +175,9 @@ def sample_batch(
         bound += (len(unit.channel_ratios) or 1, unit.depth_max - unit.depth_min + 1)
     if placement is not None:
         pin, unit = placement.unit - 1, space.unit(placement.unit)
-        ratio = space.block(placement.unit, placement.block_code).channel_ratio
-        if unit.channel_ratios and ratio is not None:
-            low[1 + 2 * pin], bound[1 + 2 * pin] = unit.channel_ratios.index(ratio), 1
+        pinned_ratio = space.block(placement.unit, placement.block_code).channel_ratio
+        if unit.channel_ratios and pinned_ratio is not None:
+            low[1 + 2 * pin], bound[1 + 2 * pin] = unit.channel_ratios.index(pinned_ratio), 1
         lo = max(placement.layer, unit.depth_min)
         low[2 + 2 * pin], bound[2 + 2 * pin] = lo, unit.depth_max - lo + 1
     head = np.array(low)[:, None] + rng.integers(0, np.array(bound)[:, None],

@@ -99,16 +99,17 @@ class DesignSpace:
 
     def __post_init__(self):
         index: dict = {}
-        picks = []
+        consistent = []  # per unit, per ratio choice: the consistent candidates
         for position, unit in enumerate(self.units, start=1):
             for b in unit.blocks:
                 index.setdefault((position, b.code), b)
-            picks.append([_consistent_indices(unit, r) for r in unit.channel_ratios or (None,)])
-        ratios = max(map(len, picks), default=0)
-        width = max((len(p) for per_ratio in picks for p in per_ratio), default=0)
-        candidates = np.zeros((len(picks), ratios, width), dtype=np.int64)
-        counts = np.zeros((len(picks), ratios), dtype=np.int64)
-        for u, per_ratio in enumerate(picks):
+            consistent.append(
+                [_consistent_indices(unit, r) for r in unit.channel_ratios or (None,)])
+        ratios = max(map(len, consistent), default=0)
+        width = max((len(p) for per_ratio in consistent for p in per_ratio), default=0)
+        candidates = np.zeros((len(consistent), ratios, width), dtype=np.int64)
+        counts = np.zeros((len(consistent), ratios), dtype=np.int64)
+        for u, per_ratio in enumerate(consistent):
             for r, pick in enumerate(per_ratio):
                 candidates[u, r, : len(pick)] = pick
                 counts[u, r] = len(pick)

@@ -36,12 +36,12 @@ def chi2_sf(x, df):
     forms of the regularised upper incomplete gamma function at integer and
     half-integer order, summed in log space so no term overflows."""
     h = x / 2.0
+    if h == 0.0:
+        return 1.0
     if df % 2 == 0:
         orders, base = range(df // 2), 0.0
     else:
         orders, base = [k + 0.5 for k in range(df // 2)], math.erfc(math.sqrt(h))
-    if h == 0.0:
-        return 1.0
     return base + sum(math.exp(a * math.log(h) - h - math.lgamma(a + 1)) for a in orders)
 
 
@@ -320,12 +320,11 @@ def reference_sample_batch(space, rng, n, placement=None, resolution=None):
     else:
         fixed = list(space.resolutions).index(resolution)
         row(fixed, fixed + 1)
-    pins = {}
+    pinned_unit = placement.unit if placement is not None else None
     for unit in space.units:
         ratios = list(unit.channel_ratios) or [None]
-        if placement is not None and placement.unit == unit.index:
+        if unit.index == pinned_unit:
             block = next(b for b in unit.blocks if b.code == placement.block_code)
-            pins[unit.index] = placement
             if unit.channel_ratios and block.channel_ratio is not None:
                 fixed = ratios.index(block.channel_ratio)
                 row(fixed, fixed + 1)
@@ -358,9 +357,8 @@ def reference_sample_batch(space, rng, n, placement=None, resolution=None):
         for u, unit in enumerate(space.units):
             depth = int(head[2 + 2 * u][i])
             codes = [choices[i][u][int(picks[i][u][l])] for l in range(depth)]
-            pin = pins.get(unit.index)
-            if pin is not None:
-                codes[pin.layer - 1] = pin.block_code
+            if unit.index == pinned_unit:
+                codes[placement.layer - 1] = placement.block_code
             r = (list(unit.channel_ratios) or [1.0])[int(head[1 + 2 * u][i])]
             ratios.append(r)
             depths.append(depth)

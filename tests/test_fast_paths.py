@@ -194,17 +194,18 @@ def test_sample_batch_equals_the_reference_stream(config, seed):
                 genes = sample_batch(space, ours, n, placement, resolution)
                 assert _rows(genes) == reference_sample_batch(space, theirs, n, placement,
                                                               resolution)
-                assert ours.integers(2**62) == theirs.integers(2**62)  # same words spent
+                assert ours.integers(2**62) == theirs.integers(2**62)  # same generator state
 
 
 def _fits(observed, expected, n):
     """Every observed outcome has positive probability, and the counts pass a
-    chi-square test at p >= 1e-6; outcomes expected fewer than 5 times share
-    one cell, merged into the smallest other cell while it is still short."""
+    chi-square test at p >= 1e-6. Outcomes expected fewer than 5 times share
+    one cell, which joins the smallest other cell if it still expects fewer
+    than 5."""
     assert set(observed) <= {key for key, p in expected.items() if p > 0}
-    cells = sorted(((n * p, observed[key]) for key, p in expected.items() if n * p >= 5),
+    cells = sorted(((n * p, observed.get(key, 0)) for key, p in expected.items() if n * p >= 5),
                    reverse=True)
-    short = [(n * p, observed[key]) for key, p in expected.items() if n * p < 5]
+    short = [(n * p, observed.get(key, 0)) for key, p in expected.items() if n * p < 5]
     if short:
         cell = (sum(e for e, _ in short), sum(o for _, o in short))
         if cell[0] < 5 and cells:
