@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import os
-import statistics
 import sys
 from pathlib import Path
 
@@ -344,6 +343,8 @@ def cmd_search_max(args) -> int:
         print(f"seed={seed} evaluations={result.total_evaluations} best={best.metrics[0]!r}")
         print(best_path)
         print(history_path)
+    import statistics  # only here: importing it costs a few ms per process
+
     mean = statistics.fmean(best_values)
     stdev = statistics.stdev(best_values) if len(best_values) > 1 else 0.0
     print(f"repeats={args.repeats} mean_best={mean!r} stdev_best={stdev!r}")

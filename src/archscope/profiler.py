@@ -31,7 +31,6 @@ workers run the placements or in what order they finish.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -84,13 +83,40 @@ def _ranks(taus) -> tuple[float, ...]:
     return taus
 
 
+def _linear_percentiles(values: np.ndarray, taus) -> np.ndarray:
+    """[k, T] percentiles of the rows of a [k, n] matrix, each equal bit for
+    bit to np.percentile(row, tau, method="linear").
+
+    These are numpy 2.4's own steps (_quantile with its linear
+    virtual index and _lerp, the t >= 0.5 branch included) without its
+    np.unique call, which imports numpy.ma. Like numpy, a copy of the rows
+    is partitioned at the neighbouring ranks rather than read in sorted
+    order: -0.0 and 0.0 compare equal, so a sort and a partition can leave
+    either at a rank, and the partition decides the sign of a zero result.
+    A row holding NaN gives the NaN the partition moved to its end."""
+    n = values.shape[1]
+    virtual = (n - 1) * np.true_divide(np.asarray(taus, dtype=float), 100)
+    lower, upper = np.floor(virtual), np.floor(virtual) + 1
+    lower[virtual >= n - 1] = upper[virtual >= n - 1] = -1  # the last value
+    lower, upper = lower.astype(np.intp), upper.astype(np.intp)
+    arr = values.copy()
+    arr.partition(sorted({0, -1, *lower.tolist(), *upper.tolist()}), axis=1)
+    t = virtual - lower
+    a, b = arr[:, lower], arr[:, upper]
+    diff = b - a
+    out = np.add(a, diff * t)
+    np.subtract(b, diff * (1 - t), out=out, where=t >= 0.5)
+    np.copyto(out, arr[:, -1:], where=np.isnan(arr[:, -1:]))
+    return out
+
+
 def percentile(values, tau: float) -> float:
     """Linear-interpolation percentile at rank (n - 1) * tau / 100."""
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
         raise ValidationError("percentile of an empty sample")
     _check_rank(tau)
-    return float(np.percentile(arr, tau, method="linear"))
+    return float(_linear_percentiles(arr.reshape(1, -1), (tau,))[0, 0])
 
 
 @lru_cache(maxsize=1)
@@ -127,17 +153,21 @@ def _log_step(c: np.ndarray, power: int, n: int) -> np.ndarray:
 
 @lru_cache(maxsize=16)
 def _percentile_weights(n: int, tau: float):
-    """(j, lo, hi, second, first): the moments of q* = (1 - g) x_(A) + g x_(B)
-    over bootstrap resamples as weights on the band [lo, hi) of a sorted
-    sample centred at x_(j), E[q*] = first^T w and E[q*^2] = w^T second w
-    (second is upper triangular).
+    """(j, lo, hi, first, diag, log_u, log_v): the moments of
+    q* = (1 - g) x_(A) + g x_(B) over bootstrap resamples as weights on the
+    band [lo, hi) of a sorted sample w centred at x_(j), all of O(band) size:
+    E[q*] = first^T w, and E[q*^2] = w^T M w with M = diag(diag) plus, above
+    the diagonal, the rank-one M[a, b] = exp(log_u[a] + log_v[b]) (a < b);
+    log_u is None when g = 0.
 
     A and B are the sorted positions of the resample's order statistics j and
     j + 1. For a < b, P(A=a, B=b) = C(n, j+1) u(a) v(b) with
     u(a) = ((a+1)/n)**(j+1) - (a/n)**(j+1) and
     v(b) = ((n-b)/n)**m - ((n-b-1)/n)**m, m = n - j - 1; the diagonal
     P(A=B=a) is P(A=a) minus the row's off-diagonal sum,
-    C(n, j+1) u(a) ((n-a-1)/n)**m."""
+    C(n, j+1) u(a) ((n-a-1)/n)**m. u and v alone can leave the double range,
+    so they are kept as logs (with 2 g (1 - g) in log_u), shifted to put the
+    largest log_v at 0."""
     h = (n - 1) * (tau / 100.0)
     j = math.floor(h)
     g = h - j
@@ -146,7 +176,8 @@ def _percentile_weights(n: int, tau: float):
     mass = (1.0 - g) * p_a + g * p_b
     keep = np.flatnonzero(mass >= _BAND_RTOL * mass.max())
     lo, hi = int(keep[0]), int(keep[-1]) + 1
-    second = np.diag((1.0 - g) ** 2 * p_a[lo:hi] + g * g * p_b[lo:hi])
+    diag = (1.0 - g) ** 2 * p_a[lo:hi] + g * g * p_b[lo:hi]
+    log_u = log_v = None
     if g > 0.0:
         m = n - j - 1
         a = np.arange(lo, hi, dtype=float)
@@ -154,16 +185,24 @@ def _percentile_weights(n: int, tau: float):
         log_u = log_scale + _log_step(a + 1.0, j + 1, n)
         with np.errstate(divide="ignore"):
             log_tail = m * np.log((n - 1.0 - a) / n)
-        # below the diagonal the product is no probability and may overflow:
-        # clamp it at log 1 before exp, then drop it
-        joint = log_u[:, None] + _log_step(n - a, m, n)
-        joint = np.triu(np.exp(np.minimum(joint, 0.0, out=joint), out=joint), 1)
-        joint[np.diag_indices_from(joint)] = p_a[lo:hi] - np.exp(log_u + log_tail)
-        joint *= 2.0 * g * (1.0 - g)  # upper triangle only: w^T M w is all that is used
-        second += joint
-    for arr in (second, mass):
-        arr.flags.writeable = False
-    return j, lo, hi, second, mass[lo:hi]
+        diag += 2.0 * g * (1.0 - g) * (p_a[lo:hi] - np.exp(log_u + log_tail))
+        log_v = _log_step(n - a, m, n)
+        shift = log_v.max()
+        log_u += shift + math.log(2.0 * g * (1.0 - g))
+        log_v -= shift
+    for arr in (diag, mass, log_u, log_v):
+        if arr is not None:
+            arr.flags.writeable = False
+    return j, lo, hi, mass[lo:hi], diag, log_u, log_v
+
+
+def _log_suffix_sums(log_v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """log of sum_{b > a} exp(log_v[b]) w[i, b] for each row i and column a,
+    for w >= 0 (-inf where the sum is 0), by a reversed logaddexp scan."""
+    with np.errstate(divide="ignore"):
+        terms = log_v + np.log(w)
+    scan = np.logaddexp.accumulate(terms[:, :0:-1], axis=1)[:, ::-1]
+    return np.concatenate([scan, np.full((len(w), 1), -np.inf)], axis=1)
 
 
 def percentile_stderrs(ordered: np.ndarray, tau: float) -> np.ndarray:
@@ -172,18 +211,25 @@ def percentile_stderrs(ordered: np.ndarray, tau: float) -> np.ndarray:
 
     The percentile is an L-estimator (Hutson & Ernst 2000, JRSS-B 62:89-94):
     its bootstrap moments are fixed weights on the sorted sample, built once
-    per (n, tau), so each row costs one banded quadratic form."""
+    per (n, tau). The off-diagonal part of the second moment is rank one, so
+    each row costs O(band): a diagonal term plus a suffix scan."""
     _check_rank(tau)
     k, n = ordered.shape
     if n < 2:
         return np.full(k, np.nan)
-    j, lo, hi, second, first = _percentile_weights(n, float(tau))
+    j, lo, hi, first, diag, log_u, log_v = _percentile_weights(n, float(tau))
     w = ordered[:, lo:hi] - ordered[:, j, None]
-    # einsum, not a BLAS matmul: on a 2-CPU host threaded BLAS took 5-12 ms
+    # einsum, not a BLAS product: on a 2-CPU host threaded BLAS took 5-12 ms
     # for a [180, 125] block, einsum 1.3 ms
     mean = np.einsum("ij,j->i", w, first)
-    var = np.einsum("ij,ij->i", np.einsum("ij,jk->ik", w, second), w) - mean * mean
-    return np.sqrt(np.maximum(var, 0.0))
+    second = np.einsum("ij,j->i", w * w, diag)
+    if log_u is not None:
+        # sum_a w_a exp(log_u[a]) sum_{b > a} exp(log_v[b]) w_b, the positive
+        # and negative parts of w scanned apart
+        above = np.exp(log_u + _log_suffix_sums(log_v, np.maximum(w, 0.0)))
+        below = np.exp(log_u + _log_suffix_sums(log_v, np.maximum(-w, 0.0)))
+        second += np.einsum("ij,ij->i", w, above - below)
+    return np.sqrt(np.maximum(second - mean * mean, 0.0))
 
 
 @dataclass
@@ -276,6 +322,8 @@ def _conditioned_pass(space, evaluator, placements, n, seed, resolution, workers
 
     if workers <= 1:
         return [job(p) for p in placements]
+    from concurrent.futures import ThreadPoolExecutor  # a few ms to import
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(job, placements))
 
@@ -384,9 +432,8 @@ def _stacked_stats(values: np.ndarray, taus: tuple[float, ...]):
     k, n = values.shape
     ordered = np.sort(values, axis=1)
     stderr = values.std(axis=1, ddof=1) / np.sqrt(n) if n > 1 else np.full(k, np.nan)
-    tau = np.percentile(ordered, taus, axis=1, method="linear").reshape(len(taus), k)
     tau_se = np.array([percentile_stderrs(ordered, t) for t in taus]).reshape(len(taus), k)
-    return values.mean(axis=1), stderr, tau.T, tau_se.T
+    return values.mean(axis=1), stderr, _linear_percentiles(ordered, taus), tau_se.T
 
 
 def _placement_rows(conds: list[SampleSet], base, taus) -> list[PlacementStats]:

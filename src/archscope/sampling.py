@@ -127,6 +127,31 @@ class Genes:
             block=np.array(block, dtype=np.int64).reshape(n, units, lmax),
         )
 
+    @classmethod
+    def from_rows(cls, space: DesignSpace, rows: np.ndarray) -> "Genes":
+        """The batch whose genes are views into the rows of an int64 matrix
+        laid out as rows() writes it."""
+        units = space.n_units
+        return cls(
+            space=space,
+            resolution=rows[:, 0],
+            ratio=rows[:, 1 : 1 + units],
+            depth=rows[:, 1 + units : 1 + 2 * units],
+            block=rows[:, 1 + 2 * units :].reshape(len(rows), units, -1),
+        )
+
+    def rows(self) -> np.ndarray:
+        """The batch as one int64 matrix [N, 1 + 2U + U * Lmax], a row per
+        architecture: the resolution, the U ratios, the U depths, then each
+        unit's Lmax block slots. With block codes and channel ratios
+        distinct within each unit (as parsed configs are), two rows are equal
+        exactly when their architectures are."""
+        n = len(self)
+        return np.concatenate(
+            [self.resolution[:, None], self.ratio, self.depth, self.block.reshape(n, -1)],
+            axis=1,
+        ).astype(np.int64, copy=False)
+
     def architecture(self, i: int) -> Architecture:
         """Row i as an Architecture."""
         space = self.space

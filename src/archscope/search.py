@@ -9,12 +9,20 @@ crowding-distance tie-breaks (a rank-sum alternative sits behind
 fitness_mode="rank_sum"). The budget is exact: P + G * K evaluated
 architectures, with no caching.
 
-No mutation draw depends on a metric, so a generation's K children are all
-mutated (and deduped) first and then scored as one gene batch, one
-evaluate_batch call per objective; generation zero is drawn as one batch by
-sample_batch. When a batch fails in any way, that generation is scored again
-one architecture at a time, so an error names the architecture and the
-evaluator the one-at-a-time loop would have stopped at.
+A run is held as arrays, indexed by eval_id: one int64 gene row per
+evaluated architecture (Genes.rows), a metrics matrix [P + G * K, m], the
+parents' eval_ids and the mutation strings; the population is an array of
+eval_ids. Mutation reads a parent's row and writes the child's from tables
+built once per space, and dedupe keys are the rows' bytes. No mutation draw
+depends on a metric, so a generation's K children are all mutated (and
+deduped) first and then scored as one gene batch, one evaluate_batch call
+per objective; generation zero is drawn as one batch by sample_batch. When a
+batch fails in any way, its rows are scored again one architecture at a
+time, so an error names the architecture and the evaluator the
+one-at-a-time loop would have stopped at. Ranking works on the metrics
+matrix. Architecture and EvaluatedArch objects are built only for the
+returned best point or frontier; mutate, pareto_filter and the list helpers
+are thin wrappers over the same code.
 
 Mutation picks a unit (uniformly, or by the given unit weights), then one
 applicable action uniformly: add a layer (appended at the end, new block
@@ -29,7 +37,10 @@ draw order of both streams.
 
 from __future__ import annotations
 
+import struct
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -45,12 +56,7 @@ from .sampling import (
     sample_uniform,
     spawn_rng,
 )
-from .spaces import (
-    Architecture,
-    DesignSpace,
-    arch_key,
-    consistent_blocks,
-)
+from .spaces import Architecture, DesignSpace, arch_key, ratio_values
 
 DEDUPE_RETRIES = 10
 
@@ -142,30 +148,149 @@ class UnitPicker:
         self.probs = w / total
         # Generator.choice normalises p once more and then normalises its cumsum
         p = self.probs / self.probs.sum()
-        self.cdf = p.cumsum()
-        self.cdf /= self.cdf[-1]
+        cdf = p.cumsum()
+        self.cdf = (cdf / cdf[-1]).tolist()
 
     def pick(self, rng: np.random.Generator) -> int:
-        """A 1-based unit, drawn with one double exactly as choice(n, p) draws."""
-        return int(self.cdf.searchsorted(rng.random(), side="right")) + 1
+        """A 1-based unit, drawn with one double exactly as choice(n, p) draws
+        (bisect_right is searchsorted(cdf, x, side="right"))."""
+        return bisect_right(self.cdf, rng.random()) + 1
+
+
+class _Moves:
+    """A space's mutation tables over gene rows (Genes.rows), built once.
+
+    Per unit (0-based) and ratio choice r, from space.candidate_table():
+    actions[u][r][d] lists the applicable actions at depth d in draw order,
+    candidates[u][r] the consistent block indices in candidate order,
+    others[u][r][b] the same without block b, and remap[u][r][s][b] the block
+    that keeps b's expansion and kernel under ratio choice s (the last such
+    candidate), or -1 where the layer redraws. key packs a row into the
+    bytes Genes.rows() holds for it."""
+
+    def __init__(self, space: DesignSpace):
+        self.space = space
+        units = space.n_units
+        self.ratio_at, self.depth_at, self.block_at = 1, 1 + units, 1 + 2 * units
+        self.slots = max(u.depth_max for u in space.units)
+        self.key = struct.Struct(f"={self.block_at + units * self.slots}q").pack
+        table, counts = space.candidate_table()
+        self.codes = [[b.code for b in unit.blocks] for unit in space.units]
+        self.ratios = ratio_values(space)
+        self.resolutions = [[s for s in range(len(space.resolutions)) if s != r]
+                            for r in range(len(space.resolutions))]
+        self.candidates, self.others, self.actions, self.remap = [], [], [], []
+        for u, unit in enumerate(space.units):
+            per_ratio = [table[u, r, : counts[u, r]].tolist()
+                         for r in range(len(unit.channel_ratios) or 1)]
+            self.candidates.append(per_ratio)
+            self.others.append([[[c for c in cands if c != b] for b in range(len(unit.blocks))]
+                                for cands in per_ratio])
+            self.actions.append([[self._applicable(unit, len(cands), d)
+                                  for d in range(unit.depth_max + 1)] for cands in per_ratio])
+            self.remap.append([[self._remap(unit, old, new) for new in per_ratio]
+                               for old in per_ratio])
+
+    def _applicable(self, unit, n_candidates: int, depth: int) -> tuple[str, ...]:
+        return tuple(name for name, ok in (
+            ("add_layer", depth < unit.depth_max),
+            ("remove_layer", depth > unit.depth_min),
+            ("change_block", n_candidates > 1),
+            ("change_ratio", len(unit.channel_ratios) > 1),
+            ("change_resolution", len(self.space.resolutions) > 1),
+        ) if ok)
+
+    @staticmethod
+    def _remap(unit, old: list[int], new: list[int]) -> list[int]:
+        out = [-1] * len(unit.blocks)
+        for b in old:
+            for nb in new:
+                if (unit.blocks[nb].expansion == unit.blocks[b].expansion
+                        and unit.blocks[nb].kernel == unit.blocks[b].kernel):
+                    out[b] = nb
+            if out[b] >= 0 and not unit.blocks[out[b]].code:  # a falsy code redraws
+                out[b] = -1
+        return out
+
+    def unit_actions(self, row: list[int], u: int) -> tuple[str, ...]:
+        """The applicable actions of 1-based unit u of a row."""
+        return self.actions[u - 1][row[self.ratio_at + u - 1]][row[self.depth_at + u - 1]]
+
+    def mutate(self, row: list[int], rng: np.random.Generator,
+               picker: UnitPicker) -> tuple[list[int], str]:
+        """One mutation of a gene row, with the search stream's draws in
+        order (docs/FORMATS.md, "Search stream"); returns (child, description)."""
+        u = picker.pick(rng)
+        actions = self.unit_actions(row, u)
+        if not actions:  # re-pick among the units not yet tried
+            space = self.space
+            live = picker.probs.copy()
+            live[u - 1] = 0.0
+            while np.any(live > 0):
+                u = int(rng.choice(space.n_units, p=live / live.sum())) + 1
+                actions = self.unit_actions(row, u)
+                if actions:
+                    break
+                live[u - 1] = 0.0
+            else:
+                raise ValidationError(
+                    f"space {space.name!r} admits no mutation from this architecture")
+
+        action = actions[int(rng.integers(len(actions)))]
+        child = row.copy()
+        i = u - 1
+        r, depth, codes = row[self.ratio_at + i], row[self.depth_at + i], self.codes[i]
+        base = self.block_at + i * self.slots  # the unit's first slot
+        if action == "add_layer":
+            choices = self.candidates[i][r]
+            code = choices[int(rng.integers(len(choices)))]
+            child[base + depth] = code
+            child[self.depth_at + i] = depth + 1
+            return child, f"add_layer:u{u}:{codes[code]}"
+        if action == "remove_layer":
+            pos = int(rng.integers(depth))
+            child[base + pos : base + depth - 1] = row[base + pos + 1 : base + depth]
+            child[base + depth - 1] = -1
+            child[self.depth_at + i] = depth - 1
+            return child, f"remove_layer:u{u}l{pos + 1}:{codes[row[base + pos]]}"
+        if action == "change_block":
+            pos = int(rng.integers(depth))
+            old = row[base + pos]
+            choices = self.others[i][r][old]
+            new = choices[int(rng.integers(len(choices)))]
+            child[base + pos] = new
+            return child, f"change_block:u{u}l{pos + 1}:{codes[old]}->{codes[new]}"
+        if action == "change_ratio":
+            ratios = self.ratios[i]
+            choices = [s for s in range(len(ratios)) if s != r]
+            new = choices[int(rng.integers(len(choices)))]
+            child[self.ratio_at + i] = new
+            # each layer keeps its expansion under the new ratio; layers
+            # without a counterpart (asymmetric reductions) redraw
+            remap, fallback = self.remap[i][r][new], self.candidates[i][new]
+            for slot in range(base, base + depth):
+                code = remap[row[slot]]
+                child[slot] = code if code >= 0 else fallback[int(rng.integers(len(fallback)))]
+            return child, f"change_ratio:u{u}:{ratios[r]}->{ratios[new]}"
+        choices = self.resolutions[row[0]]  # change_resolution
+        child[0] = choices[int(rng.integers(len(choices)))]
+        resolutions = self.space.resolutions
+        return child, f"change_resolution:{resolutions[row[0]]}->{resolutions[child[0]]}"
+
+
+@lru_cache(maxsize=8)
+def _moves(space: DesignSpace) -> _Moves:
+    return _Moves(space)
+
+
+def _row(space: DesignSpace, arch: Architecture) -> list[int]:
+    return Genes.from_architectures(space, [arch]).rows()[0].tolist()
 
 
 def _unit_actions(space: DesignSpace, arch: Architecture, u: int) -> list[str]:
-    unit = space.unit(u)
-    depth = arch.depths[u - 1]
-    ratio = arch.channel_ratios[u - 1] if arch.channel_ratios else None
-    actions = []
-    if depth < unit.depth_max:
-        actions.append("add_layer")
-    if depth > unit.depth_min:
-        actions.append("remove_layer")
-    if len(consistent_blocks(unit, ratio)) > 1:
-        actions.append("change_block")
-    if len(unit.channel_ratios) > 1:
-        actions.append("change_ratio")
-    if len(space.resolutions) > 1:
-        actions.append("change_resolution")
-    return actions
+    """The applicable actions of unit u of arch, for the reference mutation
+    in tests/oracles.py."""
+    return list(_moves(space).unit_actions(_row(space, arch), u))
 
 
 def mutate(
@@ -178,219 +303,182 @@ def mutate(
 
     unit_weights is None (uniform), one weight per unit, or a UnitPicker
     built from either. The child always differs from the input. Raises if no
-    gene of the space can move at all.
+    gene of the space can move at all. A batch of one over the gene-row
+    mutation that evolve runs.
     """
     picker = unit_weights if isinstance(unit_weights, UnitPicker) else UnitPicker(
         space, unit_weights)
-    u = picker.pick(rng)
-    actions = _unit_actions(space, arch, u)
-    if not actions:  # re-pick among the units not yet tried
-        live = picker.probs.copy()
-        live[u - 1] = 0.0
-        while np.any(live > 0):
-            u = int(rng.choice(space.n_units, p=live / live.sum())) + 1
-            actions = _unit_actions(space, arch, u)
-            if actions:
-                break
-            live[u - 1] = 0.0
-        else:
-            raise ValidationError(
-                f"space {space.name!r} admits no mutation from this architecture")
-
-    unit = space.unit(u)
-    action = actions[int(rng.integers(len(actions)))]
-    depths = list(arch.depths)
-    blocks = [list(codes) for codes in arch.blocks]
-    ratios = list(arch.channel_ratios)
-    resolution = arch.resolution
-    ratio = ratios[u - 1] if ratios else None
-
-    if action == "add_layer":
-        choices = [b.code for b in consistent_blocks(unit, ratio)]
-        code = choices[int(rng.integers(len(choices)))]
-        blocks[u - 1].append(code)
-        depths[u - 1] += 1
-        desc = f"add_layer:u{u}:{code}"
-    elif action == "remove_layer":
-        pos = int(rng.integers(depths[u - 1]))
-        removed = blocks[u - 1].pop(pos)
-        depths[u - 1] -= 1
-        desc = f"remove_layer:u{u}l{pos + 1}:{removed}"
-    elif action == "change_block":
-        pos = int(rng.integers(depths[u - 1]))
-        old = blocks[u - 1][pos]
-        choices = [b.code for b in consistent_blocks(unit, ratio) if b.code != old]
-        new = choices[int(rng.integers(len(choices)))]
-        blocks[u - 1][pos] = new
-        desc = f"change_block:u{u}l{pos + 1}:{old}->{new}"
-    elif action == "change_ratio":
-        old = ratios[u - 1]
-        choices = [r for r in unit.channel_ratios if r != old]
-        new = choices[int(rng.integers(len(choices)))]
-        ratios[u - 1] = new
-        # remap joint codes so each layer keeps its expansion under the new
-        # ratio; layers without a counterpart (asymmetric reductions) redraw
-        remap = {}
-        for b in consistent_blocks(unit, old):
-            for nb in consistent_blocks(unit, new):
-                if nb.expansion == b.expansion and nb.kernel == b.kernel:
-                    remap[b.code] = nb.code
-        fallback = [b.code for b in consistent_blocks(unit, new)]
-        blocks[u - 1] = [
-            remap.get(c) or fallback[int(rng.integers(len(fallback)))]
-            for c in blocks[u - 1]
-        ]
-        desc = f"change_ratio:u{u}:{old}->{new}"
-    else:  # change_resolution
-        choices = [r for r in space.resolutions if r != resolution]
-        resolution = choices[int(rng.integers(len(choices)))]
-        desc = f"change_resolution:{arch.resolution}->{resolution}"
-
-    child = Architecture(
-        space=arch.space,
-        resolution=resolution,
-        depths=tuple(depths),
-        blocks=tuple(tuple(c) for c in blocks),
-        channel_ratios=tuple(ratios),
-    )
-    return child, desc
+    child, desc = _moves(space).mutate(_row(space, arch), rng, picker)
+    return Genes.from_rows(space, np.array([child], dtype=np.int64)).architecture(0), desc
 
 
 # ---------------------------------------------------------------------------
-# ranking
+# ranking: every helper takes a metrics matrix [n, m]
 
-def _normalized(metrics, directions) -> tuple[float, ...]:
-    """Flip maximize objectives so that smaller is always better."""
-    return tuple(m if d == MINIMIZE else -m for m, d in zip(metrics, directions))
+PARETO_CHUNK = 256  # points checked against the kept front at once
+
+
+def _signs(directions) -> np.ndarray:
+    """1 for minimize and -1 for maximize: norm = values * signs is smaller-is-better."""
+    return np.array([1.0 if d == MINIMIZE else -1.0 for d in directions])
+
+
+def _matrix(points, m: int) -> np.ndarray:
+    return np.array([p.metrics for p in points], dtype=float).reshape(len(points), m)
+
+
+def _dominates(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """dom[i, j]: row i of a dominates row j of b (smaller is better), built
+    one objective at a time, so no [len(a), len(b), m] temporary exists."""
+    no_worse = np.ones((len(a), len(b)), dtype=bool)
+    better = np.zeros((len(a), len(b)), dtype=bool)
+    for col_a, col_b in zip(a.T, b.T):
+        no_worse &= col_a[:, None] <= col_b[None, :]
+        better |= col_a[:, None] < col_b[None, :]
+    return no_worse & better
+
+
+def _pareto_indices(norm: np.ndarray) -> np.ndarray:
+    """Indices of the non-dominated rows of norm (smaller is better), in
+    lexicographic order of the rows, ties by index.
+
+    Only a lexicographically smaller row can dominate, so the sorted rows are
+    taken in chunks: a row is kept when neither the front kept so far nor
+    its own chunk dominates it. No temporary exceeds PARETO_CHUNK**2."""
+    order = np.lexsort(norm.T[::-1])
+    values = norm[order]
+    front, kept = values[:0], [np.zeros(0, dtype=np.intp)]
+    for start in range(0, len(values), PARETO_CHUNK):
+        chunk = values[start : start + PARETO_CHUNK]
+        dominated = _dominates(chunk, chunk).any(axis=0)
+        for lo in range(0, len(front), PARETO_CHUNK):
+            dominated |= _dominates(front[lo : lo + PARETO_CHUNK], chunk).any(axis=0)
+        keep = np.flatnonzero(~dominated)
+        front = np.concatenate([front, chunk[keep]])
+        kept.append(start + keep)
+    return order[np.concatenate(kept)]
 
 
 def pareto_filter(points: list[EvaluatedArch], directions) -> list[EvaluatedArch]:
-    """Exact non-dominated subset, sorted by the first objective (direction-aware).
+    """Exact non-dominated subset, sorted by the first objective (direction-aware),
+    ties by the later objectives and then by position. Duplicates of a
+    non-dominated metric vector are all kept."""
+    norm = _matrix(points, len(directions)) * _signs(directions)
+    return [points[i] for i in _pareto_indices(norm)]
 
-    Lexicographic pre-sort means no later point can dominate an accepted one,
-    so one pass against the running frontier suffices; the frontier is kept as
-    rows of an array, and each point is checked against all of it at once.
-    Duplicates of a non-dominated metric vector are all kept.
-    """
-    norm = [_normalized(p.metrics, directions) for p in points]
-    order = sorted(range(len(points)), key=lambda i: norm[i])
-    values = np.array(norm, dtype=float).reshape(len(points), len(directions))
-    front = np.empty_like(values)
-    kept: list[int] = []
-    for i in order:
-        x = values[i]
-        rows = front[: len(kept)]
-        if not ((rows <= x).all(axis=1) & (rows < x).any(axis=1)).any():
-            front[len(kept)] = x
-            kept.append(i)
-    return [points[i] for i in kept]
+
+def _fronts(norm):
+    """Non-dominated fronts (Deb et al. 2002) as index arrays in ascending
+    order, peeled lazily off the domination matrix: each front is the points
+    no unassigned point dominates."""
+    values = np.asarray(norm, dtype=float)
+    dom = _dominates(values, values)
+    counts = dom.sum(axis=0)  # how many points dominate each point
+    front = np.flatnonzero(counts == 0)
+    while True:
+        yield front
+        counts[front] = -1  # assigned
+        counts -= dom[front].sum(axis=0)
+        front = np.flatnonzero(counts == 0)
+        if not front.size:
+            return
 
 
 def _fast_nondominated_fronts(norm) -> list[list[int]]:
-    """Non-dominated fronts (Deb et al. 2002), each in ascending index order.
+    """Every non-dominated front, each in ascending index order."""
+    return [front.tolist() for front in _fronts(norm)]
 
-    dom[i, j] (i dominates j) is built one objective at a time, so no n x n x m
-    temporary exists; fronts are then peeled off by domination counts.
-    """
-    values = np.asarray(norm, dtype=float)
-    n = len(values)
-    no_worse = np.ones((n, n), dtype=bool)
-    better = np.zeros((n, n), dtype=bool)
+
+def _crowding(values: np.ndarray) -> np.ndarray:
+    """Crowding distance of each row of a front (Deb et al. 2002): per
+    objective, in stable sorted order, the two ends get inf and every other
+    row adds its neighbours' gap over the objective's range."""
+    dist = np.zeros(len(values))
     for col in values.T:
-        no_worse &= col[:, None] <= col[None, :]
-        better |= col[:, None] < col[None, :]
-    dom = no_worse & better
-    counts = dom.sum(axis=0)  # how many points dominate each point
-    fronts = [np.flatnonzero(counts == 0)]
-    while True:
-        counts[fronts[-1]] = -1  # assigned
-        counts -= dom[fronts[-1]].sum(axis=0)
-        nxt = np.flatnonzero(counts == 0)
-        if not nxt.size:
-            return [front.tolist() for front in fronts]
-        fronts.append(nxt)
-
-
-def _crowding(norm, front) -> dict[int, float]:
-    dist = {i: 0.0 for i in front}
-    m = len(norm[0]) if norm else 0
-    for k in range(m):
-        ordered = sorted(front, key=lambda i: norm[i][k])
-        lo, hi = norm[ordered[0]][k], norm[ordered[-1]][k]
-        dist[ordered[0]] = dist[ordered[-1]] = float("inf")
-        if hi == lo:
-            continue
-        for a, b, c in zip(ordered, ordered[1:], ordered[2:]):
-            dist[b] += (norm[c][k] - norm[a][k]) / (hi - lo)
+        order = np.argsort(col, kind="stable")
+        ordered = col[order]
+        dist[order[[0, -1]]] = np.inf
+        lo, hi = ordered[0], ordered[-1]
+        if hi != lo:
+            dist[order[1:-1]] += (ordered[2:] - ordered[:-2]) / (hi - lo)
     return dist
 
 
-def _rank_sum_key(norm) -> list[float]:
-    """Per-point sum of average metric ranks (smaller is better)."""
+def _rank_sum_key(norm: np.ndarray) -> np.ndarray:
+    """Per-row sum of average metric ranks (smaller is better); tied values
+    share the mean of their 0-based ranks."""
     n = len(norm)
-    totals = [0.0] * n
-    for k in range(len(norm[0])):
-        order = sorted(range(n), key=lambda i: norm[i][k])
-        rank = [0.0] * n
-        i = 0
-        while i < n:
-            j = i
-            while j + 1 < n and norm[order[j + 1]][k] == norm[order[i]][k]:
-                j += 1
-            avg = (i + j) / 2
-            for t in range(i, j + 1):
-                rank[order[t]] = avg
-            i = j + 1
-        for idx in range(n):
-            totals[idx] += rank[idx]
+    totals = np.zeros(n)
+    for col in norm.T:
+        order = np.argsort(col, kind="stable")
+        ordered = col[order]
+        new = np.ones(n, dtype=bool)
+        new[1:] = ordered[1:] != ordered[:-1]
+        starts = np.flatnonzero(new)
+        ends = np.append(starts[1:], n) - 1
+        rank = np.empty(n)
+        rank[order] = ((starts + ends) / 2)[np.cumsum(new) - 1]
+        totals += rank
     return totals
 
 
-def _truncate(merged: list[EvaluatedArch], size: int, config: SearchConfig) -> list[EvaluatedArch]:
-    directions = config.directions()
-    if len(config.objectives) == 1:
-        sign = 1.0 if directions[0] == MINIMIZE else -1.0
-        ranked = sorted(range(len(merged)), key=lambda i: (sign * merged[i].metrics[0], i))
-        return [merged[i] for i in ranked[:size]]
-    norm = [_normalized(p.metrics, directions) for p in merged]
+def _rank(values: np.ndarray, size: int, config: SearchConfig) -> np.ndarray:
+    """Indices of the size best rows of a metrics matrix, best first: metric
+    order for one objective; for several, non-dominated fronts with
+    crowding-distance tie-breaks or, under rank_sum, the rank-sum order.
+    Every order is stable, so ties go to the lower index."""
+    norm = values * _signs(config.directions())
+    if norm.shape[1] == 1:
+        return np.argsort(norm[:, 0], kind="stable")[:size]
     if config.fitness_mode == FITNESS_RANK_SUM:
-        totals = _rank_sum_key(norm)
-        ranked = sorted(range(len(merged)), key=lambda i: (totals[i], i))
-        return [merged[i] for i in ranked[:size]]
-    chosen: list[int] = []
-    for front in _fast_nondominated_fronts(norm):
-        if len(chosen) + len(front) <= size:
-            chosen.extend(front)
-            if len(chosen) == size:
-                break
-        else:
-            dist = _crowding(norm, front)
-            rest = sorted(front, key=lambda i: (-dist[i], i))
-            chosen.extend(rest[: size - len(chosen)])
+        return np.argsort(_rank_sum_key(norm), kind="stable")[:size]
+    chosen, count = [], 0
+    for front in _fronts(norm):
+        if count + len(front) > size:  # the front that overflows: least crowded first
+            front = front[np.argsort(-_crowding(norm[front]), kind="stable")][: size - count]
+        chosen.append(front)
+        count += len(front)
+        if count == size:
             break
-    return [merged[i] for i in chosen]
-
-
-def _best_per_objective(points, directions) -> tuple[float, ...]:
-    out = []
-    for k, d in enumerate(directions):
-        vals = [p.metrics[k] for p in points]
-        out.append(min(vals) if d == MINIMIZE else max(vals))
-    return tuple(out)
+    return np.concatenate(chosen)
 
 
 def _median(values) -> float:
     """np.median's value for finite values, without its NaN check, which
     imports numpy.ma."""
-    ordered = sorted(float(v) for v in values)
+    ordered = sorted(values)
     mid = len(ordered) // 2
     return ordered[mid] if len(ordered) % 2 else (ordered[mid - 1] + ordered[mid]) / 2
 
 
+def _best(values: np.ndarray, directions) -> tuple[float, ...]:
+    """Per objective, the best value of a metrics matrix's column."""
+    return tuple(min(c) if d == MINIMIZE else max(c)
+                 for c, d in zip(values.T.tolist(), directions))
+
+
+def _medians(values: np.ndarray) -> tuple[float, ...]:
+    return tuple(_median(c) for c in values.T.tolist())
+
+
+def _stats(generation: int, evaluations: int, values: np.ndarray, directions) -> GenerationStats:
+    """A generation's record from its population's metrics matrix."""
+    return GenerationStats(generation=generation, evaluations=evaluations,
+                           best=_best(values, directions), median=_medians(values))
+
+
+# list forms, for the one-child-at-a-time reference search in tests/oracles.py
+
+def _truncate(merged: list[EvaluatedArch], size: int, config: SearchConfig) -> list[EvaluatedArch]:
+    return [merged[i] for i in _rank(_matrix(merged, len(config.objectives)), size, config)]
+
+
+def _best_per_objective(points, directions) -> tuple[float, ...]:
+    return _best(_matrix(points, len(directions)), directions)
+
+
 def _median_per_objective(points) -> tuple[float, ...]:
-    return tuple(
-        _median([p.metrics[k] for p in points]) for k in range(len(points[0].metrics))
-    )
+    return _medians(_matrix(points, len(points[0].metrics)))
 
 
 # ---------------------------------------------------------------------------
@@ -407,84 +495,65 @@ def _metrics(objectives, arch: Architecture) -> tuple[float, ...]:
         ) from exc
 
 
-def _score(space: DesignSpace, objectives, archs, genes: Genes | None = None):
-    """Metric vectors of archs, one evaluate_batch call per objective. When
-    anything in the batch fails, archs are scored again one at a time, so a
-    failure raises at the architecture and objective where the one-at-a-time
-    loop stops, with that loop's message and record."""
+def _score(objectives, genes: Genes) -> np.ndarray:
+    """The metrics matrix [n, m] of a gene batch, one evaluate_batch call per
+    objective. When anything in the batch fails, its rows are scored again
+    one at a time, so a failure raises at the architecture and objective
+    where the one-at-a-time loop stops, with that loop's message and record."""
     try:
-        if genes is None:
-            genes = Genes.from_architectures(space, archs)
-        columns = [ev.evaluate_batch(genes).tolist() for ev in objectives]
+        return np.column_stack([ev.evaluate_batch(genes) for ev in objectives])
     except Exception:
-        return [_metrics(objectives, arch) for arch in archs]
-    return list(zip(*columns))
+        return np.array([_metrics(objectives, genes.architecture(i)) for i in range(len(genes))])
 
 
 def evolve(space: DesignSpace, config: SearchConfig) -> SearchResult:
     """Run the elitist EA; deterministic for a fixed (space, config)."""
-    genes = sample_batch(space, spawn_rng(config.seed, STREAM_SEARCH_INIT), config.population)
-    archs = [genes.architecture(i) for i in range(len(genes))]
-    population = [
-        EvaluatedArch(arch=arch, metrics=metrics, eval_id=i, generation=0)
-        for i, (arch, metrics) in enumerate(
-            zip(archs, _score(space, config.objectives, archs, genes)))
-    ]
-    all_points: list[EvaluatedArch] = list(population)
-    seen = set(archs)
+    pop_size, children, objectives = config.population, config.children, config.objectives
     directions = config.directions()
-    history = [
-        GenerationStats(
-            generation=0,
-            evaluations=len(all_points),
-            best=_best_per_objective(population, directions),
-            median=_median_per_objective(population),
-        )
-    ]
+    first = sample_batch(space, spawn_rng(config.seed, STREAM_SEARCH_INIT), pop_size)
+    # the run's store, indexed by eval_id: gene rows (also as lists, which
+    # mutation reads), metrics, parent eval_ids and mutation strings
+    first_rows = first.rows()
+    rows = np.empty((config.budget, first_rows.shape[1]), dtype=np.int64)
+    rows[:pop_size] = first_rows
+    row_lists = first_rows.tolist()
+    metrics = np.empty((config.budget, len(objectives)))
+    metrics[:pop_size] = _score(objectives, first)
+    parent_ids = [-1] * pop_size
+    mutations = [""] * pop_size
+    seen = {row.tobytes() for row in first_rows}  # dedupe keys: gene-row bytes
+    population = np.arange(pop_size)
+    history = [_stats(0, pop_size, metrics[population], directions)]
 
     rng_mut = spawn_rng(config.seed, STREAM_SEARCH_MUTATE)
     picker = UnitPicker(space, config.unit_weights)
+    moves = _moves(space)
     for gen in range(1, config.generations + 1):
-        archs, parents, descs = [], [], []
-        for _ in range(config.children):
-            parent = population[int(rng_mut.integers(len(population)))]
-            child, desc = mutate(space, parent.arch, rng_mut, picker)
+        start = len(row_lists)
+        parents = population.tolist()
+        for _ in range(children):
+            parent = parents[int(rng_mut.integers(len(parents)))]
+            child, desc = moves.mutate(row_lists[parent], rng_mut, picker)
             if config.dedupe:
-                tries = 0
-                while child in seen and tries < DEDUPE_RETRIES:
-                    child, desc = mutate(space, parent.arch, rng_mut, picker)
-                    tries += 1
-            seen.add(child)
-            archs.append(child)
-            parents.append(parent.eval_id)
-            descs.append(desc)
-        children = [
-            EvaluatedArch(
-                arch=arch,
-                metrics=metrics,
-                eval_id=len(all_points) + k,
-                generation=gen,
-                parent_id=parent_id,
-                mutation=desc,
-            )
-            for k, (arch, metrics, parent_id, desc) in enumerate(
-                zip(archs, _score(space, config.objectives, archs), parents, descs))
-        ]
-        all_points.extend(children)
-        population = _truncate(population + children, config.population, config)
-        history.append(
-            GenerationStats(
-                generation=gen,
-                evaluations=len(all_points),
-                best=_best_per_objective(population, directions),
-                median=_median_per_objective(population),
-            )
-        )
+                key, tries = moves.key(*child), 0
+                while key in seen and tries < DEDUPE_RETRIES:
+                    child, desc = moves.mutate(row_lists[parent], rng_mut, picker)
+                    key, tries = moves.key(*child), tries + 1
+                seen.add(key)
+            row_lists.append(child)
+            parent_ids.append(parent)
+            mutations.append(desc)
+        end = len(row_lists)
+        rows[start:end] = row_lists[start:end]
+        metrics[start:end] = _score(objectives, Genes.from_rows(space, rows[start:end]))
+        merged = np.concatenate([population, np.arange(start, end)])
+        population = merged[_rank(metrics[merged], pop_size, config)]
+        history.append(_stats(gen, end, metrics[population], directions))
 
     result = SearchResult(
         space=space.name,
         config={
-            "objectives": [f"{ev.name}:{ev.direction}" for ev in config.objectives],
+            "objectives": [f"{ev.name}:{ev.direction}" for ev in objectives],
             "population": config.population,
             "generations": config.generations,
             "children": config.children,
@@ -494,23 +563,36 @@ def evolve(space: DesignSpace, config: SearchConfig) -> SearchResult:
             "fitness_mode": config.fitness_mode,
         },
         history=history,
-        total_evaluations=len(all_points),
+        total_evaluations=len(rows),
     )
-    if len(config.objectives) == 1:
-        sign = 1.0 if directions[0] == MINIMIZE else -1.0
-        result.best = min(all_points, key=lambda p: (sign * p.metrics[0], p.eval_id))
+    genes = Genes.from_rows(space, rows)
+
+    def point(i: int) -> EvaluatedArch:
+        return EvaluatedArch(
+            arch=genes.architecture(i),
+            metrics=tuple(metrics[i].tolist()),
+            eval_id=i,
+            generation=0 if i < pop_size else (i - pop_size) // children + 1,
+            parent_id=parent_ids[i],
+            mutation=mutations[i],
+        )
+
+    if len(objectives) == 1:
+        # the first eval_id to reach the best value
+        result.best = point(int(np.argmin(metrics[:, 0] * _signs(directions)[0])))
     else:
-        frontier = pareto_filter(all_points, directions)
+        frontier = _pareto_indices(metrics * _signs(directions)).tolist()
         if config.dedupe:
             unique, kept = set(), []
-            for p in frontier:
-                if p.arch not in unique:
-                    unique.add(p.arch)
-                    kept.append(p)
+            for i in frontier:
+                key = rows[i].tobytes()
+                if key not in unique:
+                    unique.add(key)
+                    kept.append(i)
             frontier = kept
         result.frontier = ParetoFront(
-            objectives=tuple((ev.name, ev.direction) for ev in config.objectives),
-            points=frontier,
+            objectives=tuple((ev.name, ev.direction) for ev in objectives),
+            points=[point(i) for i in frontier],
         )
     return result
 

@@ -435,6 +435,8 @@ def _parse_unit(entry, index, family) -> UnitSpec:
         channel_ratios=tuple(float(r) for r in entry.get("channel_ratios", [])),
         base_channels=base,
     )
+    if len(set(unit.channel_ratios)) != len(unit.channel_ratios):
+        raise ConfigError(f"{where}.channel_ratios: duplicates")
     for r in unit.channel_ratios:
         if not consistent_blocks(unit, r):
             raise ConfigError(f"{where}.channel_ratios: no candidate block matches ratio {r}")

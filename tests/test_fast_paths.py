@@ -37,6 +37,7 @@ from archscope.search import (
     SearchConfig,
     UnitPicker,
     _fast_nondominated_fronts,
+    _rank,
     evolve,
     mutate,
 )
@@ -428,6 +429,125 @@ def test_evolve_equals_the_reference_where_a_unit_cannot_move(weights, dedupe):
         assert got == _outcome(reference_evolve, space, config)
         if weights == (1.0, 0.0):  # only the frozen unit may be picked
             assert got[0] == "ValidationError" and "admits no mutation" in got[1]
+
+
+def test_evolve_equals_the_reference_search_at_benchmark_size():
+    """The benchmark's search: ofa-npu, synthetic-acc and MACs, P100 G10 K200,
+    the preset's unit weights. Only at this size do the crowding of a large
+    overflowing front and the chunks of the Pareto filter carry weight."""
+    ruleset = preset("ofa-npu")
+    space = apply(load_space("ofa"), ruleset)
+    config = SearchConfig(objectives=(accuracy_evaluator(space), macs_evaluator(space)),
+                          population=100, generations=10, children=200, seed=0,
+                          unit_weights=tuple(ruleset.advisory["unit_weights"]))
+    got = _outcome(evolve, space, config)
+    assert got[1] == 2100 and len(got[2]) > 1
+    assert got == _outcome(reference_evolve, space, config)
+
+
+def test_evolve_builds_architectures_only_for_its_result(monkeypatch):
+    space = load_space("ofa")
+    built = []
+    architecture = Genes.architecture
+
+    def counting(self, i):
+        built.append(i)
+        return architecture(self, i)
+
+    def forbidden(cls, space, archs):
+        raise AssertionError("evolve converted architectures to genes")
+
+    monkeypatch.setattr(Genes, "architecture", counting)
+    monkeypatch.setattr(Genes, "from_architectures", classmethod(forbidden))
+    for objectives in ((accuracy_evaluator(space), macs_evaluator(space)),
+                       (macs_evaluator(space),)):
+        built.clear()
+        result = evolve(space, SearchConfig(objectives=objectives, population=20,
+                                            generations=3, children=30, seed=1))
+        points = [result.best] if result.frontier is None else result.frontier.points
+        assert sorted(built) == sorted(p.eval_id for p in points)
+
+
+def _pairwise_rank(norm, size, fitness_mode, fronts=None):
+    """The ranking that evolve's truncation must reproduce, one point at a
+    time: metric order for one objective; rank sums; or the pairwise fronts
+    of brute_fronts (or the given ones) with crowding distances summed point
+    by point."""
+    n, m = len(norm), len(norm[0])
+    if m == 1:
+        return sorted(range(n), key=lambda i: (norm[i][0], i))[:size]
+    if fitness_mode == FITNESS_RANK_SUM:
+        totals = [0.0] * n
+        for k in range(m):
+            order = sorted(range(n), key=lambda i: norm[i][k])
+            i = 0
+            while i < n:
+                j = i
+                while j + 1 < n and norm[order[j + 1]][k] == norm[order[i]][k]:
+                    j += 1
+                for t in range(i, j + 1):
+                    totals[order[t]] += (i + j) / 2
+                i = j + 1
+        return sorted(range(n), key=lambda i: (totals[i], i))[:size]
+    chosen = []
+    for front in fronts or brute_fronts(norm):
+        if len(chosen) + len(front) <= size:
+            chosen.extend(front)
+            if len(chosen) == size:
+                break
+            continue
+        dist = {i: 0.0 for i in front}
+        for k in range(m):
+            ordered = sorted(front, key=lambda i: norm[i][k])
+            lo, hi = norm[ordered[0]][k], norm[ordered[-1]][k]
+            dist[ordered[0]] = dist[ordered[-1]] = float("inf")
+            if hi == lo:
+                continue
+            for a, b, c in zip(ordered, ordered[1:], ordered[2:]):
+                dist[b] += (norm[c][k] - norm[a][k]) / (hi - lo)
+        chosen.extend(sorted(front, key=lambda i: (-dist[i], i))[: size - len(chosen)])
+        break
+    return chosen
+
+
+def _ranking_config(directions, fitness_mode):
+    objectives = tuple(MetricEvaluator(name=f"m{k}", direction=d, fn=lambda arch: 0.0)
+                       for k, d in enumerate(directions))
+    return SearchConfig(objectives=objectives, fitness_mode=fitness_mode)
+
+
+@settings(max_examples=300, deadline=None)
+@given(vectors=_objective_vectors().filter(bool), data=st.data())
+def test_rank_equals_the_pairwise_ranking(vectors, data):
+    m = len(vectors[0])
+    directions = tuple(data.draw(st.lists(st.sampled_from((MINIMIZE, MAXIMIZE)),
+                                          min_size=m, max_size=m)))
+    config = _ranking_config(directions, data.draw(
+        st.sampled_from((FITNESS_DOMINANCE, FITNESS_RANK_SUM))))
+    norm = [tuple(v if d == MINIMIZE else -v for v, d in zip(row, directions))
+            for row in vectors]
+    # cut into a front: any size between its first and its last point
+    fronts = brute_fronts(norm)
+    k = data.draw(st.integers(0, len(fronts) - 1))
+    size = sum(map(len, fronts[:k])) + data.draw(st.integers(1, len(fronts[k])))
+    got = _rank(np.array(vectors, dtype=float), size, config).tolist()
+    assert got == _pairwise_rank(norm, size, config.fitness_mode)
+
+
+@pytest.mark.parametrize("fitness_mode", [FITNESS_DOMINANCE, FITNESS_RANK_SUM])
+def test_rank_equals_the_pairwise_ranking_at_benchmark_size(fitness_mode):
+    # the benchmark merges 100 parents and 200 children; values tie often
+    rng = np.random.default_rng(5)
+    vectors = np.column_stack([rng.integers(480, 640, 300) / 8.0,
+                               rng.integers(5, 400, 300) * 1e5])
+    config = _ranking_config((MAXIMIZE, MINIMIZE), fitness_mode)
+    norm = [(-a, b) for a, b in vectors.tolist()]
+    fronts = brute_fronts(norm)
+    cuts = np.cumsum([0, *map(len, fronts)])
+    # 100, and a cut into the middle of every front
+    for size in [100, *(cuts[:-1] + np.maximum(np.diff(cuts) // 2, 1)).tolist()]:
+        expected = _pairwise_rank(norm, size, fitness_mode, fronts)
+        assert _rank(vectors, size, config).tolist() == expected
 
 
 @settings(max_examples=200, deadline=None)

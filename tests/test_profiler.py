@@ -1,12 +1,18 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from archscope.costs import MetricEvaluator, accuracy_evaluator, macs_evaluator
 from archscope.errors import ValidationError
 from archscope.profiler import (
     SampleSet,
+    _linear_percentiles,
+    _percentile_weights,
+    _stacked_stats,
     block_heatmap,
     draw_samples,
     estimate_block_mean,
@@ -31,6 +37,52 @@ def test_percentile_interpolates():
     assert percentile([1, 2, 3, 4], 100) == 4.0
     assert percentile([1, 2, 3, 4], 25) == 1.75
     assert percentile([5], 95) == 5.0
+
+
+_RANKS = (0.0, 0.1, 50.0, 99.9, 100.0)
+
+
+@st.composite
+def _sample_matrices(draw):
+    """[k, n] matrices with n = 1 and 2 often, ties, and -0.0 beside 0.0."""
+    k = draw(st.integers(1, 4))
+    n = draw(st.one_of(st.sampled_from([1, 2]), st.integers(1, 60)))
+    value = st.one_of(st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2.0]),
+                      st.floats(-1e6, 1e6, allow_nan=False))
+    rows = draw(st.lists(st.lists(value, min_size=n, max_size=n), min_size=k, max_size=k))
+    return np.array(rows, dtype=float).reshape(k, n)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=_sample_matrices(), extra=st.floats(0.0, 100.0))
+def test_percentiles_are_bitwise_numpy_linear(values, extra):
+    taus = (*_RANKS, extra)
+    for block in (values, np.sort(values, axis=1)):
+        expected = np.percentile(block, taus, axis=1, method="linear").reshape(len(taus), -1).T
+        assert np.array_equal(_bits(_linear_percentiles(block, taus)), _bits(expected))
+    ordered = np.sort(values, axis=1)
+    expected = np.percentile(ordered, taus, axis=1, method="linear").reshape(len(taus), -1).T
+    assert np.array_equal(_bits(_stacked_stats(values, taus)[2]), _bits(expected))
+    for tau in taus:
+        assert _bits(percentile(values[0], tau)) == _bits(
+            np.percentile(values[0], tau, method="linear"))
+
+
+def test_percentile_weights_stay_banded_in_memory():
+    # a dense band x band matrix here took 60 MiB and a 190 MiB peak
+    _percentile_weights.cache_clear()
+    tracemalloc.start()
+    try:
+        _percentile_weights(100_000, 50.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        _percentile_weights.cache_clear()
+    assert peak < 8 * 2**20
 
 
 def test_percentile_rejects_bad_input():

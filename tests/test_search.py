@@ -1,3 +1,5 @@
+import collections
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from archscope.errors import EvaluationError, ValidationError
 from archscope.reduction import ReductionRule, RuleSet, apply
 from archscope.sampling import sample_uniform, spawn_rng
 from archscope.search import (
+    PARETO_CHUNK,
     EvaluatedArch,
     ParetoFront,
     SearchConfig,
@@ -265,6 +268,19 @@ def _cloud_points(vectors):
             for i, v in enumerate(vectors)]
 
 
+def _clouds(rng, size, directions):
+    """Metric vectors of two kinds: a small grid (duplicates and ties, a
+    small front) and an anti-correlated cloud whose front, duplicates
+    included, spans every chunk of the filter."""
+    m = len(directions)
+    flip = np.array([1 if d == "minimize" else -1 for d in directions])
+    grid = rng.integers(0, 8, size=(size, m))
+    x = rng.integers(0, size // 8 + 1, size=size)
+    wide = np.column_stack([x, -x + rng.integers(0, 2, size=size),
+                            rng.integers(0, 2, size=(size, m - 2))]) * flip
+    return [[tuple(v) for v in cloud.tolist()] for cloud in (grid, wide)]
+
+
 @pytest.mark.parametrize("directions", [
     ("minimize", "minimize"),
     ("maximize", "minimize"),
@@ -273,20 +289,21 @@ def _cloud_points(vectors):
 ])
 def test_pareto_filter_matches_quadratic_oracle(directions):
     rng = np.random.default_rng(17)
-    for trial in range(5):
-        vectors = [tuple(rng.integers(0, 8, size=len(directions)).tolist())
-                   for _ in range(60)]  # small grid forces duplicates and ties
-        points = _cloud_points(vectors)
-        kept = pareto_filter(points, directions)
-        expected = {vectors[i] for i in brute_frontier(vectors, directions)}
-        assert {p.metrics for p in kept} == expected
-        # in lexicographic order of the direction-aware vectors, ties by index
-        flip = [1 if d == "minimize" else -1 for d in directions]
-        ids = [p.eval_id for p in kept]
-        assert ids == sorted(ids, key=lambda i: tuple(f * v for f, v in zip(flip, vectors[i])))
-        # duplicates of surviving vectors are all kept
-        for v in expected:
-            assert sum(1 for p in kept if p.metrics == v) == vectors.count(v)
+    # five clouds of 60, then sizes around the filter's chunk boundaries
+    sizes = [60] * 5 + [1, PARETO_CHUNK - 1, PARETO_CHUNK, PARETO_CHUNK + 1, 5 * PARETO_CHUNK + 3]
+    for size in sizes:
+        for vectors in _clouds(rng, size, directions):
+            points = _cloud_points(vectors)
+            kept = pareto_filter(points, directions)
+            expected = {vectors[i] for i in brute_frontier(vectors, directions)}
+            assert {p.metrics for p in kept} == expected
+            # in lexicographic order of the direction-aware vectors, ties by index
+            flip = [1 if d == "minimize" else -1 for d in directions]
+            ids = [p.eval_id for p in kept]
+            assert ids == sorted(ids, key=lambda i: tuple(f * v for f, v in zip(flip, vectors[i])))
+            # duplicates of surviving vectors are all kept
+            counts = collections.Counter(vectors)
+            assert collections.Counter(p.metrics for p in kept) == {v: counts[v] for v in expected}
 
 
 def test_pareto_filter_sorted_by_first_objective():

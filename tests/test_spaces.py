@@ -170,6 +170,14 @@ def test_config_rejects_mixed_ratio_and_plain_units():
         parse_space_config(config)
 
 
+def test_config_rejects_a_repeated_channel_ratio():
+    # two gene values for one architecture: mutation and dedupe compare genes
+    config = space_to_config(load_space("resnet50"))
+    config["units"][2]["channel_ratios"] = [0.65, 0.8, 0.8]
+    with pytest.raises(ConfigError, match=r"units\[2\]\.channel_ratios: duplicates"):
+        parse_space_config(config)
+
+
 def test_config_rejects_block_ratio_outside_unit_ratios():
     # pinning such a block would write a ratio the unit's gene cannot hold
     config = space_to_config(load_space("resnet50"))
