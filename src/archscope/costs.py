@@ -1,18 +1,22 @@
 """Analytic cost models and the metric-evaluator contract.
 
-MAC and parameter counts come from a closed-form walk over the layer stack;
-both are exact integers. The shape chain is fixed by the macro skeleton: the
-stem conv halves the input, and the first layer of every unit halves it again
-(stride-2 convs use ceil division, so odd sizes stay integral). Only conv and
-fully-connected arithmetic is counted; pooling, activations and batch norm are
-free. Formulas are documented in docs/FORMATS.md and pinned by tests against
-an independently coded walker.
+MAC and parameter counts are exact integers, built from per-slot terms into
+lookup tables that score a gene batch, not walked layer by layer. The shape
+chain is fixed by the macro skeleton: the stem conv halves the input, and
+the first layer of every unit halves it again (stride-2 convs use ceil
+division, so odd sizes stay integral). Only conv and fully-connected
+arithmetic is counted; pooling, activations and batch norm are free.
+Formulas are documented in docs/FORMATS.md and pinned by tests against an
+independently coded walker.
 
 The synthetic accuracy model is an illustrative fixture, not a predictor: a
 base score plus per-layer capacity terms weighted by unit position plus a
 full-depth bonus per unit, clamped to [0, 100]. Weights grow with unit index,
 capacity grows with expansion/kernel (or ratio/expansion), so later units and
 bigger blocks matter more, which is the shape search experiments need.
+
+Every metric is a function of a sampling.Genes batch; one architecture is a
+batch of one.
 """
 
 from __future__ import annotations
@@ -20,12 +24,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 
-from .errors import EvaluationError, ValidationError
+from .errors import CoverageError, EvaluationError, ValidationError
+from .sampling import Genes
 from .spaces import (
     MBCONV_V2,
     MBCONV_V3,
@@ -55,14 +60,6 @@ def unit_spatial_sizes(space: DesignSpace, resolution: int) -> list[tuple[int, i
         sizes.append((h, half(h)))
         h = half(h)
     return sizes
-
-
-def _unit_channels(space: DesignSpace, arch: Architecture) -> list[int]:
-    out = []
-    for unit in space.units:
-        ratio = arch.channel_ratios[unit.index - 1] if arch.channel_ratios else None
-        out.append(effective_channels(unit.base_channels, ratio))
-    return out
 
 
 def _mbconv_macs(
@@ -98,17 +95,15 @@ def _stem_macs(space: DesignSpace, resolution: int) -> int:
 
 
 def _layer_macs(
-    block: BlockSpec, layer: int, c_in: int, c_out: int, h_in: int, h_out: int,
+    block: BlockSpec, first: bool, c_in: int, c_out: int, h_in: int, h_out: int,
     count_se: bool, se_reduction: int,
 ) -> int:
-    """One layer; c_in and h_in are the unit's input, which only layer 1 sees."""
-    if layer > 1:
-        c_in, h_in = c_out, h_out
+    """One layer from its input width and size; first marks a unit's layer 1."""
     if block.family in (MBCONV_V3, MBCONV_V2):
         return _mbconv_macs(block, c_in, c_out, h_in, h_out, count_se, se_reduction)
     if block.family == RESNET_BOTTLENECK:
         # layer 1 strides, so it always carries the projection shortcut
-        return _bottleneck_macs(block, c_in, c_out, h_in, h_out, layer == 1)
+        return _bottleneck_macs(block, c_in, c_out, h_in, h_out, first)
     raise ValidationError(f"no MAC model for block family {block.family!r}")
 
 
@@ -131,17 +126,9 @@ def macs(
     count_se: bool = True,
     se_reduction: int = 4,
 ) -> int:
-    """Exact multiply-accumulate count for the whole network."""
-    total = _stem_macs(space, arch.resolution)
-    c_in = space.stem.out_channels
-    channels = _unit_channels(space, arch)
-    sizes = unit_spatial_sizes(space, arch.resolution)
-    for unit, codes, c_out, (h_in, h_out) in zip(space.units, arch.blocks, channels, sizes):
-        for layer, code in enumerate(codes, start=1):
-            block = space.block(unit.index, code)
-            total += _layer_macs(block, layer, c_in, c_out, h_in, h_out, count_se, se_reduction)
-        c_in = c_out
-    return total + _head_macs(space, c_in, sizes[-1][1])
+    """Exact multiply-accumulate count for the whole network: a batch of one."""
+    totals = _macs_totals(space, count_se=count_se, se_reduction=se_reduction)
+    return int(totals(batch_of_one(space, arch))[0])
 
 
 def _mbconv_params(
@@ -179,16 +166,14 @@ def _stem_params(space: DesignSpace, include_bias: bool) -> int:
 
 
 def _layer_params(
-    block: BlockSpec, layer: int, c_in: int, c_out: int, count_se: bool, se_reduction: int,
+    block: BlockSpec, first: bool, c_in: int, c_out: int, count_se: bool, se_reduction: int,
     include_bias: bool,
 ) -> int:
-    """One layer; c_in is the unit's input, which only layer 1 sees."""
-    if layer > 1:
-        c_in = c_out
+    """One layer from its input width; first marks a unit's layer 1."""
     if block.family in (MBCONV_V3, MBCONV_V2):
         return _mbconv_params(block, c_in, c_out, count_se, se_reduction, include_bias)
     if block.family == RESNET_BOTTLENECK:
-        return _bottleneck_params(block, c_in, c_out, layer == 1, include_bias)
+        return _bottleneck_params(block, c_in, c_out, first, include_bias)
     raise ValidationError(f"no parameter model for block family {block.family!r}")
 
 
@@ -214,55 +199,51 @@ def param_count(
     se_reduction: int = 4,
     include_bias: bool = False,
 ) -> int:
-    """Exact weight count; batch norm excluded, conv biases behind a flag."""
-    total = _stem_params(space, include_bias)
-    c_in = space.stem.out_channels
-    channels = _unit_channels(space, arch)
-    for unit, codes, c_out in zip(space.units, arch.blocks, channels):
-        for layer, code in enumerate(codes, start=1):
-            block = space.block(unit.index, code)
-            total += _layer_params(block, layer, c_in, c_out, count_se, se_reduction,
-                                   include_bias)
-        c_in = c_out
-    return total + _head_params(space, c_in, include_bias)
+    """Exact weight count; batch norm excluded, conv biases behind a flag. A
+    batch of one."""
+    totals = _params_totals(space, count_se=count_se, se_reduction=se_reduction,
+                            include_bias=include_bias)
+    return int(totals(batch_of_one(space, arch))[0])
 
 
-def _count_batch(space: DesignSpace, stem, layer, head):
-    """Batch function of an exact integer count: stem(resolution) plus, per
-    present layer, layer(block, layer, c_in, c_out, h_in, h_out) plus
-    head(c, h_final), read from int64 tables. Layer 1 is keyed by the previous
-    unit's ratio (its input width) and the head by the last unit's ratio;
-    every later layer has the same term. Raises OverflowError when a total
-    could leave int64."""
+def _count_totals(space: DesignSpace, stem, layer, head):
+    """Function of a Genes batch to its exact integer counts: stem(resolution)
+    plus, per present layer, layer(block, first, c_in, c_out, h_in, h_out)
+    plus head(c, h_final), read from tables of those terms. Layer 1 is keyed
+    by the previous unit's ratio (its input width) and the head by the last
+    unit's ratio; every later layer has the same term. The tables are int64,
+    or Python ints (dtype object) when a total could reach 2**63."""
     widths = [
         [effective_channels(unit.base_channels, r) for r in values]
         for unit, values in zip(space.units, ratio_values(space))
     ]
     n_res = len(space.resolutions)
     sizes = [unit_spatial_sizes(space, r) for r in space.resolutions]
-    stems = np.array([stem(r) for r in space.resolutions], dtype=np.int64)
-    heads = np.array([[head(c, hw[-1][1]) for c in widths[-1]] for hw in sizes], dtype=np.int64)
-    bound = int(stems.max()) + int(heads.max())
+    stems = np.array([stem(r) for r in space.resolutions], dtype=object)
+    heads = np.array([[head(c, hw[-1][1]) for c in widths[-1]] for hw in sizes], dtype=object)
+    bound = stems.max() + heads.max()
     firsts, rests = [], []  # per unit: [res, prev ratio, ratio, block], [res, ratio, block]
     for u, unit in enumerate(space.units):
         prev = widths[u - 1] if u else [space.stem.out_channels]
         # one zero column past the last block, read by the -1 of an absent layer
-        first = np.zeros((n_res, len(prev), len(widths[u]), len(unit.blocks) + 1), np.int64)
-        rest = np.zeros((n_res, len(widths[u]), len(unit.blocks) + 1), np.int64)
+        first = np.zeros((n_res, len(prev), len(widths[u]), len(unit.blocks) + 1), object)
+        rest = np.zeros((n_res, len(widths[u]), len(unit.blocks) + 1), object)
         for s, hw in enumerate(sizes):
             h_in, h_out = hw[u]
             for r, c_out in enumerate(widths[u]):
                 for b, block in enumerate(unit.blocks):
-                    rest[s, r, b] = layer(block, 2, c_out, c_out, h_out, h_out)
+                    rest[s, r, b] = layer(block, False, c_out, c_out, h_out, h_out)
                     for p, c_in in enumerate(prev):
-                        first[s, p, r, b] = layer(block, 1, c_in, c_out, h_in, h_out)
-        bound += int(first.max()) + (unit.depth_max - 1) * int(rest.max())
+                        first[s, p, r, b] = layer(block, True, c_in, c_out, h_in, h_out)
+        bound += first.max() + (unit.depth_max - 1) * rest.max()
         firsts.append(first)
         rests.append(rest)
-    if bound >= 2**63:
-        raise OverflowError("a count could exceed the int64 tables")
+    if bound < 2**63:
+        stems, heads = stems.astype(np.int64), heads.astype(np.int64)
+        firsts = [t.astype(np.int64) for t in firsts]
+        rests = [t.astype(np.int64) for t in rests]
 
-    def batch(genes):
+    def totals(genes):
         res = genes.resolution
         total = stems[res] + heads[res, genes.ratio[:, -1]]
         prev = np.zeros(len(genes), dtype=np.int64)
@@ -272,9 +253,9 @@ def _count_batch(space: DesignSpace, stem, layer, head):
             total += firsts[u][res, prev, ratio, blocks[:, 0]]
             total += rests[u][res[:, None], ratio[:, None], blocks[:, 1:]].sum(axis=1)
             prev = ratio
-        return total.astype(float)
+        return total
 
-    return batch
+    return totals
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +270,8 @@ class MetricEvaluator:
     resolution_sensitive marks metrics whose value depends on the input
     resolution; profilers use it to decide whether per-resolution grids are
     worth emitting. batch, when set, maps a sampling.Genes batch to an array
-    of the values fn gives its rows, bit for bit, or to None when it cannot.
+    of the values fn gives its rows, bit for bit, or to None when it cannot;
+    at a row that reaches a sentinel (see slot_sum) it raises fn's error.
     """
 
     name: str
@@ -334,30 +316,83 @@ class MetricEvaluator:
 
 class Lowered:
     """An evaluator's batch function, built on its first call so resolving an
-    evaluator stays cheap.
-
-    build() returns a function of a Genes batch. When build raises a
-    ValidationError or an ArithmeticError, or a batch comes from another
-    space, the answer is None and the caller evaluates row by row, which
-    raises the scalar path's error at the scalar path's row.
+    evaluator stays cheap. Its tables hold a value or a sentinel in every
+    cell. A batch from another space answers None: it is scored row by row.
     """
 
     def __init__(self, space: DesignSpace, build: Callable[[], Callable]):
         self._space = space
         self._build = build
         self._fn = None
-        self._built = False
 
     def __call__(self, genes):
         if genes.space != self._space:
             return None
-        if not self._built:
-            try:
-                self._fn = self._build()
-            except (ValidationError, ArithmeticError):
-                self._fn = None
-            self._built = True
-        return None if self._fn is None else self._fn(genes)
+        if self._fn is None:
+            self._fn = self._build()
+        return self._fn(genes)
+
+
+def batch_of_one(space: DesignSpace, arch: Architecture) -> Genes:
+    """arch as a Genes batch of one. An architecture of another space whose
+    genes all belong to space (a reduced space's member) is read by its genes."""
+    if arch.space != space.name:
+        arch = replace(arch, space=space.name)
+    return Genes.from_architectures(space, [arch])
+
+
+def slot_sum(space: DesignSpace, start: Callable, term: Callable) -> Callable:
+    """Lower start(s) + term(s, u, layer, b) over a row's present layers, for
+    resolution index s, unit u, layer slot (from 0) and block index b, to a
+    function of a Genes batch. Each sum adds in unit -> layer order; an absent
+    layer adds -0.0, which changes no sum. A ValidationError or CoverageError
+    from start or term makes a sentinel of that resolution or cell; the batch
+    then raises at the first row that reaches one by calling start and term
+    again for that row, in the order a walk over it would."""
+    n_res = len(space.resolutions)
+    starts, bad_start = np.zeros(n_res), np.zeros(n_res)
+    cells = [np.full((n_res, u.depth_max, len(u.blocks) + 1), -0.0) for u in space.units]
+    bad = [np.zeros(c.shape) for c in cells]  # 1.0 marks a sentinel
+    for s in range(n_res):
+        try:
+            starts[s] = start(s)
+        except (ValidationError, CoverageError):
+            bad_start[s] = 1.0
+            continue
+        for u, unit in enumerate(space.units):
+            for layer in range(unit.depth_max):
+                for b in range(len(unit.blocks)):
+                    try:
+                        cells[u][s, layer, b] = term(s, u, layer, b)
+                    except (ValidationError, CoverageError):
+                        bad[u][s, layer, b] = 1.0
+
+    def summed(starts, cells, genes):
+        res = genes.resolution
+        total = starts[res]
+        for u, (unit, table) in enumerate(zip(space.units, cells)):
+            layers = np.arange(unit.depth_max)
+            slots = table[res[:, None], layers, genes.block[:, u, : unit.depth_max]]
+            for layer in layers:
+                total = total + slots[:, layer]
+        return total
+
+    def checked(genes):
+        values, reached = summed(starts, cells, genes), summed(bad_start, bad, genes) > 0
+        row = int(reached.argmax()) if reached.any() else len(genes)
+        if row == len(genes) or not np.isfinite(values[:row]).all():
+            return values  # no sentinel, or an earlier non-finite row fails first
+        s = int(genes.resolution[row])
+        if bad_start[s]:
+            start(s)
+        for u, unit in enumerate(space.units):
+            for layer, b in enumerate(genes.block[row, u, : unit.depth_max].tolist()):
+                if bad[u][s, layer, b]:
+                    term(s, u, layer, b)
+
+    if bad_start.any() or any(mask.any() for mask in bad):
+        return checked
+    return lambda genes: summed(starts, cells, genes)
 
 
 def params_digest(params: dict) -> str:
@@ -366,47 +401,54 @@ def params_digest(params: dict) -> str:
     ).hexdigest()[:16]
 
 
-def _macs_batch(space: DesignSpace, *, count_se: bool = True, se_reduction: int = 4):
-    return _count_batch(
+def _macs_totals(space: DesignSpace, *, count_se: bool = True, se_reduction: int = 4):
+    return _count_totals(
         space,
         lambda resolution: _stem_macs(space, resolution),
-        lambda block, layer, c_in, c_out, h_in, h_out: _layer_macs(
-            block, layer, c_in, c_out, h_in, h_out, count_se, se_reduction),
+        lambda block, first, c_in, c_out, h_in, h_out: _layer_macs(
+            block, first, c_in, c_out, h_in, h_out, count_se, se_reduction),
         lambda c, h_final: _head_macs(space, c, h_final),
     )
 
 
-def _params_batch(space: DesignSpace, *, count_se: bool = True, se_reduction: int = 4,
-                  include_bias: bool = False):
-    return _count_batch(
+def _params_totals(space: DesignSpace, *, count_se: bool = True, se_reduction: int = 4,
+                   include_bias: bool = False):
+    return _count_totals(
         space,
         lambda resolution: _stem_params(space, include_bias),
-        lambda block, layer, c_in, c_out, h_in, h_out: _layer_params(
-            block, layer, c_in, c_out, count_se, se_reduction, include_bias),
+        lambda block, first, c_in, c_out, h_in, h_out: _layer_params(
+            block, first, c_in, c_out, count_se, se_reduction, include_bias),
         lambda c, h_final: _head_params(space, c, include_bias),
     )
 
 
-def macs_evaluator(space: DesignSpace, **kw) -> MetricEvaluator:
+def _count_evaluator(space: DesignSpace, name: str, totals: Callable, kw: dict,
+                     resolution_sensitive: bool) -> MetricEvaluator:
+    lowered = Lowered(space, lambda: totals(space, **kw))
+
+    def batch(genes):
+        values = lowered(genes)
+        try:
+            return None if values is None else values.astype(float)
+        except OverflowError:  # a count past the float range: fn raises it row by row
+            return None
+
     return MetricEvaluator(
-        name="macs",
+        name=name,
         direction=MINIMIZE,
-        fn=lambda arch: macs(space, arch, **kw),
-        resolution_sensitive=True,
-        params_digest=params_digest({"kind": "macs", **kw}),
-        batch=Lowered(space, lambda: _macs_batch(space, **kw)),
+        fn=lambda arch: int(lowered(batch_of_one(space, arch))[0]),
+        resolution_sensitive=resolution_sensitive,
+        params_digest=params_digest({"kind": name, **kw}),
+        batch=batch,
     )
+
+
+def macs_evaluator(space: DesignSpace, **kw) -> MetricEvaluator:
+    return _count_evaluator(space, "macs", _macs_totals, kw, resolution_sensitive=True)
 
 
 def params_evaluator(space: DesignSpace, **kw) -> MetricEvaluator:
-    return MetricEvaluator(
-        name="params",
-        direction=MINIMIZE,
-        fn=lambda arch: param_count(space, arch, **kw),
-        resolution_sensitive=False,
-        params_digest=params_digest({"kind": "params", **kw}),
-        batch=Lowered(space, lambda: _params_batch(space, **kw)),
-    )
+    return _count_evaluator(space, "params", _params_totals, kw, resolution_sensitive=False)
 
 
 # ---------------------------------------------------------------------------
@@ -486,43 +528,18 @@ def block_capacity(space: DesignSpace, block: BlockSpec) -> float:
     return _capacity(block, _axis_values(space))
 
 
-def accuracy_terms(space: DesignSpace, model: AccuracyModel) -> list[dict[str, float]]:
-    """Per unit, each candidate's unit_weight * capacity, the summand of one layer."""
+def _accuracy_batch(space: DesignSpace, model: AccuracyModel):
+    """Synthetic accuracy of a gene batch: the base, then per unit each
+    layer's unit_weight * capacity (-0.0 past the depth) and the depth bonus
+    at full depth, clamped. Checks the model against the space first."""
     if len(model.unit_weights) != space.n_units or len(model.depth_bonus) != space.n_units:
         raise ValidationError("accuracy model does not cover every unit of the space")
     if any(a > b for a, b in zip(model.unit_weights, model.unit_weights[1:])):
         raise ValidationError("accuracy model unit_weights must be nondecreasing")
     axis_values = _axis_values(space)
-    return [
-        {b.code: model.unit_weights[unit.index - 1] * _capacity(b, axis_values) for b in unit.blocks}
-        for unit in space.units
-    ]
-
-
-def synthetic_accuracy(
-    space: DesignSpace, arch: Architecture, model: AccuracyModel, terms=None
-) -> float:
-    """terms is accuracy_terms(space, model); an evaluator builds it once."""
-    if terms is None:
-        terms = accuracy_terms(space, model)
-    score = model.base
-    for unit, codes, unit_terms in zip(space.units, arch.blocks, terms):
-        for code in codes:
-            term = unit_terms.get(code)
-            if term is None:
-                space.block(unit.index, code)  # raises: not a candidate
-            score += term
-        if len(codes) == unit.depth_max:
-            score += model.depth_bonus[unit.index - 1]
-    return min(model.clamp_hi, max(model.clamp_lo, score))
-
-
-def _accuracy_batch(space: DesignSpace, model: AccuracyModel, terms):
-    """synthetic_accuracy over a gene batch, summed in the scalar order: per
-    unit each layer slot (+ 0.0 past the depth), then the depth bonus."""
-    tables = [
-        np.array([unit_terms[b.code] for b in unit.blocks] + [0.0])
-        for unit, unit_terms in zip(space.units, terms)
+    tables = [  # per unit: each candidate's term, then the absent layer's
+        np.array([weight * _capacity(b, axis_values) for b in unit.blocks] + [-0.0])
+        for unit, weight in zip(space.units, model.unit_weights)
     ]
 
     def batch(genes):
@@ -532,7 +549,7 @@ def _accuracy_batch(space: DesignSpace, model: AccuracyModel, terms):
             for layer in range(unit.depth_max):
                 score = score + slots[:, layer]
             score = score + np.where(
-                genes.depth[:, u] == unit.depth_max, model.depth_bonus[u], 0.0)
+                genes.depth[:, u] == unit.depth_max, model.depth_bonus[u], -0.0)
         # max(lo, score) and min(hi, score) as the builtins pick
         score = np.where(score > model.clamp_lo, score, model.clamp_lo)
         return np.where(score < model.clamp_hi, score, model.clamp_hi)
@@ -540,14 +557,20 @@ def _accuracy_batch(space: DesignSpace, model: AccuracyModel, terms):
     return batch
 
 
+def synthetic_accuracy(space: DesignSpace, arch: Architecture, model: AccuracyModel) -> float:
+    """The synthetic accuracy of one architecture: a batch of one."""
+    return float(_accuracy_batch(space, model)(batch_of_one(space, arch))[0])
+
+
 def accuracy_evaluator(space: DesignSpace, model: AccuracyModel | None = None) -> MetricEvaluator:
     model = model if model is not None else default_accuracy_model(space)
-    terms = accuracy_terms(space, model)
+    batch = _accuracy_batch(space, model)  # a model that does not fit raises here
+    lowered = Lowered(space, lambda: batch)
     return MetricEvaluator(
         name="synthetic-acc",
         direction=MAXIMIZE,
-        fn=lambda arch: synthetic_accuracy(space, arch, model, terms),
+        fn=lambda arch: float(lowered(batch_of_one(space, arch))[0]),
         resolution_sensitive=False,
         params_digest=params_digest({"kind": "synthetic-acc", **model.config()}),
-        batch=Lowered(space, lambda: _accuracy_batch(space, model, terms)),
+        batch=lowered,
     )

@@ -17,16 +17,27 @@ Preset coefficient values are illustrative, chosen to reproduce qualitative
 hardware behaviors (kernel-7 hostility with resolution templates, flat GPU
 factors, expansion-bound CPU cost, resolution-linear mobile latency). They
 are stated as such everywhere they surface.
+
+Latency is summed over a gene batch from a table of layer terms
+(costs.slot_sum); one architecture is a batch of one. What a profile cannot
+price fails only the rows that need it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
-import numpy as np
-
-from .costs import MINIMIZE, Lowered, MetricEvaluator, params_digest, unit_spatial_sizes
+from .costs import (
+    MINIMIZE,
+    Lowered,
+    MetricEvaluator,
+    batch_of_one,
+    params_digest,
+    slot_sum,
+    unit_spatial_sizes,
+)
 from .errors import ConfigError, ValidationError
 from .formats import resolve_config, write_json
 from .spaces import (
@@ -58,10 +69,20 @@ class DeviceProfile:
             raise ConfigError(f"profile {self.name!r}: resolution_templates must be non-empty")
         for table_name in ("kernel_factor", "expansion_factor", "ratio_factor", "unit_scale"):
             for key, value in getattr(self, table_name).items():
-                if value <= 0:
-                    raise ConfigError(
-                        f"profile {self.name!r}: {table_name}[{key}] must be positive"
-                    )
+                self._check(f"{table_name}[{key}]", value, positive=True)
+        cost = self.layer_cost_ms
+        for unit, value in [(None, cost)] if isinstance(cost, (int, float)) else cost.items():
+            where = "layer_cost_ms" if unit is None else f"layer_cost_ms[{unit}]"
+            for v in [value] if isinstance(value, (int, float)) else value:
+                self._check(where, v)
+        self._check("fixed_overhead_ms", self.fixed_overhead_ms)
+        self._check("pad_cost_ms", self.pad_cost_ms)
+
+    def _check(self, where: str, value: float, positive: bool = False) -> None:
+        if positive and value <= 0:
+            raise ConfigError(f"profile {self.name!r}: {where} must be positive")
+        if not math.isfinite(value):
+            raise ConfigError(f"profile {self.name!r}: {where} must be finite, got {value!r}")
 
     def template_for(self, resolution: int) -> int:
         """Smallest template the input fits into after padding up."""
@@ -111,98 +132,40 @@ class DeviceProfile:
         }
 
 
-def _unit_areas(space: DesignSpace, profile: DeviceProfile, template: int) -> list[float]:
-    """Each unit's output area at a template, relative to the largest template."""
-    sizes = unit_spatial_sizes(space, template)
-    reference = unit_spatial_sizes(space, max(profile.resolution_templates))
-    return [(h_out * h_out) / (h_ref * h_ref) for (_, h_out), (_, h_ref) in zip(sizes, reference)]
-
-
-def _layer_term(space: DesignSpace, profile: DeviceProfile, area: float, u: int,
-                layer: int, code: str) -> float:
-    """One present layer's latency; area is _unit_areas(...)[u - 1] of its template."""
-    scale = float(profile.unit_scale.get(u, 1.0))
-    block = space.block(u, code)
-    cost = profile._factor(profile.kernel_factor, block.kernel, "kernel_factor")
-    cost *= profile._factor(profile.expansion_factor, block.expansion, "expansion_factor")
-    if block.channel_ratio is not None and profile.ratio_factor:
-        cost *= profile._factor(profile.ratio_factor, block.channel_ratio, "ratio_factor")
-    return cost * scale * profile.layer_base(u, layer) * area
-
-
-def _check_families(space: DesignSpace, profile: DeviceProfile) -> None:
-    if space.family not in profile.families:
-        raise ValidationError(
-            f"profile {profile.name!r} covers families {profile.families}, not {space.family!r}"
-        )
-
-
-def _overhead(profile: DeviceProfile, template: int, resolution: int) -> float:
-    """Fixed overhead plus the padding penalty, added as profile_latency adds them."""
-    total = profile.fixed_overhead_ms
-    total += profile.pad_cost_ms * (template * template - resolution * resolution) / (
-        template * template
-    )
-    return total
-
-
-def profile_latency(
-    space: DesignSpace, arch: Architecture, profile: DeviceProfile, terms=None
-) -> float:
-    """Latency in model milliseconds under a parametric profile.
-
-    terms memoises each layer term by (template, unit, layer, code), and each
-    template's unit areas by template; an evaluator keeps one dict for its
-    lifetime, a bare call starts empty.
-    """
-    _check_families(space, profile)
-    if terms is None:
-        terms = {}
-    template = profile.template_for(arch.resolution)
-    total = _overhead(profile, template, arch.resolution)
-    for unit, codes in zip(space.units, arch.blocks):
-        u = unit.index
-        for layer, code in enumerate(codes, start=1):
-            key = (template, u, layer, code)
-            term = terms.get(key)
-            if term is None:
-                areas = terms.get(template)
-                if areas is None:
-                    areas = terms[template] = _unit_areas(space, profile, template)
-                term = terms[key] = _layer_term(space, profile, areas[u - 1], u, layer, code)
-            total += term
-    return total
-
-
 def _latency_batch(space: DesignSpace, profile: DeviceProfile):
-    """profile_latency over a gene batch from per-(resolution, unit, layer,
-    block) tables of the same terms, summed in the scalar order (+ 0.0 past
-    a unit's depth)."""
-    _check_families(space, profile)
-    templates = [profile.template_for(r) for r in space.resolutions]
-    start = np.array([_overhead(profile, t, r) for t, r in zip(templates, space.resolutions)])
-    areas = [_unit_areas(space, profile, t) for t in templates]
-    tables = []  # per unit: [resolution, layer, block], a zero column past the last block
-    for unit in space.units:
-        table = np.zeros((len(templates), unit.depth_max, len(unit.blocks) + 1))
-        for s, unit_areas in enumerate(areas):
-            for layer in range(1, unit.depth_max + 1):
-                for b, block in enumerate(unit.blocks):
-                    table[s, layer - 1, b] = _layer_term(
-                        space, profile, unit_areas[unit.index - 1], unit.index, layer, block.code)
-        tables.append(table)
+    """Latency of a gene batch. A resolution's start checks the family, finds
+    the template and adds the padding penalty to the fixed overhead; a layer's
+    term scales its factors by the unit's output area at the template,
+    relative to the largest template."""
+    areas = {}  # per resolution index: each unit's relative area
 
-    def batch(genes):
-        res = genes.resolution
-        total = start[res]
-        for u, (unit, table) in enumerate(zip(space.units, tables)):
-            layers = np.arange(unit.depth_max)
-            slots = table[res[:, None], layers, genes.block[:, u, : unit.depth_max]]
-            for layer in layers:
-                total = total + slots[:, layer]
-        return total
+    def start(s):
+        if space.family not in profile.families:
+            raise ValidationError(
+                f"profile {profile.name!r} covers families {profile.families}, "
+                f"not {space.family!r}")
+        r = space.resolutions[s]
+        t = profile.template_for(r)
+        reference = unit_spatial_sizes(space, max(profile.resolution_templates))
+        areas[s] = [(h * h) / (h_ref * h_ref) for (_, h), (_, h_ref)
+                    in zip(unit_spatial_sizes(space, t), reference)]
+        return profile.fixed_overhead_ms + profile.pad_cost_ms * (t * t - r * r) / (t * t)
 
-    return batch
+    def term(s, u, layer, b):
+        unit, block = space.units[u], space.units[u].blocks[b]
+        cost = profile._factor(profile.kernel_factor, block.kernel, "kernel_factor")
+        cost *= profile._factor(profile.expansion_factor, block.expansion, "expansion_factor")
+        if block.channel_ratio is not None and profile.ratio_factor:
+            cost *= profile._factor(profile.ratio_factor, block.channel_ratio, "ratio_factor")
+        scale = float(profile.unit_scale.get(unit.index, 1.0))
+        return cost * scale * profile.layer_base(unit.index, layer + 1) * areas[s][u]
+
+    return slot_sum(space, start, term)
+
+
+def profile_latency(space: DesignSpace, arch: Architecture, profile: DeviceProfile) -> float:
+    """Latency in model milliseconds under a parametric profile: a batch of one."""
+    return float(_latency_batch(space, profile)(batch_of_one(space, arch))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -383,12 +346,12 @@ def save_profile(profile: DeviceProfile, path) -> None:
 
 def latency_evaluator(space: DesignSpace, profile) -> MetricEvaluator:
     profile = load_profile(profile)
-    terms: dict = {}
+    lowered = Lowered(space, lambda: _latency_batch(space, profile))
     return MetricEvaluator(
         name=profile.name,
         direction=MINIMIZE,
-        fn=lambda arch: profile_latency(space, arch, profile, terms),
+        fn=lambda arch: float(lowered(batch_of_one(space, arch))[0]),
         resolution_sensitive=len(space.resolutions) > 1,
         params_digest=params_digest(profile.config()),
-        batch=Lowered(space, lambda: _latency_batch(space, profile)),
+        batch=lowered,
     )

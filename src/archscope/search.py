@@ -21,8 +21,8 @@ batch fails in any way, its rows are scored again one architecture at a
 time, so an error names the architecture and the evaluator the
 one-at-a-time loop would have stopped at. Ranking works on the metrics
 matrix. Architecture and EvaluatedArch objects are built only for the
-returned best point or frontier; mutate, pareto_filter and the list helpers
-are thin wrappers over the same code.
+returned best point or frontier; mutate and pareto_filter are thin wrappers
+over the same code.
 
 Mutation picks a unit (uniformly, or by the given unit weights), then one
 applicable action uniformly: add a layer (appended at the end, new block
@@ -287,12 +287,6 @@ def _row(space: DesignSpace, arch: Architecture) -> list[int]:
     return Genes.from_architectures(space, [arch]).rows()[0].tolist()
 
 
-def _unit_actions(space: DesignSpace, arch: Architecture, u: int) -> list[str]:
-    """The applicable actions of unit u of arch, for the reference mutation
-    in tests/oracles.py."""
-    return list(_moves(space).unit_actions(_row(space, arch), u))
-
-
 def mutate(
     space: DesignSpace,
     arch: Architecture,
@@ -321,10 +315,6 @@ PARETO_CHUNK = 256  # points checked against the kept front at once
 def _signs(directions) -> np.ndarray:
     """1 for minimize and -1 for maximize: norm = values * signs is smaller-is-better."""
     return np.array([1.0 if d == MINIMIZE else -1.0 for d in directions])
-
-
-def _matrix(points, m: int) -> np.ndarray:
-    return np.array([p.metrics for p in points], dtype=float).reshape(len(points), m)
 
 
 def _dominates(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -363,7 +353,9 @@ def pareto_filter(points: list[EvaluatedArch], directions) -> list[EvaluatedArch
     """Exact non-dominated subset, sorted by the first objective (direction-aware),
     ties by the later objectives and then by position. Duplicates of a
     non-dominated metric vector are all kept."""
-    norm = _matrix(points, len(directions)) * _signs(directions)
+    m = len(directions)
+    norm = np.array([p.metrics for p in points], dtype=float).reshape(len(points), m)
+    norm = norm * _signs(directions)
     return [points[i] for i in _pareto_indices(norm)]
 
 
@@ -451,34 +443,13 @@ def _median(values) -> float:
     return ordered[mid] if len(ordered) % 2 else (ordered[mid - 1] + ordered[mid]) / 2
 
 
-def _best(values: np.ndarray, directions) -> tuple[float, ...]:
-    """Per objective, the best value of a metrics matrix's column."""
-    return tuple(min(c) if d == MINIMIZE else max(c)
-                 for c, d in zip(values.T.tolist(), directions))
-
-
-def _medians(values: np.ndarray) -> tuple[float, ...]:
-    return tuple(_median(c) for c in values.T.tolist())
-
-
 def _stats(generation: int, evaluations: int, values: np.ndarray, directions) -> GenerationStats:
-    """A generation's record from its population's metrics matrix."""
-    return GenerationStats(generation=generation, evaluations=evaluations,
-                           best=_best(values, directions), median=_medians(values))
-
-
-# list forms, for the one-child-at-a-time reference search in tests/oracles.py
-
-def _truncate(merged: list[EvaluatedArch], size: int, config: SearchConfig) -> list[EvaluatedArch]:
-    return [merged[i] for i in _rank(_matrix(merged, len(config.objectives)), size, config)]
-
-
-def _best_per_objective(points, directions) -> tuple[float, ...]:
-    return _best(_matrix(points, len(directions)), directions)
-
-
-def _median_per_objective(points) -> tuple[float, ...]:
-    return _medians(_matrix(points, len(points[0].metrics)))
+    """A generation's record from its population's metrics matrix: per
+    objective, the best and the median value."""
+    columns = values.T.tolist()
+    best = tuple(min(c) if d == MINIMIZE else max(c) for c, d in zip(columns, directions))
+    return GenerationStats(generation=generation, evaluations=evaluations, best=best,
+                           median=tuple(_median(c) for c in columns))
 
 
 # ---------------------------------------------------------------------------

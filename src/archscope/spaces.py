@@ -169,12 +169,6 @@ class Architecture:
     def n_layers(self) -> int:
         return sum(self.depths)
 
-    def iter_placements(self):
-        """Yield (unit, layer, code) for every present layer, 1-based."""
-        for u, codes in enumerate(self.blocks, start=1):
-            for l, code in enumerate(codes, start=1):
-                yield u, l, code
-
 
 def consistent_blocks(unit: UnitSpec, ratio: float | None) -> tuple[BlockSpec, ...]:
     """Candidate blocks compatible with a chosen unit channel ratio.

@@ -9,6 +9,9 @@ Additive tables must cover the whole declared space: gaps are rejected when
 the table is bound to a space, not discovered mid-evaluation. Exact tables
 raise on a missing architecture at evaluation time.
 
+Additive tables are summed over a gene batch as device profiles are
+(costs.slot_sum); one architecture is a batch of one.
+
 File format (see docs/FORMATS.md): '#'-prefixed key=value header lines, then
 a CSV body with columns (unit, layer, block_code, value) or
 (arch_record_hash, value).
@@ -20,7 +23,17 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .costs import MAXIMIZE, MINIMIZE, MetricEvaluator, params_digest
+import numpy as np
+
+from .costs import (
+    MAXIMIZE,
+    MINIMIZE,
+    Lowered,
+    MetricEvaluator,
+    batch_of_one,
+    params_digest,
+    slot_sum,
+)
 from .errors import ConfigError, CoverageError
 from .formats import read_csv, write_csv
 from .spaces import (
@@ -65,11 +78,7 @@ def validate_coverage(space: DesignSpace, table: MetricTable) -> None:
     if table.kind != ADDITIVE:
         return
     for p in iter_placements(space):
-        if (p.unit, p.layer, p.block_code) not in table.entries:
-            raise CoverageError(
-                f"additive table {table.metric!r} missing entry for "
-                f"unit {p.unit} layer {p.layer} block {p.block_code}"
-            )
+        _entry(table, p.key())
     for r in space.resolutions:
         if r not in table.resolution_constants:
             raise CoverageError(
@@ -77,18 +86,15 @@ def validate_coverage(space: DesignSpace, table: MetricTable) -> None:
             )
 
 
-def table_evaluate(space: DesignSpace, table: MetricTable, arch: Architecture) -> float:
-    if table.kind == ADDITIVE:
-        total = float(table.resolution_constants.get(arch.resolution, 0.0))
-        for u, l, code in arch.iter_placements():
-            key = (u, l, code)
-            if key not in table.entries:
-                raise CoverageError(
-                    f"additive table {table.metric!r} missing entry for "
-                    f"unit {u} layer {l} block {code}"
-                )
-            total += float(table.entries[key])
-        return total
+def _entry(table: MetricTable, key: tuple[int, int, str]) -> float:
+    """An additive table's entry for a (unit, layer, block code) placement."""
+    if key not in table.entries:
+        raise CoverageError(f"additive table {table.metric!r} missing entry for "
+                            f"unit {key[0]} layer {key[1]} block {key[2]}")
+    return float(table.entries[key])
+
+
+def _exact_value(table: MetricTable, arch: Architecture) -> float:
     digest = record_hash(serialize(arch))
     if digest not in table.entries:
         raise CoverageError(
@@ -97,20 +103,58 @@ def table_evaluate(space: DesignSpace, table: MetricTable, arch: Architecture) -
     return float(table.entries[digest])
 
 
+def _table_batch(space: DesignSpace, table: MetricTable):
+    """The table's value for each row of a gene batch: an additive sum from
+    the resolution's constant (0.0 without one), or an exact lookup that
+    raises at the first row the table has no value for."""
+    if table.kind == ADDITIVE:
+        def start(s):
+            return float(table.resolution_constants.get(space.resolutions[s], 0.0))
+
+        def term(s, u, layer, b):
+            return _entry(table, (u + 1, layer + 1, space.units[u].blocks[b].code))
+
+        return slot_sum(space, start, term)
+
+    def batch(genes):
+        values = np.full(len(genes), np.nan)
+        for i in range(len(genes)):
+            try:
+                values[i] = _exact_value(table, genes.architecture(i))
+            except CoverageError:
+                if np.isfinite(values[:i]).all():
+                    raise
+                break  # an earlier row's non-finite value fails first
+        return values
+
+    return batch
+
+
+def table_evaluate(space: DesignSpace, table: MetricTable, arch: Architecture) -> float:
+    """The table's value for one architecture."""
+    if table.kind == EXACT:
+        return _exact_value(table, arch)
+    return float(_table_batch(space, table)(batch_of_one(space, arch))[0])
+
+
 def table_evaluator(space: DesignSpace, table: MetricTable) -> MetricEvaluator:
     validate_coverage(space, table)
     res_sensitive = (
         table.kind == EXACT
         or len({round(v, 12) for v in table.resolution_constants.values()}) > 1
     )
+    lowered = Lowered(space, lambda: _table_batch(space, table))
+    exact = table.kind == EXACT
     return MetricEvaluator(
         name=table.metric,
         direction=table.direction,
-        fn=lambda arch: table_evaluate(space, table, arch),
+        fn=lambda arch: _exact_value(table, arch) if exact
+        else float(lowered(batch_of_one(space, arch))[0]),
         resolution_sensitive=res_sensitive,
         params_digest=params_digest(
             {"kind": f"table-{table.kind}", "metric": table.metric, "n": len(table.entries)}
         ),
+        batch=lowered,
     )
 
 

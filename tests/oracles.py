@@ -6,18 +6,22 @@ MAC/parameter walker that simulates the shape chain op by op, per-layer
 latency and synthetic-accuracy walkers that recompute every factor on every
 layer, an exhaustive expectation calculator that enumerates the sampling
 distribution with explicit probability weights, a literal loop-by-loop
-reading of the sampling stream's layout (docs/FORMATS.md), and a
-quadratic-time Pareto filter and front sort. Two are the library's earlier
-code, kept as referees for what replaced it: reference_evolve, the
-one-child-at-a-time search loop and its mutation operator as they were
-before the search scored its children in batches, and
+reading of the sampling stream's layout (docs/FORMATS.md), a quadratic-time
+Pareto filter, front sort and truncation ranking, and a plain-loop
+metric-table sum. Two are the library's earlier code, kept as referees for
+what replaced it: reference_evolve, the one-child-at-a-time search loop and
+its mutation operator as they were before the search scored its children in
+batches (now ranking, mutating and summarising with the pairwise and
+per-architecture code here, not the library's), and
 bootstrap_percentile_stderr, the resampling bootstrap that the exact
 percentile standard errors replaced.
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 import math
 
 import numpy as np
@@ -208,6 +212,24 @@ def walker_accuracy(space, arch, model):
         if len(codes) == unit.depth_max:
             score += model.depth_bonus[unit.index - 1]
     return min(model.clamp_hi, max(model.clamp_lo, score))
+
+
+def walker_table(table, arch):
+    """A metric table's value by a plain loop: an additive table's resolution
+    constant (0.0 without one) plus each present layer's entry, added unit by
+    unit and layer by layer; an exact table's value for the SHA-256 of the
+    architecture's canonical record. A missing entry raises KeyError."""
+    if table.kind == "exact":
+        record = {"format_version": 1, "space": arch.space, "resolution": arch.resolution,
+                  "depths": list(arch.depths), "blocks": [list(c) for c in arch.blocks],
+                  "channel_ratios": list(arch.channel_ratios)}
+        text = json.dumps(record, sort_keys=True, separators=(",", ":"))
+        return float(table.entries[hashlib.sha256(text.encode()).hexdigest()])
+    total = float(table.resolution_constants.get(arch.resolution, 0.0))
+    for u, codes in enumerate(arch.blocks, start=1):
+        for layer, code in enumerate(codes, start=1):
+            total += float(table.entries[(u, layer, code)])
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -442,14 +464,31 @@ def _reference_weights(space, unit_weights):
     return w / w.sum()
 
 
+def _reference_actions(space, arch, u):
+    """Unit u's applicable actions in draw order, read off the architecture:
+    its depth against the unit's range, the blocks consistent with its ratio,
+    the unit's ratios and the space's resolutions."""
+    unit = space.unit(u)
+    depth = arch.depths[u - 1]
+    ratio = arch.channel_ratios[u - 1] if arch.channel_ratios else None
+    checks = [
+        ("add_layer", depth < unit.depth_max),
+        ("remove_layer", depth > unit.depth_min),
+        ("change_block", len(consistent_blocks(unit, ratio)) > 1),
+        ("change_ratio", len(unit.channel_ratios) > 1),
+        ("change_resolution", len(space.resolutions) > 1),
+    ]
+    return [name for name, ok in checks if ok]
+
+
 def reference_mutate(space, arch, rng, unit_weights=None):
     """The mutation operator that renormalises the unit weights and calls
-    Generator.choice on every call; the applicable actions are the library's."""
+    Generator.choice on every call."""
     probs = _reference_weights(space, unit_weights)
     live = probs.copy()
     while np.any(live > 0):
         u = int(rng.choice(space.n_units, p=live / live.sum())) + 1
-        actions = search._unit_actions(space, arch, u)
+        actions = _reference_actions(space, arch, u)
         if actions:
             break
         live[u - 1] = 0.0
@@ -513,11 +552,60 @@ def reference_mutate(space, arch, rng, unit_weights=None):
     return child, desc
 
 
+def _pairwise_rank(norm, size, fitness_mode, fronts=None):
+    """The ranking that evolve's truncation must reproduce, one point at a
+    time: metric order for one objective; rank sums; or the pairwise fronts
+    of brute_fronts (or the given ones) with crowding distances summed point
+    by point."""
+    n, m = len(norm), len(norm[0])
+    if m == 1:
+        return sorted(range(n), key=lambda i: (norm[i][0], i))[:size]
+    if fitness_mode == search.FITNESS_RANK_SUM:
+        totals = [0.0] * n
+        for k in range(m):
+            order = sorted(range(n), key=lambda i: norm[i][k])
+            i = 0
+            while i < n:
+                j = i
+                while j + 1 < n and norm[order[j + 1]][k] == norm[order[i]][k]:
+                    j += 1
+                for t in range(i, j + 1):
+                    totals[order[t]] += (i + j) / 2
+                i = j + 1
+        return sorted(range(n), key=lambda i: (totals[i], i))[:size]
+    chosen = []
+    for front in fronts or brute_fronts(norm):
+        if len(chosen) + len(front) <= size:
+            chosen.extend(front)
+            if len(chosen) == size:
+                break
+            continue
+        dist = {i: 0.0 for i in front}
+        for k in range(m):
+            ordered = sorted(front, key=lambda i: norm[i][k])
+            lo, hi = norm[ordered[0]][k], norm[ordered[-1]][k]
+            dist[ordered[0]] = dist[ordered[-1]] = float("inf")
+            if hi == lo:
+                continue
+            for a, b, c in zip(ordered, ordered[1:], ordered[2:]):
+                dist[b] += (norm[c][k] - norm[a][k]) / (hi - lo)
+        chosen.extend(sorted(front, key=lambda i: (-dist[i], i))[: size - len(chosen)])
+        break
+    return chosen
+
+
+def _median(values):
+    ordered = sorted(values)
+    mid = len(ordered) // 2
+    return ordered[mid] if len(ordered) % 2 else (ordered[mid - 1] + ordered[mid]) / 2
+
+
 def reference_evolve(space, config):
     """The elitist loop that mutates, evaluates and dedupes one architecture
     at a time, with arch_key strings as dedupe keys. Generation zero is the
-    library's one sample_batch draw, evaluated row by row; the ranking
-    helpers are the library's own."""
+    library's one sample_batch draw, evaluated row by row. Truncation,
+    statistics and the frontier come from the pairwise code above, in plain
+    lists."""
     rng_init = spawn_rng(config.seed, STREAM_SEARCH_INIT)
     rng_mut = spawn_rng(config.seed, STREAM_SEARCH_MUTATE)
     evaluations = 0
@@ -546,12 +634,17 @@ def reference_evolve(space, config):
     seen = {arch_key(p.arch) for p in population}
     directions = config.directions()
 
+    def normed(points):
+        return [tuple(v if d == "minimize" else -v for v, d in zip(p.metrics, directions))
+                for p in points]
+
     def stats(generation):
+        columns = list(zip(*(p.metrics for p in population)))
         return search.GenerationStats(
             generation=generation,
             evaluations=evaluations,
-            best=search._best_per_objective(population, directions),
-            median=search._median_per_objective(population),
+            best=tuple(min(c) if d == "minimize" else max(c) for c, d in zip(columns, directions)),
+            median=tuple(_median(c) for c in columns),
         )
 
     history = [stats(0)]
@@ -569,7 +662,9 @@ def reference_evolve(space, config):
             children.append(evaluate(child, gen, parent.eval_id, desc))
             seen.add(arch_key(child))
         all_points.extend(children)
-        population = search._truncate(population + children, config.population, config)
+        merged = population + children
+        keep = _pairwise_rank(normed(merged), config.population, config.fitness_mode)
+        population = [merged[i] for i in keep]
         history.append(stats(gen))
 
     result = search.SearchResult(space=space.name, config={}, history=history,
@@ -578,7 +673,10 @@ def reference_evolve(space, config):
         sign = 1.0 if directions[0] == "minimize" else -1.0
         result.best = min(all_points, key=lambda p: (sign * p.metrics[0], p.eval_id))
     else:
-        frontier = search.pareto_filter(all_points, directions)
+        norm = normed(all_points)
+        keep = sorted(brute_frontier([p.metrics for p in all_points], directions),
+                      key=lambda i: (norm[i], i))
+        frontier = [all_points[i] for i in keep]
         if config.dedupe:
             unique, kept = set(), []
             for p in frontier:

@@ -370,6 +370,22 @@ def test_non_numeric_profile_and_table_fields_exit_2(capsys, tmp_path, mini_file
     assert rc == 2 and err.startswith("error:") and "row" in err and "'x'" in err
 
 
+@pytest.mark.parametrize("field, named", [
+    ({"fixed_overhead_ms": "inf"}, "fixed_overhead_ms"),
+    ({"kernel_factor": {"3": 1.0, "5": 1.0, "7": "1e400"}}, "kernel_factor[7]"),
+])
+def test_non_finite_profile_fields_exit_2_naming_the_field(capsys, tmp_path, field, named):
+    profile = tmp_path / "p.json"
+    profile.write_text(json.dumps({
+        "name": "x", "families": ["mbconv_v3"], "kernel_factor": {"3": 1.0, "5": 1.0, "7": 1.0},
+        "expansion_factor": {"3": 1.0, "4": 1.0, "6": 1.0}, **field,
+    }))
+    rc, _, err = _run(capsys, "profile", "blocks", "--space", "ofa", "--samples", "5",
+                      "--metric", f"profile:{profile}", "--out", str(tmp_path))
+    assert rc == 2
+    assert err.startswith(f"error: profile 'x': {named} must be finite, got inf")
+
+
 @pytest.mark.parametrize("argv, env, named", [
     (("search", "max", "--repeats", "0"), {}, "--repeats"),
     (("search", "pareto", "--repeats", "-1"), {}, "--repeats"),

@@ -28,6 +28,7 @@ from archscope.spaces import (
     UnitSpec,
     arch_key,
     load_space,
+    parse_space_config,
 )
 
 from .oracles import walker_macs, walker_params
@@ -225,3 +226,25 @@ def test_accuracy_clamp():
                         blocks=tuple(("MBConv6-7",) * 4 for _ in range(5)))
     model = AccuracyModel(base=99.9, unit_weights=(0.5,) * 5, depth_bonus=(0.5,) * 5)
     assert synthetic_accuracy(space, arch, model) == 100.0
+
+
+def test_counts_past_int64_stay_exact():
+    # three billion channels: one expand conv alone holds more than 2**63 weights
+    space = parse_space_config({
+        "name": "wide", "family": "mbconv_v3", "resolutions": [32, 64],
+        "units": [{"depth_min": 1, "depth_max": 3, "base_channels": base, "blocks": [
+            {"code": f"E{e}K{k}", "kernel": k, "expansion": e}
+            for e, k in ((1, 3), (6, 5))]} for base in (3_000_000_000, 5_000_000_000)],
+        "head": {"conv_channels": 0, "classes": 10},
+    })
+    genes = sample_batch(space, spawn_rng(3), 16)
+    archs = [genes.architecture(i) for i in range(len(genes))]
+    expected_macs = [walker_macs(space, a) for a in archs]
+    expected_params = [walker_params(space, a) for a in archs]
+    assert min(expected_macs) >= 2**63 and min(expected_params) >= 2**63
+    macs_ev, params_ev = macs_evaluator(space), params_evaluator(space)
+    assert [macs(space, a) for a in archs] == [macs_ev.fn(a) for a in archs] == expected_macs
+    assert [param_count(space, a) for a in archs] == [params_ev.fn(a) for a in archs] == (
+        expected_params)
+    assert macs_ev.evaluate_batch(genes).tolist() == [float(m) for m in expected_macs]
+    assert params_ev.evaluate_batch(genes).tolist() == [float(p) for p in expected_params]

@@ -1,6 +1,9 @@
+import math
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from archscope.devices import (
     DeviceProfile,
@@ -13,8 +16,11 @@ from archscope.devices import (
     save_profile,
 )
 from archscope.errors import ConfigError, ValidationError
-from archscope.sampling import sample_uniform, spawn_rng
-from archscope.spaces import Architecture, load_space
+from archscope.sampling import Genes, sample_batch, sample_uniform, spawn_rng
+from archscope.spaces import FAMILIES, Architecture, load_space, parse_space_config
+
+from .oracles import walker_latency
+from .test_fast_paths import _space_configs
 
 
 def _uniform_body(space, code, depth, resolution):
@@ -192,3 +198,97 @@ def test_latency_evaluator_binding():
     assert ev.resolution_sensitive
     arch = sample_uniform(space, spawn_rng(2, 0))
     assert ev.evaluate(arch) == profile_latency(space, arch, load_profile("npu-like"))
+
+
+@pytest.mark.parametrize("fields, named, problem", [
+    ({"kernel_factor": {3: 1.0, 5: math.inf}}, "kernel_factor[5]", "finite"),
+    ({"kernel_factor": {3: -math.inf}}, "kernel_factor[3]", "positive"),
+    ({"expansion_factor": {3: math.nan}}, "expansion_factor[3]", "finite"),
+    ({"ratio_factor": {0.8: math.inf}}, "ratio_factor[0.8]", "finite"),
+    ({"unit_scale": {2: math.inf}}, "unit_scale[2]", "finite"),
+    ({"layer_cost_ms": math.inf}, "layer_cost_ms", "finite"),
+    ({"layer_cost_ms": {1: 1.0, 2: math.nan}}, "layer_cost_ms[2]", "finite"),
+    ({"layer_cost_ms": {1: [1.0, -math.inf]}}, "layer_cost_ms[1]", "finite"),
+    ({"fixed_overhead_ms": math.inf}, "fixed_overhead_ms", "finite"),
+    ({"pad_cost_ms": -math.inf}, "pad_cost_ms", "finite"),
+])
+def test_profile_numbers_must_be_finite(fields, named, problem):
+    with pytest.raises(ConfigError, match=rf"profile 'bad': {re.escape(named)} must be {problem}"):
+        DeviceProfile(**{"name": "bad", "families": ("mbconv_v2",),
+                         "kernel_factor": {3: 1.0}, "expansion_factor": {3: 1.0}, **fields})
+
+
+def _first_gap(space, arch, profile):
+    """What the latency of arch must fail with, or None: the family, its
+    resolution's template, then per layer in unit -> layer order the
+    kernel, expansion and ratio factors and the layer cost."""
+    if space.family not in profile.families:
+        return "covers families"
+    if arch.resolution > max(profile.resolution_templates):
+        return f"resolution {arch.resolution} exceeds every template"
+    for unit, codes in zip(space.units, arch.blocks):
+        for layer, code in enumerate(codes, start=1):
+            block = space.block(unit.index, code)
+            for name, key, needed in (
+                ("kernel_factor", block.kernel, True),
+                ("expansion_factor", block.expansion, True),
+                ("ratio_factor", block.channel_ratio,
+                 block.channel_ratio is not None and profile.ratio_factor),
+            ):
+                if needed and key not in getattr(profile, name):
+                    return f"{name} has no entry for {key!r}"
+            cost = profile.layer_cost_ms
+            if not isinstance(cost, float) and (
+                    unit.index not in cost
+                    or isinstance(cost[unit.index], list) and layer > len(cost[unit.index])):
+                return f"no layer cost for unit {unit.index} layer {layer}"
+    return None
+
+
+@settings(max_examples=100, deadline=None)
+@given(config=_space_configs(), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_partial_profile_fails_at_the_walkers_first_failing_row(config, seed, data):
+    space = parse_space_config(config)
+    blocks = [b for unit in space.units for b in unit.blocks]
+
+    def partial(keys):  # a factor for every key, or now and then for all but one
+        keys = sorted(keys)
+        dropped = data.draw(st.sampled_from([None] * 6 + keys))
+        return {k: data.draw(st.sampled_from((0.5, 1.0, 2.5))) for k in keys if k != dropped}
+
+    cost = 0.25
+    if data.draw(st.booleans()):  # per unit a scalar or its first layers' costs, or no entry
+        cost = {unit.index: data.draw(st.sampled_from(
+            (1.5, [1.0] * data.draw(st.integers(unit.depth_min, unit.depth_max)))))
+                for unit in space.units if data.draw(st.integers(0, 7))}
+    profile = DeviceProfile(
+        name="partial",
+        families=data.draw(st.sampled_from(((space.family,),) * 7 + (FAMILIES[:1],))),
+        kernel_factor=partial({b.kernel for b in blocks}),
+        expansion_factor=partial({b.expansion for b in blocks}),
+        ratio_factor=partial({b.channel_ratio for b in blocks} - {None}),
+        layer_cost_ms=cost,
+        resolution_templates=tuple(sorted(data.draw(st.lists(
+            st.sampled_from((*space.resolutions, 48)), min_size=1, max_size=3, unique=True)))),
+        fixed_overhead_ms=0.5,
+        pad_cost_ms=0.25,
+    )
+    ev = latency_evaluator(space, profile)
+    sampled = sample_batch(space, spawn_rng(seed), 12)
+    archs = [sampled.architecture(i) for i in range(len(sampled))]
+    # rows that fail only after every row that does not, so most batches
+    # fail in the middle
+    archs.sort(key=lambda arch: _first_gap(space, arch, profile) is not None)
+    genes = Genes.from_architectures(space, archs)
+    gaps = [_first_gap(space, arch, profile) for arch in archs]
+    first = next((i for i, gap in enumerate(gaps) if gap), len(archs))
+    before = archs[:first]
+    assert ev.evaluate_batch(Genes.from_architectures(space, before)).tolist() == [
+        walker_latency(space, arch, profile) for arch in before]
+    if first == len(archs):
+        return
+    if space.family in profile.families:  # the walker does not check the family
+        with pytest.raises((KeyError, IndexError, ValueError)):
+            walker_latency(space, archs[first], profile)
+    with pytest.raises(ValidationError, match=re.escape(gaps[first])):
+        ev.evaluate_batch(genes)

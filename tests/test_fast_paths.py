@@ -54,6 +54,7 @@ from archscope.spaces import (
 from archscope.tables import ADDITIVE, MetricTable, table_evaluator
 
 from .oracles import (
+    _pairwise_rank,
     _unit_configs,
     brute_fronts,
     chi2_sf,
@@ -328,7 +329,7 @@ def test_draw_samples_equals_the_scalar_loop_for_every_evaluator_kind(mini_space
         macs_evaluator(space), params_evaluator(space), accuracy_evaluator(space),
         latency_evaluator(space, identity_profile(space)), table_evaluator(space, table),
     )
-    assert evaluators[-1].batch is None  # decoded and evaluated row by row
+    assert evaluators[-1].batch is not None  # lowered like a device profile
     placement = next(iter_placements(space))
     for ev in evaluators:
         for p in (None, placement):
@@ -466,48 +467,6 @@ def test_evolve_builds_architectures_only_for_its_result(monkeypatch):
                                             generations=3, children=30, seed=1))
         points = [result.best] if result.frontier is None else result.frontier.points
         assert sorted(built) == sorted(p.eval_id for p in points)
-
-
-def _pairwise_rank(norm, size, fitness_mode, fronts=None):
-    """The ranking that evolve's truncation must reproduce, one point at a
-    time: metric order for one objective; rank sums; or the pairwise fronts
-    of brute_fronts (or the given ones) with crowding distances summed point
-    by point."""
-    n, m = len(norm), len(norm[0])
-    if m == 1:
-        return sorted(range(n), key=lambda i: (norm[i][0], i))[:size]
-    if fitness_mode == FITNESS_RANK_SUM:
-        totals = [0.0] * n
-        for k in range(m):
-            order = sorted(range(n), key=lambda i: norm[i][k])
-            i = 0
-            while i < n:
-                j = i
-                while j + 1 < n and norm[order[j + 1]][k] == norm[order[i]][k]:
-                    j += 1
-                for t in range(i, j + 1):
-                    totals[order[t]] += (i + j) / 2
-                i = j + 1
-        return sorted(range(n), key=lambda i: (totals[i], i))[:size]
-    chosen = []
-    for front in fronts or brute_fronts(norm):
-        if len(chosen) + len(front) <= size:
-            chosen.extend(front)
-            if len(chosen) == size:
-                break
-            continue
-        dist = {i: 0.0 for i in front}
-        for k in range(m):
-            ordered = sorted(front, key=lambda i: norm[i][k])
-            lo, hi = norm[ordered[0]][k], norm[ordered[-1]][k]
-            dist[ordered[0]] = dist[ordered[-1]] = float("inf")
-            if hi == lo:
-                continue
-            for a, b, c in zip(ordered, ordered[1:], ordered[2:]):
-                dist[b] += (norm[c][k] - norm[a][k]) / (hi - lo)
-        chosen.extend(sorted(front, key=lambda i: (-dist[i], i))[: size - len(chosen)])
-        break
-    return chosen
 
 
 def _ranking_config(directions, fitness_mode):

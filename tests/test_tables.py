@@ -1,9 +1,18 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from archscope.devices import identity_profile, profile_latency
 from archscope.errors import ConfigError, CoverageError
-from archscope.sampling import sample_uniform, spawn_rng
-from archscope.spaces import Architecture, iter_placements, load_space
+from archscope.sampling import Genes, sample_batch, sample_uniform, spawn_rng
+from archscope.spaces import (
+    Architecture,
+    iter_placements,
+    load_space,
+    parse_space_config,
+    record_hash,
+    serialize,
+)
 from archscope.tables import (
     MetricTable,
     exact_table_from_pairs,
@@ -13,6 +22,9 @@ from archscope.tables import (
     table_evaluator,
     validate_coverage,
 )
+
+from .oracles import walker_table
+from .test_fast_paths import _space_configs
 
 
 def _flat_table(space, value, constants):
@@ -176,3 +188,50 @@ def test_table_evaluator_direction(mini_space):
     assert ev.name == "lat"
     assert ev.direction == "minimize"
     assert not ev.resolution_sensitive  # one constant, no spread
+
+
+# signed zeros and values of very different size, so every addition counts
+_ENTRIES = st.sampled_from([0.0, -0.0, 0.1, -0.7, 1e-300, 3e15]) | st.floats(-1e3, 1e3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(config=_space_configs(), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_additive_batch_equals_the_walker_bit_for_bit(config, seed, data):
+    space = parse_space_config(config)
+    entries = {p.key(): data.draw(_ENTRIES) for p in iter_placements(space)}
+    constants = {r: data.draw(_ENTRIES) for r in space.resolutions}
+    table = MetricTable(space=space.name, metric="m", direction="minimize", units="",
+                        kind="additive", entries=entries, resolution_constants=constants)
+    genes = sample_batch(space, spawn_rng(seed), 16)
+    archs = [genes.architecture(i) for i in range(len(genes))]
+    expected = [walker_table(table, arch).hex() for arch in archs]
+    ev = table_evaluator(space, table)
+    assert [v.hex() for v in ev.evaluate_batch(genes).tolist()] == expected
+    assert [table_evaluate(space, table, arch).hex() for arch in archs] == expected
+
+
+def test_additive_sum_of_negative_zeros_stays_negative(mini_space_2res):
+    table = _flat_table(mini_space_2res, -0.0, {32: -0.0, 64: 0.0})
+    genes = sample_batch(mini_space_2res, spawn_rng(4), 20)
+    values = table_evaluator(mini_space_2res, table).evaluate_batch(genes).tolist()
+    resolutions = [mini_space_2res.resolutions[s] for s in genes.resolution.tolist()]
+    assert [v.hex() for v in values] == [
+        walker_table(table, genes.architecture(i)).hex() for i in range(len(genes))]
+    assert {(r, v.hex()) for r, v in zip(resolutions, values)} == {
+        (32, "-0x0.0p+0"), (64, "0x0.0p+0")}
+
+
+def test_exact_table_batch_raises_at_the_first_unknown_row(mini_space):
+    genes = sample_batch(mini_space, spawn_rng(8), 12)
+    archs = list(dict.fromkeys(genes.architecture(i) for i in range(len(genes))))
+    unknown = (3, 7)
+    table = exact_table_from_pairs(mini_space, "m", "minimize", "", [
+        (arch, 0.5 * i) for i, arch in enumerate(archs) if i not in unknown])
+    ev = table_evaluator(mini_space, table)
+    known = Genes.from_architectures(mini_space, archs[:3])
+    assert ev.evaluate_batch(known).tolist() == [walker_table(table, a) for a in archs[:3]]
+    with pytest.raises(KeyError):
+        walker_table(table, archs[3])
+    digest = record_hash(serialize(archs[3]))[:12]
+    with pytest.raises(CoverageError, match=f"no value for architecture {digest}"):
+        ev.evaluate_batch(Genes.from_architectures(mini_space, archs))
