@@ -126,7 +126,10 @@ def macs(
     count_se: bool = True,
     se_reduction: int = 4,
 ) -> int:
-    """Exact multiply-accumulate count for the whole network: a batch of one."""
+    """Exact multiply-accumulate count for the whole network: a batch of one.
+
+    Each call builds the space's count tables; to score many architectures,
+    use macs_evaluator's fn or evaluate_batch, which build them once."""
     totals = _macs_totals(space, count_se=count_se, se_reduction=se_reduction)
     return int(totals(batch_of_one(space, arch))[0])
 
@@ -200,7 +203,10 @@ def param_count(
     include_bias: bool = False,
 ) -> int:
     """Exact weight count; batch norm excluded, conv biases behind a flag. A
-    batch of one."""
+    batch of one.
+
+    Each call builds the space's count tables; to score many architectures,
+    use params_evaluator's fn or evaluate_batch, which build them once."""
     totals = _params_totals(space, count_se=count_se, se_reduction=se_reduction,
                             include_bias=include_bias)
     return int(totals(batch_of_one(space, arch))[0])
@@ -346,18 +352,19 @@ def slot_sum(space: DesignSpace, start: Callable, term: Callable) -> Callable:
     resolution index s, unit u, layer slot (from 0) and block index b, to a
     function of a Genes batch. Each sum adds in unit -> layer order; an absent
     layer adds -0.0, which changes no sum. A ValidationError or CoverageError
-    from start or term makes a sentinel of that resolution or cell; the batch
-    then raises at the first row that reaches one by calling start and term
-    again for that row, in the order a walk over it would."""
+    from start or term makes a NaN sentinel of that resolution or cell. When
+    the table has one, the first non-finite row is walked again, calling start
+    and term in order, so a sentinel it reaches raises that call's error; a
+    row that raises nothing is left for evaluate_batch to report."""
     n_res = len(space.resolutions)
-    starts, bad_start = np.zeros(n_res), np.zeros(n_res)
+    starts = np.zeros(n_res)
     cells = [np.full((n_res, u.depth_max, len(u.blocks) + 1), -0.0) for u in space.units]
-    bad = [np.zeros(c.shape) for c in cells]  # 1.0 marks a sentinel
+    sentinel = False
     for s in range(n_res):
         try:
             starts[s] = start(s)
         except (ValidationError, CoverageError):
-            bad_start[s] = 1.0
+            starts[s], sentinel = np.nan, True
             continue
         for u, unit in enumerate(space.units):
             for layer in range(unit.depth_max):
@@ -365,9 +372,9 @@ def slot_sum(space: DesignSpace, start: Callable, term: Callable) -> Callable:
                     try:
                         cells[u][s, layer, b] = term(s, u, layer, b)
                     except (ValidationError, CoverageError):
-                        bad[u][s, layer, b] = 1.0
+                        cells[u][s, layer, b], sentinel = np.nan, True
 
-    def summed(starts, cells, genes):
+    def summed(genes):
         res = genes.resolution
         total = starts[res]
         for u, (unit, table) in enumerate(zip(space.units, cells)):
@@ -378,21 +385,19 @@ def slot_sum(space: DesignSpace, start: Callable, term: Callable) -> Callable:
         return total
 
     def checked(genes):
-        values, reached = summed(starts, cells, genes), summed(bad_start, bad, genes) > 0
-        row = int(reached.argmax()) if reached.any() else len(genes)
-        if row == len(genes) or not np.isfinite(values[:row]).all():
-            return values  # no sentinel, or an earlier non-finite row fails first
-        s = int(genes.resolution[row])
-        if bad_start[s]:
+        values = summed(genes)
+        bad = ~np.isfinite(values)
+        if bad.any():
+            row = int(bad.argmax())
+            s = int(genes.resolution[row])
             start(s)
-        for u, unit in enumerate(space.units):
-            for layer, b in enumerate(genes.block[row, u, : unit.depth_max].tolist()):
-                if bad[u][s, layer, b]:
-                    term(s, u, layer, b)
+            for u, unit in enumerate(space.units):
+                for layer, b in enumerate(genes.block[row, u, : unit.depth_max].tolist()):
+                    if b >= 0:
+                        term(s, u, layer, b)
+        return values
 
-    if bad_start.any() or any(mask.any() for mask in bad):
-        return checked
-    return lambda genes: summed(starts, cells, genes)
+    return checked if sentinel else summed
 
 
 def params_digest(params: dict) -> str:
@@ -558,7 +563,10 @@ def _accuracy_batch(space: DesignSpace, model: AccuracyModel):
 
 
 def synthetic_accuracy(space: DesignSpace, arch: Architecture, model: AccuracyModel) -> float:
-    """The synthetic accuracy of one architecture: a batch of one."""
+    """The synthetic accuracy of one architecture: a batch of one.
+
+    Each call builds the model's tables; to score many architectures, use
+    accuracy_evaluator's fn or evaluate_batch, which build them once."""
     return float(_accuracy_batch(space, model)(batch_of_one(space, arch))[0])
 
 

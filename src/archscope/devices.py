@@ -164,7 +164,10 @@ def _latency_batch(space: DesignSpace, profile: DeviceProfile):
 
 
 def profile_latency(space: DesignSpace, arch: Architecture, profile: DeviceProfile) -> float:
-    """Latency in model milliseconds under a parametric profile: a batch of one."""
+    """Latency in model milliseconds under a parametric profile: a batch of one.
+
+    Each call prices every cell of the space; to score many architectures,
+    use latency_evaluator's fn or evaluate_batch, which price them once."""
     return float(_latency_batch(space, profile)(batch_of_one(space, arch))[0])
 
 

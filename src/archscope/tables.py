@@ -10,7 +10,8 @@ the table is bound to a space, not discovered mid-evaluation. Exact tables
 raise on a missing architecture at evaluation time.
 
 Additive tables are summed over a gene batch as device profiles are
-(costs.slot_sum); one architecture is a batch of one.
+(costs.slot_sum); one architecture is a batch of one. Exact tables are
+looked up one architecture at a time, so a batch is scored row by row.
 
 File format (see docs/FORMATS.md): '#'-prefixed key=value header lines, then
 a CSV body with columns (unit, layer, block_code, value) or
@@ -104,34 +105,22 @@ def _exact_value(table: MetricTable, arch: Architecture) -> float:
 
 
 def _table_batch(space: DesignSpace, table: MetricTable):
-    """The table's value for each row of a gene batch: an additive sum from
-    the resolution's constant (0.0 without one), or an exact lookup that
-    raises at the first row the table has no value for."""
-    if table.kind == ADDITIVE:
-        def start(s):
-            return float(table.resolution_constants.get(space.resolutions[s], 0.0))
+    """An additive table's value for each row of a gene batch: the sum from
+    the resolution's constant (0.0 without one) over the present layers."""
+    def start(s):
+        return float(table.resolution_constants.get(space.resolutions[s], 0.0))
 
-        def term(s, u, layer, b):
-            return _entry(table, (u + 1, layer + 1, space.units[u].blocks[b].code))
+    def term(s, u, layer, b):
+        return _entry(table, (u + 1, layer + 1, space.units[u].blocks[b].code))
 
-        return slot_sum(space, start, term)
-
-    def batch(genes):
-        values = np.full(len(genes), np.nan)
-        for i in range(len(genes)):
-            try:
-                values[i] = _exact_value(table, genes.architecture(i))
-            except CoverageError:
-                if np.isfinite(values[:i]).all():
-                    raise
-                break  # an earlier row's non-finite value fails first
-        return values
-
-    return batch
+    return slot_sum(space, start, term)
 
 
 def table_evaluate(space: DesignSpace, table: MetricTable, arch: Architecture) -> float:
-    """The table's value for one architecture."""
+    """The table's value for one architecture. An additive table is summed as
+    a batch of one, building the table's lookup arrays on every call; to score
+    many architectures, use table_evaluator's fn or evaluate_batch, which
+    build them once."""
     if table.kind == EXACT:
         return _exact_value(table, arch)
     return float(_table_batch(space, table)(batch_of_one(space, arch))[0])
@@ -143,8 +132,8 @@ def table_evaluator(space: DesignSpace, table: MetricTable) -> MetricEvaluator:
         table.kind == EXACT
         or len({round(v, 12) for v in table.resolution_constants.values()}) > 1
     )
-    lowered = Lowered(space, lambda: _table_batch(space, table))
     exact = table.kind == EXACT
+    lowered = None if exact else Lowered(space, lambda: _table_batch(space, table))
     return MetricEvaluator(
         name=table.metric,
         direction=table.direction,
