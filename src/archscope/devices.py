@@ -74,13 +74,18 @@ class DeviceProfile:
         for unit, value in [(None, cost)] if isinstance(cost, (int, float)) else cost.items():
             where = "layer_cost_ms" if unit is None else f"layer_cost_ms[{unit}]"
             for v in [value] if isinstance(value, (int, float)) else value:
-                self._check(where, v)
-        self._check("fixed_overhead_ms", self.fixed_overhead_ms)
-        self._check("pad_cost_ms", self.pad_cost_ms)
+                self._check(where, v)  # finite first: -inf is reported as not finite
+                self._check(where, v, positive=True)
+        for where in ("fixed_overhead_ms", "pad_cost_ms"):
+            value = getattr(self, where)
+            self._check(where, value)
+            if value < 0:
+                raise ConfigError(
+                    f"profile {self.name!r}: {where} must not be negative, got {value!r}")
 
     def _check(self, where: str, value: float, positive: bool = False) -> None:
         if positive and value <= 0:
-            raise ConfigError(f"profile {self.name!r}: {where} must be positive")
+            raise ConfigError(f"profile {self.name!r}: {where} must be positive, got {value!r}")
         if not math.isfinite(value):
             raise ConfigError(f"profile {self.name!r}: {where} must be finite, got {value!r}")
 

@@ -23,7 +23,6 @@ from .costs import (
 from .devices import latency_evaluator, list_profiles
 from .errors import ConfigError
 from .spaces import DesignSpace
-from .tables import load_table, table_evaluator
 
 _ALIASES = {
     "acc": "synthetic-acc",
@@ -58,6 +57,8 @@ def resolve_evaluator(name: str, space: DesignSpace) -> MetricEvaluator:
     elif key in list_profiles():
         ev = latency_evaluator(space, key)
     elif key.startswith("table:"):
+        from .tables import load_table, table_evaluator  # only table metrics need it
+
         path = key[len("table:"):]
         if not Path(path).exists():
             raise ConfigError(f"metric {name!r}: table file {path!r} not found")

@@ -1,7 +1,8 @@
 """Monte Carlo block and placement profiling.
 
 Both reports are views of one conditioned pass: every (unit, layer, block)
-placement gets its own conditioned sample of the metric.
+placement gets its own conditioned sample of the metric, a row of one
+[P, n] matrix.
 
 Block impact: a block's score is the unweighted mean of the per-placement
 means over every placement (u, l) that can host it, i.e. placements are the
@@ -19,13 +20,17 @@ default). A percentile's standard error is the exact bootstrap one: the
 standard deviation of the percentile over all n**n equally likely resamples,
 in closed form from weights that depend only on (n, tau) (see
 percentile_stderrs), so it carries no Monte Carlo noise and draws no random
-numbers. A sweep stacks its conditioned sets into one matrix and computes
-every statistic of every row in one pass; the shared baseline's statistics
-are computed once.
+numbers. A sweep computes every statistic of every row of the pass's
+matrix at once, and a heatmap each row's mean and standard error; the
+shared baseline's statistics are computed once.
 
 Every placement draws from its own RNG stream derived from the master seed
 (see sampling.spawn_rng), so results are bitwise identical no matter how many
-workers run the placements or in what order they finish.
+workers run the placements or in what order they finish. The pass draws and
+scores whole placements in chunks of about PASS_CHUNK rows: each stream
+makes its own draws (sampling.sample_streams) and one evaluate_batch call
+scores the chunk, so a chunk's rows equal those of one placement at a time,
+and workers run chunks.
 """
 
 from __future__ import annotations
@@ -44,8 +49,8 @@ from .errors import ValidationError
 from .sampling import (
     STREAM_BASELINE,
     STREAM_PLACEMENT,
-    sample_batch,
     sample_fixed,
+    sample_streams,
     sample_uniform,
     spawn_rng,
 )
@@ -66,6 +71,11 @@ DEFAULT_TAUS = (5.0, 95.0)
 # SampleSet.percentile_stderr by name; both go with the next benchmark change
 # (ROADMAP item 5).
 BOOTSTRAP_RESAMPLES = 200
+
+# rows per scoring call of a conditioned pass: whole placements are drawn and
+# scored together up to this size; larger chunks grew peak memory without
+# a measurable gain
+PASS_CHUNK = 512
 
 _QUAD_NODES = 16  # Gauss-Legendre nodes per cell: exact up to n = 32
 _BAND_RTOL = 1e-17  # weights below this fraction of the largest are dropped
@@ -274,6 +284,24 @@ def _stream_key(placement: Placement | None, space: DesignSpace, resolution: int
     return (STREAM_PLACEMENT, placement.unit, placement.layer, b_idx, res_key)
 
 
+def _draw(space, evaluator, placements, n, seed, resolution) -> np.ndarray:
+    """[len(placements), n] metric draws, row k conditioned on placements[k]
+    (None: unconditioned) from that placement's own stream, sampled as one
+    gene batch (sampling.sample_streams) and scored by one evaluate_batch
+    call. When anything in the batch fails, its placements are drawn again one
+    at a time, so a failure raises at the placement, and with the message and
+    record, where a one-placement-at-a-time loop stops."""
+    rngs = [spawn_rng(seed, *_stream_key(p, space, resolution)) for p in placements]
+    genes = sample_streams(space, rngs, n, placements, resolution)
+    try:
+        return evaluator.evaluate_batch(genes).reshape(len(placements), n)
+    except Exception:
+        if len(placements) == 1:
+            raise
+        return np.concatenate(
+            [_draw(space, evaluator, [p], n, seed, resolution) for p in placements])
+
+
 def draw_samples(
     space: DesignSpace,
     evaluator: MetricEvaluator,
@@ -285,15 +313,15 @@ def draw_samples(
     """n independent metric draws, conditioned on a placement when given.
 
     The stream named by the placement and resolution is drawn as one gene
-    batch (sampling.sample_batch) and scored by the evaluator's batch path."""
+    batch and scored by the evaluator's batch path: a conditioned pass of
+    one placement."""
     if n < 1:
         raise ValidationError(f"sample size must be >= 1, got {n}")
     if placement is not None:
         validate_placement(space, placement)
-    rng = spawn_rng(seed, *_stream_key(placement, space, resolution))
     return SampleSet(
         metric=evaluator.name,
-        values=evaluator.evaluate_batch(sample_batch(space, rng, n, placement, resolution)),
+        values=_draw(space, evaluator, [placement], n, seed, resolution)[0],
         seed=seed,
         condition=placement,
         resolution=resolution,
@@ -314,33 +342,50 @@ class BlockStats:
     resolution: int | None = None
 
 
-def _conditioned_pass(space, evaluator, placements, n, seed, resolution, workers):
-    """One conditioned sample set per placement, in the given order regardless
-    of scheduling; each placement keeps its own stream."""
-    def job(p):
-        return draw_samples(space, evaluator, n, seed, placement=p, resolution=resolution)
+def _conditioned_pass(space, evaluator, placements, n, seed, resolution, workers) -> np.ndarray:
+    """The [P, n] matrix of conditioned draws, row k from placements[k]'s own
+    stream, regardless of scheduling. Whole placements are drawn and scored
+    in chunks of about PASS_CHUNK rows (at least one placement each), and
+    workers run chunks."""
+    if n < 1:
+        raise ValidationError(f"sample size must be >= 1, got {n}")
+    placements = list(placements)
+    per_chunk = max(1, PASS_CHUNK // n)
+    chunks = [placements[i : i + per_chunk] for i in range(0, len(placements), per_chunk)]
+
+    def job(chunk):
+        return _draw(space, evaluator, chunk, n, seed, resolution)
 
     if workers <= 1:
-        return [job(p) for p in placements]
+        return np.concatenate([job(c) for c in chunks])
     from concurrent.futures import ThreadPoolExecutor  # a few ms to import
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(job, placements))
+        return np.concatenate(list(pool.map(job, chunks)))
 
 
-def _block_stats(space: DesignSpace, code: str, sets: list[SampleSet]) -> BlockStats:
-    """Aggregate a block's host-placement sets, given in (unit, layer) order."""
-    means = np.array([s.mean() for s in sets])
-    errs = np.array([s.stderr() for s in sets])
-    hosts = {s.condition.unit for s in sets}
+def _row_means_and_errors(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The mean and standard error of each row of a [k, n] matrix of draws,
+    equal to SampleSet.mean and SampleSet.stderr on the row."""
+    k, n = values.shape
+    stderr = values.std(axis=1, ddof=1) / np.sqrt(n) if n > 1 else np.full(k, np.nan)
+    return values.mean(axis=1), stderr
+
+
+def _block_stats(space: DesignSpace, code: str, hosts: list[Placement], values: np.ndarray,
+                 resolution: int | None) -> BlockStats:
+    """Aggregate a block's host placements, given in (unit, layer) order with
+    their draws as the rows of values."""
+    means, errs = _row_means_and_errors(values)
+    units = {p.unit for p in hosts}
     return BlockStats(
         block_code=code,
         mean=float(np.mean(means)),
-        stderr=float(np.sqrt(np.sum(errs**2)) / len(sets)),
-        n_per_placement=sets[0].n,
-        n_placements=len(sets),
-        excluded_units=tuple(u.index for u in space.units if u.index not in hosts),
-        resolution=sets[0].resolution,
+        stderr=float(np.sqrt(np.sum(errs**2)) / len(hosts)),
+        n_per_placement=values.shape[1],
+        n_placements=len(hosts),
+        excluded_units=tuple(u.index for u in space.units if u.index not in units),
+        resolution=resolution,
     )
 
 
@@ -357,8 +402,8 @@ def estimate_block_mean(
     hosts = [p for p in iter_placements(space) if p.block_code == block_code]
     if not hosts:
         raise ValidationError(f"block {block_code!r} is not a candidate anywhere in {space.name!r}")
-    sets = _conditioned_pass(space, evaluator, hosts, n_per_placement, seed, resolution, workers)
-    return _block_stats(space, block_code, sets)
+    values = _conditioned_pass(space, evaluator, hosts, n_per_placement, seed, resolution, workers)
+    return _block_stats(space, block_code, hosts, values, resolution)
 
 
 @dataclass
@@ -384,7 +429,7 @@ def block_heatmap(
     metrics (or on request), otherwise a single grid over the mixed sampler.
 
     Each resolution runs one conditioned pass over all placements; a block's
-    row averages the sets of the placements that host it."""
+    row averages the rows of the placements that host it."""
     if per_resolution is None:
         per_resolution = evaluator.resolution_sensitive and len(space.resolutions) > 1
     codes = block_codes(space)
@@ -396,15 +441,18 @@ def block_heatmap(
         n_per_placement=n_per_placement,
         seed=seed,
     )
+    placements = list(iter_placements(space))
+    hosted = {code: [i for i, p in enumerate(placements) if p.block_code == code]
+              for code in codes}
     resolutions = space.resolutions if per_resolution else (None,)
     for resolution in resolutions:
-        sets = _conditioned_pass(
-            space, evaluator, iter_placements(space), n_per_placement, seed, resolution, workers
+        values = _conditioned_pass(
+            space, evaluator, placements, n_per_placement, seed, resolution, workers
         )
-        hosted: dict[str, list[SampleSet]] = {code: [] for code in codes}
-        for s in sets:
-            hosted[s.condition.block_code].append(s)
-        report.rows.extend(_block_stats(space, code, hosted[code]) for code in codes)
+        report.rows.extend(
+            _block_stats(space, code, [placements[i] for i in rows], values[rows], resolution)
+            for code, rows in hosted.items()
+        )
     return report
 
 
@@ -429,17 +477,17 @@ def _stacked_stats(values: np.ndarray, taus: tuple[float, ...]):
     same-size sample sets stacked as the rows of a [k, n] matrix, in one
     pass: each equals the SampleSet method's value on the row (the errors up
     to rounding)."""
-    k, n = values.shape
     ordered = np.sort(values, axis=1)
-    stderr = values.std(axis=1, ddof=1) / np.sqrt(n) if n > 1 else np.full(k, np.nan)
-    tau_se = np.array([percentile_stderrs(ordered, t) for t in taus]).reshape(len(taus), k)
-    return values.mean(axis=1), stderr, _linear_percentiles(ordered, taus), tau_se.T
+    mean, stderr = _row_means_and_errors(values)
+    tau_se = np.array([percentile_stderrs(ordered, t) for t in taus]).reshape(len(taus), -1)
+    return mean, stderr, _linear_percentiles(ordered, taus), tau_se.T
 
 
-def _placement_rows(conds: list[SampleSet], base, taus) -> list[PlacementStats]:
-    """Conditioned-minus-baseline rows for same-size conditioned sets against
-    the _stacked_stats of one baseline (a stack of one row)."""
-    mean, stderr, tau, tau_se = _stacked_stats(np.stack([c.values for c in conds]), taus)
+def _placement_rows(placements: list[Placement], values: np.ndarray, base,
+                    taus) -> list[PlacementStats]:
+    """Conditioned-minus-baseline rows for the placements' draws, the rows of
+    values, against the _stacked_stats of one baseline (a stack of one row)."""
+    mean, stderr, tau, tau_se = _stacked_stats(values, taus)
     base_mean, base_stderr, base_tau, base_tau_se = (stat[0] for stat in base)
     rel_mean = (mean - base_mean).tolist()
     rel_mean_se = np.hypot(stderr, base_stderr).tolist()
@@ -448,8 +496,8 @@ def _placement_rows(conds: list[SampleSet], base, taus) -> list[PlacementStats]:
     cond_mean, cond_tau = mean.tolist(), tau.tolist()
     return [
         PlacementStats(
-            placement=c.condition,
-            n=c.n,
+            placement=placement,
+            n=values.shape[1],
             cond_mean=cond_mean[i],
             rel_mean=rel_mean[i],
             rel_mean_se=rel_mean_se[i],
@@ -458,7 +506,7 @@ def _placement_rows(conds: list[SampleSet], base, taus) -> list[PlacementStats]:
             rel_tau=tuple(rel_tau[i]),
             rel_tau_se=tuple(rel_tau_se[i]),
         )
-        for i, c in enumerate(conds)
+        for i, placement in enumerate(placements)
     ]
 
 
@@ -484,7 +532,8 @@ def estimate_placement_stats(
         raise ValidationError(
             f"baseline carries metric {baseline.metric!r}, evaluator is {evaluator.name!r}"
         )
-    return _placement_rows([cond], _stacked_stats(baseline.values[None, :], taus), taus)[0]
+    base = _stacked_stats(baseline.values[None, :], taus)
+    return _placement_rows([placement], cond.values[None, :], base, taus)[0]
 
 
 @dataclass
@@ -527,9 +576,8 @@ def placement_sweep(
     taus = _ranks(taus)
     baseline_n = n_per_placement if baseline_n is None else baseline_n
     baseline = draw_samples(space, evaluator, baseline_n, seed)
-    sets = _conditioned_pass(
-        space, evaluator, iter_placements(space), n_per_placement, seed, None, workers
-    )
+    placements = list(iter_placements(space))
+    values = _conditioned_pass(space, evaluator, placements, n_per_placement, seed, None, workers)
     base = _stacked_stats(baseline.values[None, :], taus)
     base_mean, _, base_tau, _ = base
     return SweepReport(
@@ -542,5 +590,5 @@ def placement_sweep(
         seed=seed,
         baseline_mean=float(base_mean[0]),
         baseline_tau=tuple(base_tau[0].tolist()),
-        rows=_placement_rows(sets, base, taus),
+        rows=_placement_rows(placements, values, base, taus),
     )

@@ -5,8 +5,10 @@ arrays (Genes) with two Generator.integers calls, first the resolution and
 each unit's channel ratio and depth for the whole batch, then one block per
 layer slot from the candidates consistent with that architecture's ratio.
 docs/FORMATS.md ("Sampling stream") states the layout; it is part of the
-contract (same seed, same architectures). sample_uniform and sample_fixed
-are batches of one.
+contract (same seed, same architectures). sample_streams assembles many
+streams into one batch, each stream making its own two calls; sample_batch
+is its one-stream case, and sample_uniform and sample_fixed are batches of
+one.
 
 A placement condition pins the named block at its (unit, layer) slot and
 resamples nothing else, so every other slot keeps its unconditioned
@@ -179,16 +181,29 @@ def sample_batch(
     resolution: int | None = None,
 ) -> Genes:
     """n architectures as gene arrays, uniform or conditioned on a placement,
-    at a given resolution or over all of them.
+    at a given resolution or over all of them: sample_streams of one stream."""
+    return sample_streams(space, [rng], n, [placement], resolution)
 
-    Exactly two rng.integers calls with array bounds: a head matrix
-    [1 + 2U, n] (the resolution row, then per unit a ratio row and a depth
-    row, each offset by its low), then the block picks [n, U, Lmax], each
-    slot below its row's depth bounded by the candidates consistent with the
-    row's ratio and every other slot by 1. A fixed gene has bound 1.
+
+def sample_streams(
+    space: DesignSpace,
+    rngs: list[np.random.Generator],
+    n: int,
+    placements: list[Placement | None],
+    resolution: int | None = None,
+) -> Genes:
+    """One batch of n architectures per stream, rows [k * n, (k + 1) * n)
+    drawn from rngs[k], uniform or conditioned on placements[k] (None).
+
+    Each stream makes exactly two rng.integers calls with array bounds: a
+    head matrix [1 + 2U, n] (the resolution row, then per unit a ratio row
+    and a depth row, each offset by its low), then the block picks
+    [n, U, Lmax], each slot below its row's depth bounded by the candidates
+    consistent with the row's ratio and every other slot by 1. A fixed gene
+    has bound 1. So a stream's rows, and the state it leaves its generator
+    in, do not depend on the other streams; the pick bounds, the block
+    lookup and the pins are computed once for the whole batch.
     """
-    if placement is not None:
-        validate_placement(space, placement)
     units = space.units
     low, bound = [0], [len(space.resolutions)]
     if resolution is not None:
@@ -198,23 +213,39 @@ def sample_batch(
     for unit in units:
         low += (0, unit.depth_min)
         bound += (len(unit.channel_ratios) or 1, unit.depth_max - unit.depth_min + 1)
-    if placement is not None:
-        pin, unit = placement.unit - 1, space.unit(placement.unit)
-        pinned_ratio = space.block(placement.unit, placement.block_code).channel_ratio
-        if unit.channel_ratios and pinned_ratio is not None:
-            low[1 + 2 * pin], bound[1 + 2 * pin] = unit.channel_ratios.index(pinned_ratio), 1
-        lo = max(placement.layer, unit.depth_min)
-        low[2 + 2 * pin], bound[2 + 2 * pin] = lo, unit.depth_max - lo + 1
-    head = np.array(low)[:, None] + rng.integers(0, np.array(bound)[:, None],
-                                                 size=(len(bound), n))
+    heads, pins = [], []
+    for k, (rng, placement) in enumerate(zip(rngs, placements)):
+        lo, hi = low, bound
+        if placement is not None:
+            validate_placement(space, placement)
+            pin, unit = placement.unit - 1, space.unit(placement.unit)
+            lo, hi = list(low), list(bound)
+            pinned = space.block(placement.unit, placement.block_code)
+            if unit.channel_ratios and pinned.channel_ratio is not None:
+                lo[1 + 2 * pin] = unit.channel_ratios.index(pinned.channel_ratio)
+                hi[1 + 2 * pin] = 1
+            first = max(placement.layer, unit.depth_min)
+            lo[2 + 2 * pin], hi[2 + 2 * pin] = first, unit.depth_max - first + 1
+            codes = [b.code for b in unit.blocks]
+            pins.append((k, pin, placement.layer - 1, codes.index(placement.block_code)))
+        heads.append(np.array(lo)[:, None] + rng.integers(0, np.array(hi)[:, None],
+                                                          size=(len(hi), n)))
 
-    ratio, depth = head[1::2].T, head[2::2].T  # [n, U]
+    head = _joined(heads, axis=1)  # [1 + 2U, N], streams side by side
+    ratio, depth = head[1::2].T, head[2::2].T  # [N, U]
     candidates, counts = space.candidate_table()
     unit_index = np.arange(len(units))
     present = np.arange(max(u.depth_max for u in units)) < depth[:, :, None]
-    picks = rng.integers(0, np.where(present, counts[unit_index, ratio][:, :, None], 1))
+    pick_bound = np.where(present, counts[unit_index, ratio][:, :, None], 1)
+    picks = _joined([rng.integers(0, pick_bound[k * n : (k + 1) * n])
+                     for k, rng in enumerate(rngs)], axis=0)
     block = np.where(present, candidates[unit_index[:, None], ratio[:, :, None], picks], -1)
-    if placement is not None:
-        codes = [b.code for b in unit.blocks]
-        block[:, pin, placement.layer - 1] = codes.index(placement.block_code)
+    for k, pin, layer, b in pins:
+        block[k * n : (k + 1) * n, pin, layer] = b
     return Genes(space=space, resolution=head[0], ratio=ratio, depth=depth, block=block)
+
+
+def _joined(parts: list[np.ndarray], axis: int) -> np.ndarray:
+    """The parts concatenated along axis; a single part is returned as is,
+    since one stream is the common case and a copy of its draws costs time."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=axis)

@@ -181,7 +181,7 @@ def _finite(text: str, where: str) -> float:
         value = float(text)
         if math.isfinite(value):
             return value
-    except ValueError:
+    except (TypeError, ValueError):
         pass
     raise ConfigError(f"{where}: expected a finite number, got {text!r}")
 
@@ -228,8 +228,10 @@ def load_table(path, space: DesignSpace | None = None) -> MetricTable:
 
 
 def exact_table_from_pairs(space: DesignSpace, metric: str, direction: str, units: str, pairs) -> MetricTable:
-    """Build an exact table from (architecture, value) pairs."""
-    entries = {record_hash(serialize(arch)): float(value) for arch, value in pairs}
+    """Build an exact table from (architecture, value) pairs; a value that is
+    not a finite number is a ConfigError naming its pair's index."""
+    entries = {record_hash(serialize(arch)): _finite(value, f"pair {i}")
+               for i, (arch, value) in enumerate(pairs)}
     return MetricTable(
         space=space.name,
         metric=metric,

@@ -386,6 +386,25 @@ def test_non_finite_profile_fields_exit_2_naming_the_field(capsys, tmp_path, fie
     assert err.startswith(f"error: profile 'x': {named} must be finite, got inf")
 
 
+@pytest.mark.parametrize("field, named, problem", [
+    ({"layer_cost_ms": -1.0}, "layer_cost_ms", "must be positive, got -1.0"),
+    ({"layer_cost_ms": {"1": 0.5, "2": [1.0, 0.0]}}, "layer_cost_ms[2]", "must be positive, got 0.0"),
+    ({"fixed_overhead_ms": -5}, "fixed_overhead_ms", "must not be negative, got -5.0"),
+    ({"pad_cost_ms": -0.1}, "pad_cost_ms", "must not be negative, got -0.1"),
+])
+def test_negative_profile_costs_exit_2_naming_the_field(capsys, tmp_path, field, named, problem):
+    profile = tmp_path / "p.json"
+    profile.write_text(json.dumps({
+        "name": "x", "families": ["mbconv_v3"], "kernel_factor": {"3": 1.0, "5": 1.0, "7": 1.0},
+        "expansion_factor": {"3": 1.0, "4": 1.0, "6": 1.0}, **field,
+    }))
+    rc, out, err = _run(capsys, "profile", "blocks", "--space", "ofa", "--samples", "5",
+                        "--metric", f"profile:{profile}", "--out", str(tmp_path / "out"))
+    assert rc == 2 and out == ""
+    assert err.startswith(f"error: profile 'x': {named} {problem}")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("argv, env, named", [
     (("search", "max", "--repeats", "0"), {}, "--repeats"),
     (("search", "pareto", "--repeats", "-1"), {}, "--repeats"),

@@ -218,6 +218,23 @@ def test_profile_numbers_must_be_finite(fields, named, problem):
                          "kernel_factor": {3: 1.0}, "expansion_factor": {3: 1.0}, **fields})
 
 
+@pytest.mark.parametrize("fields, named, problem", [
+    ({"layer_cost_ms": 0.0}, "layer_cost_ms", "be positive"),
+    ({"layer_cost_ms": -1.0}, "layer_cost_ms", "be positive"),
+    ({"layer_cost_ms": {1: 1.0, 2: -0.5}}, "layer_cost_ms[2]", "be positive"),
+    ({"layer_cost_ms": {1: [1.0, 0.0]}}, "layer_cost_ms[1]", "be positive"),
+    ({"fixed_overhead_ms": -5.0}, "fixed_overhead_ms", "not be negative"),
+    ({"pad_cost_ms": -0.25}, "pad_cost_ms", "not be negative"),
+])
+def test_profile_costs_must_not_be_negative(fields, named, problem):
+    with pytest.raises(ConfigError, match=rf"profile 'bad': {re.escape(named)} must {problem}"):
+        DeviceProfile(**{"name": "bad", "families": ("mbconv_v2",),
+                         "kernel_factor": {3: 1.0}, "expansion_factor": {3: 1.0}, **fields})
+    # zero overhead and padding cost stay valid
+    DeviceProfile(name="ok", families=("mbconv_v2",), kernel_factor={3: 1.0},
+                  expansion_factor={3: 1.0}, fixed_overhead_ms=0.0, pad_cost_ms=0.0)
+
+
 def _first_gap(space, arch, profile):
     """What the latency of arch must fail with, or None: the family, its
     resolution's template, then per layer in unit -> layer order the

@@ -7,6 +7,8 @@ import sys
 from pathlib import Path
 
 import archscope
+from archscope.spaces import iter_placements, load_space
+from archscope.tables import MetricTable, save_table
 
 _SRC = str(Path(archscope.__file__).resolve().parents[1])
 
@@ -36,3 +38,27 @@ def test_profile_placements_and_search_leave_numpy_ma_unimported(tmp_path):
         code = (f"from archscope import cli\n"
                 f"assert cli.main({[*argv, '--out', str(tmp_path / str(i))]!r}) == 0")
         assert "numpy.ma" not in _modules_after(code), argv[:2]
+
+
+def test_cli_import_leaves_tables_unloaded_until_a_table_metric(tmp_path):
+    assert "archscope.tables" not in _modules_after("import archscope.cli")
+    space = load_space("ofa")
+    table = tmp_path / "t.csv"
+    save_table(MetricTable(space="ofa", metric="lat", direction="minimize", units="ms",
+                           kind="additive", entries={p.key(): 0.5 for p in iter_placements(space)},
+                           resolution_constants={r: 1.0 for r in space.resolutions}), table)
+    argv = ["profile", "blocks", "--space", "ofa", "--metric", f"table:{table}",
+            "--samples", "2", "--out", str(tmp_path / "out")]
+    code = ("from archscope import MetricTable\n"
+            "from archscope import cli\n"
+            f"assert cli.main({argv!r}) == 0")
+    assert "archscope.tables" in _modules_after(code)
+    assert (tmp_path / "out").is_dir()
+
+
+def test_package_names_load_on_first_use():
+    loaded = _modules_after("import archscope\nassert archscope.__version__")
+    assert not any(name.startswith("archscope.") for name in loaded)
+    assert set(archscope.__all__) <= set(dir(archscope))
+    for name in archscope.__all__:
+        assert getattr(archscope, name) is not None

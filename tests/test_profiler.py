@@ -7,12 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from archscope.costs import MetricEvaluator, accuracy_evaluator, macs_evaluator
-from archscope.errors import ValidationError
+from archscope.errors import ArchscopeError, EvaluationError, ValidationError
+from archscope.evaluators import resolve_evaluator
 from archscope.profiler import (
+    PASS_CHUNK,
     SampleSet,
+    _conditioned_pass,
     _linear_percentiles,
     _percentile_weights,
     _stacked_stats,
+    _stream_key,
     block_heatmap,
     draw_samples,
     estimate_block_mean,
@@ -21,9 +25,20 @@ from archscope.profiler import (
     placement_sweep,
 )
 from archscope.reduction import ReductionRule, RuleSet, apply
-from archscope.spaces import Placement, load_space
+from archscope.sampling import Genes, sample_batch, spawn_rng
+from archscope.spaces import (
+    Placement,
+    arch_key,
+    block_codes,
+    iter_placements,
+    load_space,
+    parse_space_config,
+)
+from archscope.tables import MetricTable, exact_table_from_pairs, table_evaluator
 
+from .conftest import build_mini_ratio_space, build_mini_space
 from .oracles import exact_block_mean, exact_expectation
+from .test_fast_paths import _space_configs
 
 
 def _depth_metric(name="total-depth"):
@@ -319,3 +334,166 @@ def test_baseline_metric_mismatch_rejected(mini_space):
 def test_sample_size_validation(mini_space):
     with pytest.raises(ValidationError, match="sample size"):
         draw_samples(mini_space, accuracy_evaluator(mini_space), 0, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# the chunked conditioned pass against a one-placement-at-a-time loop
+
+def _loop(space, ev, placements, n, seed, resolution):
+    """The pass as a loop of draw_samples calls, one placement at a time."""
+    return np.stack([draw_samples(space, ev, n, seed, placement=p, resolution=resolution).values
+                     for p in placements])
+
+
+def _outcome(run):
+    """What run returns, or the type, message and record of what it raises."""
+    try:
+        return run().tolist()
+    except ArchscopeError as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "record", None)
+
+
+def _exact_table_over(space, placements, n, seed, resolution):
+    """An exact table with a value for every architecture the pass draws."""
+    pairs = {}
+    for p in placements:
+        rng = spawn_rng(seed, *_stream_key(p, space, resolution))
+        genes = sample_batch(space, rng, n, p, resolution)
+        for i in range(n):
+            arch = genes.architecture(i)
+            pairs[arch] = float(sum(arch.depths)) + arch.resolution / 7
+    return exact_table_from_pairs(space, "exact", "minimize", "", pairs.items())
+
+
+# (space, metric, n): P * n from well below one chunk to many chunks, and
+# n above PASS_CHUNK, where a chunk is one placement
+_PASS_CASES = [
+    ("mini", "macs", 5),
+    ("mini", "npu-like", 700),
+    ("mini-ratio", "params", 40),
+    ("mini-ratio", "synthetic-acc", 3),
+    ("ofa", "npu-like", 50),
+    ("ofa", "synthetic-acc", 7),
+    ("proxylessnas", "gpu-flat", 20),
+    ("resnet50", "synthetic-acc", 50),
+    ("resnet50", "macs", 300),
+    ("mini", "exact", 30),
+    ("ofa", "exact", 4),
+]
+
+
+def _pass_space(name):
+    return {"mini": lambda: build_mini_space(resolutions=(32, 64)),
+            "mini-ratio": build_mini_ratio_space}.get(name, lambda: load_space(name))()
+
+
+@pytest.mark.parametrize("space_name, metric, n", _PASS_CASES)
+@pytest.mark.parametrize("fixed", [False, True], ids=["mixed", "fixed-resolution"])
+def test_pass_equals_the_per_placement_loop(space_name, metric, n, fixed):
+    space = _pass_space(space_name)
+    placements = list(iter_placements(space))
+    resolution = space.resolutions[-1] if fixed else None
+    if metric == "exact":  # scored row by row through fn
+        ev = table_evaluator(space, _exact_table_over(space, placements, n, 5, resolution))
+        assert ev.batch is None
+    else:
+        ev = resolve_evaluator(metric, space)
+    got = _conditioned_pass(space, ev, placements, n, 5, resolution, 1)
+    assert got.shape == (len(placements), n)
+    assert _bits(got).tolist() == _bits(_loop(space, ev, placements, n, 5, resolution)).tolist()
+
+
+@settings(max_examples=25, deadline=None)
+@given(config=_space_configs(), seed=st.integers(0, 2**32 - 1), n=st.integers(1, 300),
+       data=st.data())
+def test_pass_equals_the_loop_on_random_spaces(config, seed, n, data):
+    space = parse_space_config(config)
+    placements = list(iter_placements(space))
+    placements = data.draw(st.lists(st.sampled_from(placements), min_size=1, max_size=40))
+    resolution = data.draw(st.none() | st.sampled_from(space.resolutions))
+    ev = macs_evaluator(space)
+    assert (_conditioned_pass(space, ev, placements, n, seed, resolution, 1).tolist()
+            == _loop(space, ev, placements, n, seed, resolution).tolist())
+
+
+def test_heatmap_rows_equal_the_sample_set_statistics(mini_space_2res):
+    space, ev = mini_space_2res, accuracy_evaluator(mini_space_2res)
+    report = block_heatmap(space, ev, n_per_placement=30, seed=4, per_resolution=True)
+    expected = []
+    for resolution in space.resolutions:
+        for code in block_codes(space):
+            sets = [draw_samples(space, ev, 30, 4, placement=p, resolution=resolution)
+                    for p in iter_placements(space) if p.block_code == code]
+            means = np.array([s.mean() for s in sets])
+            errs = np.array([s.stderr() for s in sets])
+            expected.append((code, resolution, float(np.mean(means)),
+                             float(np.sqrt(np.sum(errs**2)) / len(sets))))
+    assert [(r.block_code, r.resolution, r.mean, r.stderr) for r in report.rows] == expected
+
+
+def test_pass_scores_each_chunk_with_one_evaluate_batch_call(monkeypatch):
+    space = load_space("ofa")
+    ev = resolve_evaluator("npu-like", space)
+    placements = list(iter_placements(space))
+    sizes = []
+    evaluate_batch = MetricEvaluator.evaluate_batch
+
+    def counted(self, genes):
+        sizes.append(len(genes))
+        return evaluate_batch(self, genes)
+
+    monkeypatch.setattr(MetricEvaluator, "evaluate_batch", counted)
+    for n, per_chunk in ((1, len(placements)), (50, PASS_CHUNK // 50), (PASS_CHUNK, 1),
+                         (PASS_CHUNK + 1, 1)):
+        sizes.clear()
+        _conditioned_pass(space, ev, placements, n, 0, None, 1)
+        chunks = [placements[i : i + per_chunk] for i in range(0, len(placements), per_chunk)]
+        assert sizes == [n * len(chunk) for chunk in chunks], n
+        assert max(sizes) <= max(PASS_CHUNK, n)
+
+
+def test_pass_failing_row_raises_as_the_loop_does(mini_space_2res):
+    space = mini_space_2res
+    placements = list(iter_placements(space))
+    entries = {p.key(): 0.5 for p in placements}
+    table = MetricTable(space=space.name, metric="lat", direction="minimize", units="ms",
+                        kind="additive", entries=entries, resolution_constants={32: 0.0, 64: 1.0})
+    ev = table_evaluator(space, table)  # coverage is checked here, tables built on first use
+    del entries[placements[-1].key()]  # a missing cell: only rows that reach it fail
+    got = _outcome(lambda: _conditioned_pass(space, ev, placements, 20, 3, None, 1))
+    assert got[0] == "CoverageError" and "missing entry for unit 2 layer 2" in got[1]
+    assert got == _outcome(lambda: _loop(space, ev, placements, 20, 3, None))
+
+
+def _batch_dependent(space, bad: bytes, limit: int | None = None):
+    """An evaluator whose batch errors depend on the batch: it names the
+    failing row's index within the batch, or refuses batches above limit."""
+    def batch(genes):
+        if limit is not None and len(genes) > limit:
+            raise RuntimeError("batch too large")
+        rows = genes.rows()
+        for i, row in enumerate(rows):
+            if row.tobytes() == bad:
+                raise EvaluationError(f"row {i} of a batch of {len(rows)}",
+                                      record=arch_key(genes.architecture(i)))
+        return rows.sum(axis=1).astype(float)
+
+    return MetricEvaluator(name="sum", direction="minimize",
+                           fn=lambda arch: batch(Genes.from_architectures(space, [arch]))[0],
+                           batch=batch)
+
+
+def test_pass_rescores_a_failing_chunk_one_placement_at_a_time():
+    space = load_space("ofa")
+    placements = list(iter_placements(space))
+    n, seed, k = 3, 11, 7  # placement k's row 2 fails, inside the first chunk
+    genes = sample_batch(space, spawn_rng(seed, *_stream_key(placements[k], space, None)), n,
+                         placements[k])
+    ev = _batch_dependent(space, genes.rows()[2].tobytes())
+    got = _outcome(lambda: _conditioned_pass(space, ev, placements, n, seed, None, 2))
+    assert got[:2] == ("EvaluationError", "row 2 of a batch of 3")
+    assert got == _outcome(lambda: _loop(space, ev, placements, n, seed, None))
+    # a batch path that fails only on a whole chunk still gives the loop's values
+    picky = _batch_dependent(space, b"", limit=n)
+    assert (_conditioned_pass(space, picky, placements, n, seed, None, 1).tolist()
+            == _loop(space, picky, placements, n, seed, None).tolist())

@@ -135,6 +135,14 @@ def test_load_table_rejects_non_finite_values(tmp_path, mini_space, kind, bad):
         load_table(path)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), "fast"])
+def test_exact_table_from_pairs_rejects_non_finite_values(mini_space, bad):
+    rng = spawn_rng(6, 0)
+    pairs = [(sample_uniform(mini_space, rng), 1.5), (sample_uniform(mini_space, rng), bad)]
+    with pytest.raises(ConfigError, match=rf"^pair 1: expected a finite number, got {bad!r}$"):
+        exact_table_from_pairs(mini_space, "m", "maximize", "", pairs)
+
+
 @pytest.mark.parametrize("column", [0, 1], ids=["unit", "layer"])
 def test_load_table_rejects_non_integer_unit_and_layer(tmp_path, mini_space, column):
     path = tmp_path / "t.csv"
