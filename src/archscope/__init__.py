@@ -5,7 +5,7 @@ The public names below are imported from their modules on first use
 (PEP 562), so importing one module, such as archscope.cli, does not import
 every other."""
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 # module -> the public names it defines
 _EXPORTS = {

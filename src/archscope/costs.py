@@ -528,11 +528,6 @@ def _capacity(block: BlockSpec, axis_values: dict[str, list]) -> float:
     return 0.5 * ranks[0] + 0.5 * ranks[1]
 
 
-def block_capacity(space: DesignSpace, block: BlockSpec) -> float:
-    """Capacity score in [0, 1], strictly increasing along both block axes."""
-    return _capacity(block, _axis_values(space))
-
-
 def _accuracy_batch(space: DesignSpace, model: AccuracyModel):
     """Synthetic accuracy of a gene batch: the base, then per unit each
     layer's unit_weight * capacity (-0.0 past the depth) and the depth bonus

@@ -47,6 +47,11 @@ def resolve_evaluator(name: str, space: DesignSpace) -> MetricEvaluator:
     if sep and head and head not in ("table", "profile") and tail.lower() in _DIRECTION_SUFFIXES:
         direction = _DIRECTION_SUFFIXES[tail.lower()]
         spec = head
+    elif sep and _ALIASES.get(head, head) in known_metrics():
+        raise ConfigError(
+            f"metric {name!r}: unknown direction {tail!r}; expected a suffix of "
+            f"{', '.join(':' + s for s in _DIRECTION_SUFFIXES)}"
+        )
     key = _ALIASES.get(spec, spec)
     if key == "macs":
         ev = macs_evaluator(space)

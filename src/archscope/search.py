@@ -11,41 +11,30 @@ architectures, with no caching.
 
 A run is held as arrays, indexed by eval_id: one int64 gene row per
 evaluated architecture (Genes.rows), a metrics matrix [P + G * K, m], the
-parents' eval_ids and the mutation strings; the population is an array of
-eval_ids. Mutation reads a parent's row and writes the child's from tables
-built once per space, and dedupe keys are the rows' bytes. No mutation draw
-depends on a metric, so a generation's K children are all mutated (and
-deduped) first and then scored as one gene batch, one evaluate_batch call
-per objective; generation zero is drawn as one batch by sample_batch. When a
-batch fails in any way, its rows are scored again one architecture at a
+parents' eval_ids and each mutation's integer columns; the population is an
+array of eval_ids. A generation is mutated as one gene batch by the
+mutation module: three draws (the parents, one unit double per child and a
+word matrix), and its duplicates are redrawn together in one more batch;
+dedupe keys are the rows' bytes. No mutation draw depends on a metric, so
+the K children are then scored as one gene batch, one evaluate_batch call
+per objective; generation zero is drawn as one batch by sample_batch. When
+a batch fails in any way, its rows are scored again one architecture at a
 time, so an error names the architecture and the evaluator the
 one-at-a-time loop would have stopped at. Ranking works on the metrics
-matrix. Architecture and EvaluatedArch objects are built only for the
-returned best point or frontier; mutate and pareto_filter are thin wrappers
-over the same code.
-
-Mutation picks a unit (uniformly, or by the given unit weights), then one
-applicable action uniformly: add a layer (appended at the end, new block
-uniform), remove a layer (uniform position), swap one layer's block for a
-different admissible one, swap the unit's channel ratio (ratio spaces,
-remapping the unit's joint codes), or swap the input resolution (when the
-space has more than one). The result always differs from the input. With
-dedupe on, children already evaluated are re-mutated from their parent up to
-ten times, then accepted as-is. docs/FORMATS.md ("Search stream") states the
-draw order of both streams.
+matrix. Architecture and EvaluatedArch objects, and the mutation strings,
+are built only for the returned best point or frontier; mutate (a batch of
+one) and pareto_filter are thin wrappers over the same code.
 """
 
 from __future__ import annotations
 
-import struct
-from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .costs import MAXIMIZE, MINIMIZE, MetricEvaluator
 from .errors import EvaluationError, ValidationError
+from .mutation import UnitPicker, dedupe, mutation_tables, row_keys
 # sample_uniform is unused here: the benchmark's tracer patches it on this
 # module; it goes with the next benchmark change (ROADMAP item 5)
 from .sampling import (
@@ -56,9 +45,7 @@ from .sampling import (
     sample_uniform,
     spawn_rng,
 )
-from .spaces import Architecture, DesignSpace, arch_key, ratio_values
-
-DEDUPE_RETRIES = 10
+from .spaces import Architecture, DesignSpace, arch_key
 
 FITNESS_DOMINANCE = "dominance"
 FITNESS_RANK_SUM = "rank_sum"
@@ -130,162 +117,7 @@ class SearchResult:
 
 
 # ---------------------------------------------------------------------------
-# mutation
-
-class UnitPicker:
-    """Validated mutation unit weights, normalised, and the CDF that
-    Generator.choice(n, p=...) builds from them; a search builds it once."""
-
-    def __init__(self, space: DesignSpace, unit_weights=None):
-        w = np.ones(space.n_units) if unit_weights is None else np.asarray(
-            unit_weights, dtype=float)
-        with np.errstate(over="ignore"):
-            total = w.sum()
-        if w.shape != (space.n_units,) or np.any(w < 0) or not 0 < total < np.inf:
-            raise ValidationError(
-                f"unit_weights must be {space.n_units} non-negative values with a positive sum"
-            )
-        self.probs = w / total
-        # Generator.choice normalises p once more and then normalises its cumsum
-        p = self.probs / self.probs.sum()
-        cdf = p.cumsum()
-        self.cdf = (cdf / cdf[-1]).tolist()
-
-    def pick(self, rng: np.random.Generator) -> int:
-        """A 1-based unit, drawn with one double exactly as choice(n, p) draws
-        (bisect_right is searchsorted(cdf, x, side="right"))."""
-        return bisect_right(self.cdf, rng.random()) + 1
-
-
-class _Moves:
-    """A space's mutation tables over gene rows (Genes.rows), built once.
-
-    Per unit (0-based) and ratio choice r, from space.candidate_table():
-    actions[u][r][d] lists the applicable actions at depth d in draw order,
-    candidates[u][r] the consistent block indices in candidate order,
-    others[u][r][b] the same without block b, and remap[u][r][s][b] the block
-    that keeps b's expansion and kernel under ratio choice s (the last such
-    candidate), or -1 where the layer redraws. key packs a row into the
-    bytes Genes.rows() holds for it."""
-
-    def __init__(self, space: DesignSpace):
-        self.space = space
-        units = space.n_units
-        self.ratio_at, self.depth_at, self.block_at = 1, 1 + units, 1 + 2 * units
-        self.slots = max(u.depth_max for u in space.units)
-        self.key = struct.Struct(f"={self.block_at + units * self.slots}q").pack
-        table, counts = space.candidate_table()
-        self.codes = [[b.code for b in unit.blocks] for unit in space.units]
-        self.ratios = ratio_values(space)
-        self.resolutions = [[s for s in range(len(space.resolutions)) if s != r]
-                            for r in range(len(space.resolutions))]
-        self.candidates, self.others, self.actions, self.remap = [], [], [], []
-        for u, unit in enumerate(space.units):
-            per_ratio = [table[u, r, : counts[u, r]].tolist()
-                         for r in range(len(unit.channel_ratios) or 1)]
-            self.candidates.append(per_ratio)
-            self.others.append([[[c for c in cands if c != b] for b in range(len(unit.blocks))]
-                                for cands in per_ratio])
-            self.actions.append([[self._applicable(unit, len(cands), d)
-                                  for d in range(unit.depth_max + 1)] for cands in per_ratio])
-            self.remap.append([[self._remap(unit, old, new) for new in per_ratio]
-                               for old in per_ratio])
-
-    def _applicable(self, unit, n_candidates: int, depth: int) -> tuple[str, ...]:
-        return tuple(name for name, ok in (
-            ("add_layer", depth < unit.depth_max),
-            ("remove_layer", depth > unit.depth_min),
-            ("change_block", n_candidates > 1),
-            ("change_ratio", len(unit.channel_ratios) > 1),
-            ("change_resolution", len(self.space.resolutions) > 1),
-        ) if ok)
-
-    @staticmethod
-    def _remap(unit, old: list[int], new: list[int]) -> list[int]:
-        out = [-1] * len(unit.blocks)
-        for b in old:
-            for nb in new:
-                if (unit.blocks[nb].expansion == unit.blocks[b].expansion
-                        and unit.blocks[nb].kernel == unit.blocks[b].kernel):
-                    out[b] = nb
-            if out[b] >= 0 and not unit.blocks[out[b]].code:  # a falsy code redraws
-                out[b] = -1
-        return out
-
-    def unit_actions(self, row: list[int], u: int) -> tuple[str, ...]:
-        """The applicable actions of 1-based unit u of a row."""
-        return self.actions[u - 1][row[self.ratio_at + u - 1]][row[self.depth_at + u - 1]]
-
-    def mutate(self, row: list[int], rng: np.random.Generator,
-               picker: UnitPicker) -> tuple[list[int], str]:
-        """One mutation of a gene row, with the search stream's draws in
-        order (docs/FORMATS.md, "Search stream"); returns (child, description)."""
-        u = picker.pick(rng)
-        actions = self.unit_actions(row, u)
-        if not actions:  # re-pick among the units not yet tried
-            space = self.space
-            live = picker.probs.copy()
-            live[u - 1] = 0.0
-            while np.any(live > 0):
-                u = int(rng.choice(space.n_units, p=live / live.sum())) + 1
-                actions = self.unit_actions(row, u)
-                if actions:
-                    break
-                live[u - 1] = 0.0
-            else:
-                raise ValidationError(
-                    f"space {space.name!r} admits no mutation from this architecture")
-
-        action = actions[int(rng.integers(len(actions)))]
-        child = row.copy()
-        i = u - 1
-        r, depth, codes = row[self.ratio_at + i], row[self.depth_at + i], self.codes[i]
-        base = self.block_at + i * self.slots  # the unit's first slot
-        if action == "add_layer":
-            choices = self.candidates[i][r]
-            code = choices[int(rng.integers(len(choices)))]
-            child[base + depth] = code
-            child[self.depth_at + i] = depth + 1
-            return child, f"add_layer:u{u}:{codes[code]}"
-        if action == "remove_layer":
-            pos = int(rng.integers(depth))
-            child[base + pos : base + depth - 1] = row[base + pos + 1 : base + depth]
-            child[base + depth - 1] = -1
-            child[self.depth_at + i] = depth - 1
-            return child, f"remove_layer:u{u}l{pos + 1}:{codes[row[base + pos]]}"
-        if action == "change_block":
-            pos = int(rng.integers(depth))
-            old = row[base + pos]
-            choices = self.others[i][r][old]
-            new = choices[int(rng.integers(len(choices)))]
-            child[base + pos] = new
-            return child, f"change_block:u{u}l{pos + 1}:{codes[old]}->{codes[new]}"
-        if action == "change_ratio":
-            ratios = self.ratios[i]
-            choices = [s for s in range(len(ratios)) if s != r]
-            new = choices[int(rng.integers(len(choices)))]
-            child[self.ratio_at + i] = new
-            # each layer keeps its expansion under the new ratio; layers
-            # without a counterpart (asymmetric reductions) redraw
-            remap, fallback = self.remap[i][r][new], self.candidates[i][new]
-            for slot in range(base, base + depth):
-                code = remap[row[slot]]
-                child[slot] = code if code >= 0 else fallback[int(rng.integers(len(fallback)))]
-            return child, f"change_ratio:u{u}:{ratios[r]}->{ratios[new]}"
-        choices = self.resolutions[row[0]]  # change_resolution
-        child[0] = choices[int(rng.integers(len(choices)))]
-        resolutions = self.space.resolutions
-        return child, f"change_resolution:{resolutions[row[0]]}->{resolutions[child[0]]}"
-
-
-@lru_cache(maxsize=8)
-def _moves(space: DesignSpace) -> _Moves:
-    return _Moves(space)
-
-
-def _row(space: DesignSpace, arch: Architecture) -> list[int]:
-    return Genes.from_architectures(space, [arch]).rows()[0].tolist()
-
+# mutation: a batch of one
 
 def mutate(
     space: DesignSpace,
@@ -297,13 +129,15 @@ def mutate(
 
     unit_weights is None (uniform), one weight per unit, or a UnitPicker
     built from either. The child always differs from the input. Raises if no
-    gene of the space can move at all. A batch of one over the gene-row
-    mutation that evolve runs.
+    gene of the space can move at all. A batch of one of the mutation that
+    evolve runs: the same draws and the same decoding.
     """
     picker = unit_weights if isinstance(unit_weights, UnitPicker) else UnitPicker(
         space, unit_weights)
-    child, desc = _moves(space).mutate(_row(space, arch), rng, picker)
-    return Genes.from_rows(space, np.array([child], dtype=np.int64)).architecture(0), desc
+    tables = mutation_tables(space)
+    rows = Genes.from_architectures(space, [arch]).rows()
+    child, desc = tables.mutate(rows, *tables.draw(rng, 1), picker)
+    return Genes.from_rows(space, child).architecture(0), tables.describe(desc[0].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -374,11 +208,6 @@ def _fronts(norm):
         front = np.flatnonzero(counts == 0)
         if not front.size:
             return
-
-
-def _fast_nondominated_fronts(norm) -> list[list[int]]:
-    """Every non-dominated front, each in ascending index order."""
-    return [front.tolist() for front in _fronts(norm)]
 
 
 def _crowding(values: np.ndarray) -> np.ndarray:
@@ -481,41 +310,30 @@ def evolve(space: DesignSpace, config: SearchConfig) -> SearchResult:
     """Run the elitist EA; deterministic for a fixed (space, config)."""
     pop_size, children, objectives = config.population, config.children, config.objectives
     directions = config.directions()
+    tables, picker = mutation_tables(space), UnitPicker(space, config.unit_weights)
     first = sample_batch(space, spawn_rng(config.seed, STREAM_SEARCH_INIT), pop_size)
-    # the run's store, indexed by eval_id: gene rows (also as lists, which
-    # mutation reads), metrics, parent eval_ids and mutation strings
+    # the run's store, indexed by eval_id: gene rows, metrics, parent eval_ids
+    # and the mutations' integer columns (action -1: none)
     first_rows = first.rows()
     rows = np.empty((config.budget, first_rows.shape[1]), dtype=np.int64)
     rows[:pop_size] = first_rows
-    row_lists = first_rows.tolist()
     metrics = np.empty((config.budget, len(objectives)))
     metrics[:pop_size] = _score(objectives, first)
-    parent_ids = [-1] * pop_size
-    mutations = [""] * pop_size
-    seen = {row.tobytes() for row in first_rows}  # dedupe keys: gene-row bytes
+    parent_ids = np.full(config.budget, -1, dtype=np.int64)
+    mutations = np.full((config.budget, 5), -1, dtype=np.int64)
+    seen = set(row_keys(first_rows))  # dedupe keys: gene-row bytes
     population = np.arange(pop_size)
     history = [_stats(0, pop_size, metrics[population], directions)]
 
     rng_mut = spawn_rng(config.seed, STREAM_SEARCH_MUTATE)
-    picker = UnitPicker(space, config.unit_weights)
-    moves = _moves(space)
     for gen in range(1, config.generations + 1):
-        start = len(row_lists)
-        parents = population.tolist()
-        for _ in range(children):
-            parent = parents[int(rng_mut.integers(len(parents)))]
-            child, desc = moves.mutate(row_lists[parent], rng_mut, picker)
-            if config.dedupe:
-                key, tries = moves.key(*child), 0
-                while key in seen and tries < DEDUPE_RETRIES:
-                    child, desc = moves.mutate(row_lists[parent], rng_mut, picker)
-                    key, tries = moves.key(*child), tries + 1
-                seen.add(key)
-            row_lists.append(child)
-            parent_ids.append(parent)
-            mutations.append(desc)
-        end = len(row_lists)
-        rows[start:end] = row_lists[start:end]
+        start, end = pop_size + (gen - 1) * children, pop_size + gen * children
+        parents = population[rng_mut.integers(pop_size, size=children)]
+        parent_rows = rows[parents]
+        kids, descs = tables.mutate(parent_rows, *tables.draw(rng_mut, children), picker)
+        if config.dedupe:
+            dedupe(tables, picker, rng_mut, parent_rows, kids, descs, seen)
+        rows[start:end], mutations[start:end], parent_ids[start:end] = kids, descs, parents
         metrics[start:end] = _score(objectives, Genes.from_rows(space, rows[start:end]))
         merged = np.concatenate([population, np.arange(start, end)])
         population = merged[_rank(metrics[merged], pop_size, config)]
@@ -544,8 +362,8 @@ def evolve(space: DesignSpace, config: SearchConfig) -> SearchResult:
             metrics=tuple(metrics[i].tolist()),
             eval_id=i,
             generation=0 if i < pop_size else (i - pop_size) // children + 1,
-            parent_id=parent_ids[i],
-            mutation=mutations[i],
+            parent_id=int(parent_ids[i]),
+            mutation=tables.describe(mutations[i].tolist()),
         )
 
     if len(objectives) == 1:

@@ -165,10 +165,6 @@ class Architecture:
     blocks: tuple[tuple[str, ...], ...]  # blocks[u][l]: code at unit u+1, layer l+1
     channel_ratios: tuple[float, ...] = ()
 
-    @property
-    def n_layers(self) -> int:
-        return sum(self.depths)
-
 
 def consistent_blocks(unit: UnitSpec, ratio: float | None) -> tuple[BlockSpec, ...]:
     """Candidate blocks compatible with a chosen unit channel ratio.

@@ -8,13 +8,13 @@ layer, an exhaustive expectation calculator that enumerates the sampling
 distribution with explicit probability weights, a literal loop-by-loop
 reading of the sampling stream's layout (docs/FORMATS.md), a quadratic-time
 Pareto filter, front sort and truncation ranking, and a plain-loop
-metric-table sum. Two are the library's earlier code, kept as referees for
-what replaced it: reference_evolve, the one-child-at-a-time search loop and
-its mutation operator as they were before the search scored its children in
-batches (now ranking, mutating and summarising with the pairwise and
-per-architecture code here, not the library's), and
-bootstrap_percentile_stderr, the resampling bootstrap that the exact
-percentile standard errors replaced.
+metric-table sum. reference_evolve and reference_mutate read the search
+stream one child at a time: they decode each child's unit double and words
+with loops over the architecture's own genes (not the library's tables),
+dedupe with arch_key strings, and rank and summarise with the pairwise code
+here. bootstrap_percentile_stderr is the library's earlier code, the
+resampling bootstrap that the exact percentile standard errors replaced,
+kept as a referee for them.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ import numpy as np
 
 from archscope import search
 from archscope.errors import EvaluationError, ValidationError
+from archscope.mutation import DEDUPE_RETRIES
 from archscope.sampling import STREAM_SEARCH_INIT, STREAM_SEARCH_MUTATE, sample_batch, spawn_rng
 from archscope.spaces import Architecture, arch_key, consistent_blocks
 
@@ -450,7 +451,7 @@ def brute_fronts(norm):
 
 
 # ---------------------------------------------------------------------------
-# reference search: one child at a time, string dedupe keys
+# reference search: the search stream read one child at a time, string keys
 
 def _reference_weights(space, unit_weights):
     if unit_weights is None:
@@ -464,82 +465,102 @@ def _reference_weights(space, unit_weights):
     return w / w.sum()
 
 
-def _reference_actions(space, arch, u):
-    """Unit u's applicable actions in draw order, read off the architecture:
-    its depth against the unit's range, the blocks consistent with its ratio,
-    the unit's ratios and the space's resolutions."""
-    unit = space.unit(u)
-    depth = arch.depths[u - 1]
-    ratio = arch.channel_ratios[u - 1] if arch.channel_ratios else None
+def _reference_actions(space, unit, depth, ratio):
+    """A unit's applicable actions in draw order at a depth and ratio, each
+    with the bounds its words are reduced by."""
+    codes = [b.code for b in consistent_blocks(unit, ratio)]
     checks = [
-        ("add_layer", depth < unit.depth_max),
-        ("remove_layer", depth > unit.depth_min),
-        ("change_block", len(consistent_blocks(unit, ratio)) > 1),
-        ("change_ratio", len(unit.channel_ratios) > 1),
-        ("change_resolution", len(space.resolutions) > 1),
+        ("add_layer", depth < unit.depth_max, [len(codes)]),
+        ("remove_layer", depth > unit.depth_min, [depth]),
+        ("change_block", len(codes) > 1, [depth, len(codes) - 1]),
+        ("change_ratio", len(unit.channel_ratios) > 1,
+         [len(unit.channel_ratios) - 1] + [len(consistent_blocks(unit, other))
+                                           for other in unit.channel_ratios if other != ratio]),
+        ("change_resolution", len(space.resolutions) > 1, [len(space.resolutions) - 1]),
     ]
-    return [name for name, ok in checks if ok]
+    return [(name, bounds) for name, ok, bounds in checks if ok]
 
 
-def reference_mutate(space, arch, rng, unit_weights=None):
-    """The mutation operator that renormalises the unit weights and calls
-    Generator.choice on every call."""
-    probs = _reference_weights(space, unit_weights)
-    live = probs.copy()
-    while np.any(live > 0):
-        u = int(rng.choice(space.n_units, p=live / live.sum())) + 1
-        actions = _reference_actions(space, arch, u)
-        if actions:
-            break
-        live[u - 1] = 0.0
-    else:
+def _reference_word_bound(space):
+    """L: the least common multiple of the action count and every bound
+    each applicable action uses, over every unit, ratio and depth."""
+    bound = 1
+    for unit in space.units:
+        for ratio in unit.channel_ratios or [None]:
+            for depth in range(unit.depth_min, unit.depth_max + 1):
+                actions = _reference_actions(space, unit, depth, ratio)
+                for b in [len(actions)] * bool(actions) + [b for _, bs in actions for b in bs]:
+                    bound = bound * b // math.gcd(bound, b)
+    return bound
+
+
+def _reference_draw(space, rng, n):
+    """The n unit doubles and the n rows of words of one mutation batch."""
+    lmax = max(unit.depth_max for unit in space.units)
+    return rng.random(n), rng.integers(0, _reference_word_bound(space), size=(n, 3 + lmax))
+
+
+def _reference_decode(space, arch, probs, x, words):
+    """The child of arch and its description, from one unit double and one
+    row of words, read as docs/FORMATS.md "Search stream" states."""
+    ratios = list(arch.channel_ratios)
+    actions = []
+    for u, unit in enumerate(space.units):
+        ratio = ratios[u] if ratios else None
+        actions.append(_reference_actions(space, unit, arch.depths[u], ratio))
+    live = [p if acts else 0.0 for p, acts in zip(probs, actions)]
+    if not any(live):
         raise ValidationError(f"space {space.name!r} admits no mutation from this architecture")
+    # the choice(n, p) law: the first unit whose normalised CDF exceeds x
+    cdf = np.cumsum(np.array(live) / np.sum(live))
+    cdf = cdf / cdf[-1]
+    u = 1
+    while cdf[u - 1] <= x:
+        u += 1
 
     unit = space.unit(u)
-    action = actions[int(rng.integers(len(actions)))]
+    names = [name for name, _ in actions[u - 1]]
+    action = names[int(words[0]) % len(names)]
+    arg, second, redraws = int(words[1]), int(words[2]), [int(w) for w in words[3:]]
     depths = list(arch.depths)
     blocks = [list(codes) for codes in arch.blocks]
-    ratios = list(arch.channel_ratios)
     resolution = arch.resolution
     ratio = ratios[u - 1] if ratios else None
 
     if action == "add_layer":
         choices = [b.code for b in consistent_blocks(unit, ratio)]
-        code = choices[int(rng.integers(len(choices)))]
+        code = choices[arg % len(choices)]
         blocks[u - 1].append(code)
         depths[u - 1] += 1
         desc = f"add_layer:u{u}:{code}"
     elif action == "remove_layer":
-        pos = int(rng.integers(depths[u - 1]))
+        pos = arg % depths[u - 1]
         removed = blocks[u - 1].pop(pos)
         depths[u - 1] -= 1
         desc = f"remove_layer:u{u}l{pos + 1}:{removed}"
     elif action == "change_block":
-        pos = int(rng.integers(depths[u - 1]))
+        pos = arg % depths[u - 1]
         old = blocks[u - 1][pos]
         choices = [b.code for b in consistent_blocks(unit, ratio) if b.code != old]
-        new = choices[int(rng.integers(len(choices)))]
+        new = choices[second % len(choices)]
         blocks[u - 1][pos] = new
         desc = f"change_block:u{u}l{pos + 1}:{old}->{new}"
     elif action == "change_ratio":
-        old = ratios[u - 1]
-        choices = [r for r in unit.channel_ratios if r != old]
-        new = choices[int(rng.integers(len(choices)))]
+        choices = [r for r in unit.channel_ratios if r != ratio]
+        new = choices[arg % len(choices)]
         ratios[u - 1] = new
         remap = {}
-        for b in consistent_blocks(unit, old):
+        for b in consistent_blocks(unit, ratio):
             for nb in consistent_blocks(unit, new):
                 if nb.expansion == b.expansion and nb.kernel == b.kernel:
                     remap[b.code] = nb.code
         fallback = [b.code for b in consistent_blocks(unit, new)]
-        blocks[u - 1] = [
-            remap.get(c) or fallback[int(rng.integers(len(fallback)))]
-            for c in blocks[u - 1]
-        ]
-        desc = f"change_ratio:u{u}:{old}->{new}"
+        blocks[u - 1] = [remap[c] if c in remap else fallback[redraws[l] % len(fallback)]
+                         for l, c in enumerate(blocks[u - 1])]
+        desc = f"change_ratio:u{u}:{ratio}->{new}"
     else:
         choices = [r for r in space.resolutions if r != resolution]
-        resolution = choices[int(rng.integers(len(choices)))]
+        resolution = choices[arg % len(choices)]
         desc = f"change_resolution:{arch.resolution}->{resolution}"
 
     child = Architecture(
@@ -550,6 +571,13 @@ def reference_mutate(space, arch, rng, unit_weights=None):
         channel_ratios=tuple(ratios),
     )
     return child, desc
+
+
+def reference_mutate(space, arch, rng, unit_weights=None):
+    """One mutation: a batch of one unit double and one row of words."""
+    probs = _reference_weights(space, unit_weights)
+    x, words = _reference_draw(space, rng, 1)
+    return _reference_decode(space, arch, probs, x[0], words[0])
 
 
 def _pairwise_rank(norm, size, fitness_mode, fronts=None):
@@ -601,8 +629,10 @@ def _median(values):
 
 
 def reference_evolve(space, config):
-    """The elitist loop that mutates, evaluates and dedupes one architecture
-    at a time, with arch_key strings as dedupe keys. Generation zero is the
+    """The elitist loop that decodes, dedupes and evaluates one architecture
+    at a time, with arch_key strings as dedupe keys: each generation draws
+    its parents, unit doubles and words as the search stream states, and
+    decodes every child before it evaluates any. Generation zero is the
     library's one sample_batch draw, evaluated row by row. Truncation,
     statistics and the frontier come from the pairwise code above, in plain
     lists."""
@@ -648,19 +678,32 @@ def reference_evolve(space, config):
         )
 
     history = [stats(0)]
+    probs = _reference_weights(space, config.unit_weights)
+    retries = DEDUPE_RETRIES
     for gen in range(1, config.generations + 1):
-        children = []
-        for _ in range(config.children):
-            parent = population[int(rng_mut.integers(len(population)))]
-            child, desc = reference_mutate(space, parent.arch, rng_mut, config.unit_weights)
-            if config.dedupe:
-                tries = 0
-                while arch_key(child) in seen and tries < search.DEDUPE_RETRIES:
-                    child, desc = reference_mutate(space, parent.arch, rng_mut,
-                                                   config.unit_weights)
-                    tries += 1
-            children.append(evaluate(child, gen, parent.eval_id, desc))
-            seen.add(arch_key(child))
+        picks = rng_mut.integers(len(population), size=config.children)
+        xs, words = _reference_draw(space, rng_mut, config.children)
+        parents = [population[int(i)] for i in picks]
+        drafts = [_reference_decode(space, parent.arch, probs, x, row)
+                  for parent, x, row in zip(parents, xs, words)]
+        if config.dedupe:
+            duplicates = []
+            for k, (child, _) in enumerate(drafts):
+                if arch_key(child) in seen:
+                    duplicates.append(k)
+                else:
+                    seen.add(arch_key(child))
+            if duplicates:
+                xs, words = _reference_draw(space, rng_mut, len(duplicates) * retries)
+                for j, k in enumerate(duplicates):
+                    tries = [_reference_decode(space, parents[k].arch, probs,
+                                               xs[j * retries + t], words[j * retries + t])
+                             for t in range(retries)]
+                    unseen = [t for t in tries if arch_key(t[0]) not in seen]
+                    drafts[k] = unseen[0] if unseen else tries[-1]
+                    seen.add(arch_key(drafts[k][0]))
+        children = [evaluate(child, gen, parent.eval_id, desc)
+                    for parent, (child, desc) in zip(parents, drafts)]
         all_points.extend(children)
         merged = population + children
         keep = _pairwise_rank(normed(merged), config.population, config.fitness_mode)

@@ -324,6 +324,38 @@ def test_domain_errors_exit_2(capsys, tmp_path, mini_file):
     assert rc == 2 and "unit_weights" in err
 
 
+@pytest.mark.parametrize("argv, metric", [
+    (("search", "pareto", "--objectives", "synthetic-acc:up,macs:min"), "synthetic-acc:up"),
+    (("search", "max", "--objectives", "acc:highest"), "acc:highest"),
+    (("profile", "blocks", "--metric", "npu:fast"), "npu:fast"),
+])
+def test_bad_direction_suffix_exits_2_naming_it(capsys, tmp_path, argv, metric):
+    rc, _, err = _run(capsys, *argv, "--space", "ofa", "--out", str(tmp_path / "out"))
+    direction = metric.rpartition(":")[2]
+    assert rc == 2
+    assert err.startswith(f"error: metric {metric!r}: unknown direction {direction!r}")
+    assert ":max, :maximize, :min, :minimize" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_mutation_bounds_beyond_63_bits_exit_2_naming_them(capsys, tmp_path):
+    # positions 1..43 alone have a least common multiple above 2**63
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps({
+        "name": "deep", "family": "mbconv_v2", "resolutions": [32],
+        "units": [{"depth_min": 1, "depth_max": 43, "base_channels": 8,
+                   "blocks": [{"code": "A", "kernel": 3, "expansion": 3},
+                              {"code": "B", "kernel": 5, "expansion": 3}]}],
+    }))
+    rc, _, err = _run(capsys, "search", "pareto", "--space", str(path),
+                      "--objectives", "macs:min,params:min", "--population", "4",
+                      "--generations", "1", "--children", "2", "--out", str(tmp_path / "out"))
+    bounds = ", ".join(str(b) for b in range(1, 44))
+    assert rc == 2
+    assert err.startswith(f"error: space 'deep': the mutation bounds [{bounds}] have a least "
+                          "common multiple of 9419588158802421600, which does not fit in 63 bits")
+
+
 def _bottleneck_config(path, blocks, ratios):
     path.write_text(json.dumps({
         "name": "bn", "family": "resnet_bottleneck", "resolutions": [32],

@@ -4,8 +4,9 @@ import pytest
 from archscope.costs import (
     AccuracyModel,
     MetricEvaluator,
+    _axis_values,
+    _capacity,
     accuracy_evaluator,
-    block_capacity,
     default_accuracy_model,
     half,
     macs,
@@ -167,15 +168,22 @@ def test_batch_path_rejects_non_finite_values(mini_space, value):
     assert exc.value.record == arch_key(first_bad)
 
 
+def _capacities(space, unit):
+    """The capacity the accuracy model gives each of a unit's blocks: its
+    rank along both block axes, in [0, 1]."""
+    axis_values = _axis_values(space)
+    return {b.code: _capacity(b, axis_values) for b in space.unit(unit).blocks}
+
+
 def test_block_capacity_ordering():
     space = load_space("ofa")
-    cap = {b.code: block_capacity(space, b) for b in space.unit(1).blocks}
+    cap = _capacities(space, 1)
     assert cap["MBConv3-3"] == 0.0
     assert cap["MBConv6-7"] == 1.0
     assert cap["MBConv3-3"] < cap["MBConv4-3"] < cap["MBConv6-3"]
     assert cap["MBConv3-3"] < cap["MBConv3-5"] < cap["MBConv3-7"]
     resnet = load_space("resnet50")
-    rcap = {b.code: block_capacity(resnet, b) for b in resnet.unit(1).blocks}
+    rcap = _capacities(resnet, 1)
     assert rcap["C65-B20"] == 0.0 and rcap["C100-B35"] == 1.0
     assert rcap["C65-B35"] == rcap["C100-B20"] == 0.5
 

@@ -29,14 +29,14 @@ from archscope.costs import (
 )
 from archscope.devices import identity_profile, latency_evaluator, list_profiles, load_profile
 from archscope.errors import EvaluationError, ValidationError
+from archscope.mutation import UnitPicker, mutation_tables
 from archscope.reduction import apply, preset
 from archscope.sampling import Genes, sample_batch, sample_uniform, spawn_rng
 from archscope.search import (
     FITNESS_DOMINANCE,
     FITNESS_RANK_SUM,
     SearchConfig,
-    UnitPicker,
-    _fast_nondominated_fronts,
+    _fronts,
     _rank,
     evolve,
     mutate,
@@ -53,6 +53,7 @@ from archscope.spaces import (
 )
 from archscope.tables import ADDITIVE, MetricTable, table_evaluator
 
+from .conftest import build_mini_ratio_space, build_mini_space
 from .oracles import (
     _pairwise_rank,
     _unit_configs,
@@ -87,16 +88,20 @@ def _objective_vectors(draw):
     return [tuple(row) for row in rows]
 
 
+def _front_lists(norm):
+    """Every front _fronts peels, as index lists."""
+    return [front.tolist() for front in _fronts(norm)]
+
+
 @settings(max_examples=300, deadline=None)
 @given(_objective_vectors())
 def test_fronts_match_pairwise_sort(norm):
-    assert _fast_nondominated_fronts(norm) == brute_fronts(norm)
+    assert _front_lists(norm) == brute_fronts(norm)
 
 
 def test_fronts_of_a_chain_and_of_equal_points():
-    assert _fast_nondominated_fronts([(3, 0), (2, 1), (1, 2), (2, 2), (3, 3)]) == [
-        [0, 1, 2], [3], [4]]
-    assert _fast_nondominated_fronts([(1.0, 1.0)] * 3) == [[0, 1, 2]]
+    assert _front_lists([(3, 0), (2, 1), (1, 2), (2, 2), (3, 3)]) == [[0, 1, 2], [3], [4]]
+    assert _front_lists([(1.0, 1.0)] * 3) == [[0, 1, 2]]
 
 
 _LATENCY_CASES = [
@@ -519,9 +524,15 @@ def test_cdf_pick_equals_generator_choice(weights, seed):
     w = np.asarray(weights) / np.sum(weights)
     assert picker.probs.tolist() == w.tolist()
     ours, theirs = spawn_rng(seed), spawn_rng(seed)
-    for _ in range(20):
-        assert picker.pick(ours) == int(theirs.choice(5, p=w / w.sum())) + 1
-    assert ours.random() == theirs.random()  # one double per pick on both sides
+    x = ours.random(20)  # one double per pick on both sides
+    expected = [int(theirs.choice(5, p=w / w.sum())) for _ in range(20)]
+    assert ours.random() == theirs.random()
+    # where every unit admits an action, the restricted weights are the
+    # weights: on the all-admitting batch and on rows of a mixed batch
+    admits = np.ones((21, 5), dtype=bool)
+    assert picker.pick(x, admits[:20]).tolist() == expected
+    admits[20] = np.arange(5) == np.flatnonzero(w)[0]  # one more row, one unit
+    assert picker.pick(np.append(x, 0.5), admits).tolist() == [*expected, np.flatnonzero(w)[0]]
 
 
 @settings(max_examples=40, deadline=None)
@@ -542,6 +553,66 @@ def test_mutate_equals_the_reference_mutation(config, seed):
             except ValidationError as exc:
                 expected = str(exc)
             assert got == expected
+
+
+def _exact_mutation_law(space, arch, weights):
+    """The probability of each mutation description of arch, enumerated: a
+    unit in proportion to its weight among the units with an action, an
+    action uniform over the unit's applicable ones, and every argument
+    uniform over its choices."""
+    law = collections.Counter()
+    w = [1.0] * space.n_units if weights is None else list(weights)
+    moves = []
+    for u, unit in enumerate(space.units, 1):
+        depth, old = arch.depths[u - 1], arch.blocks[u - 1]
+        ratio = arch.channel_ratios[u - 1] if arch.channel_ratios else None
+        codes = [b.code for b in unit.blocks if b.channel_ratio in (None, ratio)]
+        actions = []
+        if depth < unit.depth_max:
+            actions.append([f"add_layer:u{u}:{c}" for c in codes])
+        if depth > unit.depth_min:
+            actions.append([f"remove_layer:u{u}l{l + 1}:{old[l]}" for l in range(depth)])
+        if len(codes) > 1:
+            actions.append([f"change_block:u{u}l{l + 1}:{old[l]}->{c}"
+                            for l in range(depth) for c in codes if c != old[l]])
+        if len(unit.channel_ratios) > 1:
+            actions.append([f"change_ratio:u{u}:{ratio}->{r}"
+                            for r in unit.channel_ratios if r != ratio])
+        if len(space.resolutions) > 1:
+            actions.append([f"change_resolution:{arch.resolution}->{r}"
+                            for r in space.resolutions if r != arch.resolution])
+        moves.append(actions)
+    total = sum(wu for wu, actions in zip(w, moves) if actions)
+    for wu, actions in zip(w, moves):
+        for outcomes in actions:
+            for desc in outcomes:
+                law[desc] += wu / total / len(actions) / len(outcomes)
+    return law
+
+
+_LAW_SPACES = {
+    "mini": build_mini_space,
+    "mini-2res": lambda: build_mini_space(resolutions=(32, 64)),
+    "mini-ratio": build_mini_ratio_space,
+    "frozen-unit": lambda: _frozen_unit_space(),  # unit 1 has no action
+}
+
+
+@pytest.mark.parametrize("space_name", sorted(_LAW_SPACES))
+@pytest.mark.parametrize("weights", [None, (1.0, 3.0), (0.0, 1.0)])
+def test_batch_mutation_matches_the_exact_law(space_name, weights):
+    """The counts of (unit, action, argument), read off the descriptions of
+    many batch mutations of fixed parent rows, fit the enumerated law."""
+    space = _LAW_SPACES[space_name]()
+    tables, picker, n = mutation_tables(space), UnitPicker(space, weights), 6000
+    parents = _rows(sample_batch(space, spawn_rng(21), 4))
+    rng = spawn_rng(22)
+    for arch in parents:
+        rows = Genes.from_architectures(space, [arch] * n).rows()
+        kids, descs = tables.mutate(rows, *tables.draw(rng, n), picker)
+        observed = collections.Counter(tables.describe(d) for d in descs.tolist())
+        _fits(observed, _exact_mutation_law(space, arch, weights), n)
+        assert not (kids == rows).all(axis=1).any()  # every child differs from its parent
 
 
 @settings(max_examples=40, deadline=None)

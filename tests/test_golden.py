@@ -32,7 +32,7 @@ EXPECTED = {
     "blocks-params/blocks-resnet50-params.csv":
         "5c4a11fd68576334dcb44424e256d43db65cf5bc228bf508bf8ebe598a26c3cf",
     "compare/compare.csv":
-        "5cf587fac6b29b21a89655d71a6fd240b358d451b5afb179df6185506e94cc72",
+        "37e15f2c65792d8daacb73ed9a932bddb9ae2c71a32d3ab73cb845d3df80e32b",
     "docs/additive-table.csv":
         "c0f946ad1c30dca21e10c17921cb11fd69f40d58e70828764a4d5e073350014a",
     "docs/exact-table.csv":
@@ -42,37 +42,37 @@ EXPECTED = {
     "docs/ruleset.json":
         "11714181bf62a9d1277cfdfd90eabae52e28603640a42ebef55873dffb271443",
     "max/max-resnet50-s1-history.json":
-        "2d69f37b4f887a847ee9b1e66eadd602b03c07205fb95608910a49ee810f48ab",
+        "974b807447545dd999337544f9ff22e85a259bd278e3bd88a55485f9e87f08eb",
     "max/max-resnet50-s1.json":
-        "c04a150dcb130accafdf2f4ab702f6386ac01c1aaa09a8f6cd143c66a43888e5",
+        "97c215ad7287b310916b8a973d4fd4cf1789f26fb91316608a9395258864c620",
     "max-weights/max-ofa-s2-history.json":
-        "06642236c1dba18257033ab0caab559542559d706d390b125682671cdfa71102",
+        "51e11eefcdfd707b7a23df093c2ec8e70b7ec60621b1e4c434cd1dc1ade84901",
     "max-weights/max-ofa-s2.json":
-        "398e82771671997ba8226799316846564ffe4e41418edf6102d5acf9a215df3f",
+        "b93d3b37753ffd32810a28868013a1856366879effe5e81228cc214e74a0cf08",
     "pareto-acc-macs/pareto-ofa-s5-history.json":
-        "5b6b8b97b281d98352c28d02c59317c2834fd0bd2859dffdbeb6fab5188e63c7",
+        "8739388cd219d4f2c86e1abb8454c1ced38fc602f9f666717ddb78aba715ab26",
     "pareto-acc-macs/pareto-ofa-s5.csv":
-        "5ecc681b58ebfcd5e52612116562a5867eca7a62debd725166366b5393f56874",
+        "fe3da6c30067cbbcb2dd7260cd7b7f8f68f1d2cec1a1f1c63dc7b60ba047c0dd",
     "pareto-acc-macs/pareto-ofa-s5.json":
-        "84d3f7fae3c8a9e0cfbffd6e80472bd0d84e73f9aeb36a11d1bdbc547e13fb0c",
+        "18117edb15418f788ee4fb46313fafe1a3682431ccfe216e425c1f9e724ec0e9",
     "pareto-rank-sum/pareto-proxylessnas-s7-history.json":
-        "9e1dd31598c58920af629309c3594e47f288673c84d2cf0cffa7433a460a97bf",
+        "9bb6ebdeda8088296a51679c0f1c4e2700506cd4dbbf50fa97898a1cec0124bb",
     "pareto-rank-sum/pareto-proxylessnas-s7.csv":
-        "d8ec3b09ad55f61bec2c91070a59633e88458e514dc321fe0dcfc3587b28a48b",
+        "756eaff10a94850c055b8c989ba37ed9c5d0e2e52f12bc762c0636e02701b70c",
     "pareto-rank-sum/pareto-proxylessnas-s7.json":
-        "56efb6cb8394704298eff61db06043bd62404b79cc01532b406253640139a598",
+        "6f68c8757a853c4e70fc61e0944ef8068d45d7df1a0c846770c9d3de1ceaf307",
     "pareto/pareto-ofa-ofa-npu-s3-history.json":
-        "30f934b97e8a617314a0800e84ec0a9275201e9db4e865c928edd8d78d0f0d79",
+        "f3893d32ba7760b6294ad6487b9d7ff80938709776da168e7beca79ceaacb2dc",
     "pareto/pareto-ofa-ofa-npu-s3.csv":
-        "6d0c2d2c5856a82263d954e5aac2d3c7eac31cfd6a37c859f9d607c1ac31224e",
+        "9896daf77347b41a55f026bc0b37380377e1a0cb5f502337f2d1f620d2a25402",
     "pareto/pareto-ofa-ofa-npu-s3.json":
-        "88868c8243eb9c71baa47447032ead2bb635f8a156c0509b2d2854fc17bf27ba",
+        "91872232585635e0c5b58a88b27ca78100663a4c42f21f802bb593d1f7637665",
     "pareto/pareto-ofa-ofa-npu-s4-history.json":
-        "b793a2e1c9bec785a1daedaa2653782a291975fe33ea56ef5cf5d36ebe228098",
+        "5423a4b0c5eff4f67d8a2142371e48bbc093a9eae08b0cb2d76fbc47555c3db4",
     "pareto/pareto-ofa-ofa-npu-s4.csv":
-        "08d4275525b76ea1cfe5697504a7913fd43ea8e7220d7948ac3016485837f160",
+        "72f9d16b33959222b830d24d83f7ad0427d877781b0af0a443e9f6e3f27a4101",
     "pareto/pareto-ofa-ofa-npu-s4.json":
-        "210f7d9285f418aa4044c7602dbcd287384b0b8a2c1951006f2684f777ebb794",
+        "e583aad6d019f4aa62f7640e1d0e281029b7c1cc3f79907a2d3b4dd913c2b0ed",
     "placements-cpu/placements-resnet50-cpu-expansion-bound-boundaries.json":
         "eba4192618f817814a681fdc48fe813b313abf9300b3d12a2b5e8c1d6c96acf2",
     "placements-cpu/placements-resnet50-cpu-expansion-bound.csv":

@@ -42,7 +42,7 @@ def test_additive_sum_frozen():
         space="ofa", resolution=224, depths=(3, 3, 3, 3, 3),
         blocks=tuple(("MBConv3-3",) * 3 for _ in range(5)),
     )
-    assert arch.n_layers == 15
+    assert sum(arch.depths) == 15
     assert table_evaluate(space, table, arch) == 15 * 0.5 + 1.0 == 8.5
 
 
