@@ -261,6 +261,15 @@ def _unit_weights(args, advisory):
     return _parse_floats(args.unit_weights, "--unit-weights")
 
 
+def _check_search(space, unit_weights) -> None:
+    """Refuse a space whose mutation bounds overflow, or unit weights that
+    do not fit it, before the output directory is made."""
+    from .mutation import UnitPicker, mutation_tables  # only searches import it
+
+    mutation_tables(space)  # cached: evolve reuses these tables
+    UnitPicker(space, unit_weights)
+
+
 def _run_search(space, args, objectives, seed, unit_weights):
     config = SearchConfig(
         objectives=objectives,
@@ -281,6 +290,7 @@ def cmd_search_pareto(args) -> int:
     if len(objectives) < 2:
         raise ConfigError("search pareto needs at least two objectives")
     unit_weights = _unit_weights(args, advisory)
+    _check_search(space, unit_weights)
     out = _out_dir(args)
     manifest = _manifest(args, space)
     for ev in objectives:
@@ -322,6 +332,7 @@ def cmd_search_max(args) -> int:
     if len(objectives) != 1:
         raise ConfigError("search max needs exactly one objective")
     unit_weights = _unit_weights(args, advisory)
+    _check_search(space, unit_weights)
     out = _out_dir(args)
     manifest = _manifest(args, space)
     manifest.evaluators.append(_evaluator_entry(objectives[0]))

@@ -47,14 +47,11 @@ class UnitPicker:
             )
         self.space_name = space.name
         self.probs = w / total
-        self.cdf = _cdf(self.probs[None])[0]
 
     def pick(self, x: np.ndarray, admits: np.ndarray) -> np.ndarray:
         """The 0-based unit of each row, drawn with its double x[k] from the
         weights restricted to the units where admits[k] holds. Raises when a
         row has no such unit of positive weight."""
-        if admits.all():  # the common case: every row's CDF is the weights' own
-            return np.searchsorted(self.cdf, x, side="right")
         q = self.probs * admits
         if not q.any(axis=1).all():
             raise ValidationError(

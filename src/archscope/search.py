@@ -34,7 +34,6 @@ import numpy as np
 
 from .costs import MAXIMIZE, MINIMIZE, MetricEvaluator
 from .errors import EvaluationError, ValidationError
-from .mutation import UnitPicker, dedupe, mutation_tables, row_keys
 # sample_uniform is unused here: the benchmark's tracer patches it on this
 # module; it goes with the next benchmark change (ROADMAP item 5)
 from .sampling import (
@@ -132,6 +131,8 @@ def mutate(
     gene of the space can move at all. A batch of one of the mutation that
     evolve runs: the same draws and the same decoding.
     """
+    from .mutation import UnitPicker, mutation_tables  # see evolve
+
     picker = unit_weights if isinstance(unit_weights, UnitPicker) else UnitPicker(
         space, unit_weights)
     tables = mutation_tables(space)
@@ -308,6 +309,9 @@ def _score(objectives, genes: Genes) -> np.ndarray:
 
 def evolve(space: DesignSpace, config: SearchConfig) -> SearchResult:
     """Run the elitist EA; deterministic for a fixed (space, config)."""
+    # only here: commands that never search do not compile the mutation module
+    from .mutation import UnitPicker, dedupe, mutation_tables, row_keys
+
     pop_size, children, objectives = config.population, config.children, config.objectives
     directions = config.directions()
     tables, picker = mutation_tables(space), UnitPicker(space, config.unit_weights)

@@ -338,7 +338,10 @@ def test_bad_direction_suffix_exits_2_naming_it(capsys, tmp_path, argv, metric):
     assert not (tmp_path / "out").exists()
 
 
-def test_mutation_bounds_beyond_63_bits_exit_2_naming_them(capsys, tmp_path):
+@pytest.mark.parametrize("command, objectives", [
+    ("pareto", "macs:min,params:min"), ("max", "macs:min")])
+def test_mutation_bounds_beyond_63_bits_exit_2_naming_them(capsys, tmp_path, command,
+                                                           objectives):
     # positions 1..43 alone have a least common multiple above 2**63
     path = tmp_path / "deep.json"
     path.write_text(json.dumps({
@@ -347,13 +350,14 @@ def test_mutation_bounds_beyond_63_bits_exit_2_naming_them(capsys, tmp_path):
                    "blocks": [{"code": "A", "kernel": 3, "expansion": 3},
                               {"code": "B", "kernel": 5, "expansion": 3}]}],
     }))
-    rc, _, err = _run(capsys, "search", "pareto", "--space", str(path),
-                      "--objectives", "macs:min,params:min", "--population", "4",
+    rc, _, err = _run(capsys, "search", command, "--space", str(path),
+                      "--objectives", objectives, "--population", "4",
                       "--generations", "1", "--children", "2", "--out", str(tmp_path / "out"))
     bounds = ", ".join(str(b) for b in range(1, 44))
     assert rc == 2
     assert err.startswith(f"error: space 'deep': the mutation bounds [{bounds}] have a least "
                           "common multiple of 9419588158802421600, which does not fit in 63 bits")
+    assert not (tmp_path / "out").exists()
 
 
 def _bottleneck_config(path, blocks, ratios):

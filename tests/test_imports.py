@@ -56,6 +56,15 @@ def test_cli_import_leaves_tables_unloaded_until_a_table_metric(tmp_path):
     assert (tmp_path / "out").is_dir()
 
 
+def test_mutation_module_loads_only_for_a_search(tmp_path):
+    assert "archscope.mutation" not in _modules_after("import archscope.cli")
+    argv = ["search", "max", "--space", "ofa", "--objectives", "macs:min",
+            "--population", "4", "--generations", "1", "--children", "4",
+            "--out", str(tmp_path / "out")]
+    code = f"from archscope import cli\nassert cli.main({argv!r}) == 0"
+    assert "archscope.mutation" in _modules_after(code)
+
+
 def test_package_names_load_on_first_use():
     loaded = _modules_after("import archscope\nassert archscope.__version__")
     assert not any(name.startswith("archscope.") for name in loaded)
