@@ -8,7 +8,9 @@ stdout carries data and output paths, stderr carries diagnostics. Exit codes:
 
 --workers and --out fall back to the ARCHSCOPE_WORKERS / ARCHSCOPE_OUT
 environment variables when the flags are absent. Bad input is rejected with
-exit code 2 before any sampling starts.
+exit code 2 before any sampling starts. Each command does all its work first
+and then hands its lines and files to _publish, which alone makes --out, so a
+run that fails writes nothing.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import partial
 from pathlib import Path
 
 from . import __version__
@@ -88,22 +91,36 @@ def _int_at_least(low: int):
     return parse
 
 
-def _out_dir(args) -> Path:
+def _publish(args, command, items, space=None, evaluators=(), extra=None) -> int:
+    """Record a finished command: print each item in order, where an item is a
+    stdout line or a (file name, writer) pair whose writer(path) makes the file
+    under --out, which is then printed and hashed into COMMAND-manifest.json.
+    The manifest is written, and its path printed, last. --out is made here
+    and nowhere else, so a command that fails before this call writes nothing."""
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _manifest(args, space=None) -> RunManifest:
-    manifest = RunManifest(command=list(args.raw_argv), seed=args.seed)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out {out}: {exc.strerror or exc}") from exc
+    manifest = args.manifest
     if space is not None:
         manifest.space_fingerprint = space_fingerprint(space)
-    manifest.start()
-    return manifest
-
-
-def _evaluator_entry(ev) -> dict:
-    return {"name": ev.name, "direction": ev.direction, "params": ev.params_digest}
+    manifest.evaluators = [{"name": ev.name, "direction": ev.direction, "params": ev.params_digest}
+                           for ev in evaluators]
+    manifest.extra = extra or {}
+    for item in items:
+        if isinstance(item, str):
+            print(item)
+            continue
+        name, writer = item
+        path = out / name
+        writer(path)
+        manifest.add_output(path, out)
+        print(path)
+    manifest_path = out / f"{command}-manifest.json"
+    manifest.write(manifest_path)
+    print(manifest_path)
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -136,28 +153,18 @@ def cmd_spaces_count(args) -> int:
 def cmd_profile_blocks(args) -> int:
     space = load_space(args.space)
     evaluator = resolve_evaluator(args.metric, space)
-    out = _out_dir(args)
-    manifest = _manifest(args, space)
-    manifest.evaluators.append(_evaluator_entry(evaluator))
-    per_resolution = True if args.per_resolution else None
     report = block_heatmap(
         space,
         evaluator,
         n_per_placement=args.samples,
         seed=args.seed,
-        per_resolution=per_resolution,
+        per_resolution=True if args.per_resolution else None,
         workers=args.workers,
     )
     stem = f"blocks-{_safe_name(space.name)}-{_safe_name(evaluator.name)}"
-    csv_path = out / f"{stem}.csv"
-    write_heatmap_csv(report, space, csv_path)
-    manifest.add_output(csv_path, out)
-    manifest.extra = {"n_per_placement": args.samples, "rows": len(report.rows)}
-    manifest_path = out / "profile-blocks-manifest.json"
-    manifest.write(manifest_path)
-    print(csv_path)
-    print(manifest_path)
-    return 0
+    items = [(f"{stem}.csv", partial(write_heatmap_csv, report, space))]
+    return _publish(args, "profile-blocks", items, space, [evaluator],
+                    {"n_per_placement": args.samples, "rows": len(report.rows)})
 
 
 def cmd_profile_placements(args) -> int:
@@ -173,9 +180,6 @@ def cmd_profile_placements(args) -> int:
             raise ConfigError(f"--percentiles: ranks {columns[label]!r} and {tau!r} both "
                               f"make column {label!r}")
         columns[label] = tau
-    out = _out_dir(args)
-    manifest = _manifest(args, space)
-    manifest.evaluators.append(_evaluator_entry(evaluator))
     report = placement_sweep(
         space,
         evaluator,
@@ -186,216 +190,153 @@ def cmd_profile_placements(args) -> int:
         workers=args.workers,
     )
     stem = f"placements-{_safe_name(space.name)}-{_safe_name(evaluator.name)}"
-    csv_path = out / f"{stem}.csv"
-    boundaries_path = out / f"{stem}-boundaries.json"
-    write_sweep_csv(report, csv_path, raw=args.raw)
-    write_sweep_boundaries(report, boundaries_path)
-    manifest.add_output(csv_path, out)
-    manifest.add_output(boundaries_path, out)
-    paths = [csv_path, boundaries_path]
+    items = [
+        (f"{stem}.csv", partial(write_sweep_csv, report, raw=args.raw)),
+        (f"{stem}-boundaries.json", partial(write_sweep_boundaries, report)),
+    ]
     if args.plot_data:
-        dat_path = out / f"{stem}.dat"
-        write_sweep_dat(report, dat_path, raw=args.raw)
-        manifest.add_output(dat_path, out)
-        paths.append(dat_path)
-    manifest.extra = {
+        items.append((f"{stem}.dat", partial(write_sweep_dat, report, raw=args.raw)))
+    return _publish(args, "profile-placements", items, space, [evaluator], {
         "n_per_placement": args.samples,
         "baseline_n": report.baseline_n,
         "taus": list(taus),
         "rows": len(report.rows),
-    }
-    manifest_path = out / "profile-placements-manifest.json"
-    manifest.write(manifest_path)
-    for p in paths:
-        print(p)
-    print(manifest_path)
-    return 0
+    })
 
 
 def cmd_reduce(args) -> int:
     space = load_space(args.space)
     ruleset = load_ruleset(args.preset if args.preset else args.rules)
     reduced = apply_ruleset(space, ruleset)
-    print(f"space={space.name}")
-    print(f"ruleset={ruleset.name}")
-    print(f"reduced_space={reduced.name}")
-    print(f"placements={count_placements(space)} -> {count_placements(reduced)}")
-    print(f"architectures={count_architectures(space)} -> {count_architectures(reduced)}")
+    lines = [
+        f"space={space.name}",
+        f"ruleset={ruleset.name}",
+        f"reduced_space={reduced.name}",
+        f"placements={count_placements(space)} -> {count_placements(reduced)}",
+        f"architectures={count_architectures(space)} -> {count_architectures(reduced)}",
+    ]
     if args.include_resolutions:
         before = count_architectures(space, include_resolutions=True)
         after = count_architectures(reduced, include_resolutions=True)
-        print(f"architectures_including_resolutions={before} -> {after}")
-    if args.emit or args.emit_default:
-        out = _out_dir(args)
-        emit_path = Path(args.emit) if args.emit else out / f"reduced-{_safe_name(reduced.name)}.json"
-        emit_path.parent.mkdir(parents=True, exist_ok=True)
-        save_space(reduced, emit_path)
-        print(emit_path)
-        if not args.emit:
-            manifest = _manifest(args, space)
-            manifest.extra = {"ruleset": ruleset.name}
-            manifest.add_output(emit_path, out)
-            manifest_path = out / "reduce-manifest.json"
-            manifest.write(manifest_path)
-            print(manifest_path)
+        lines.append(f"architectures_including_resolutions={before} -> {after}")
+    if args.emit:
+        emit_path = Path(args.emit)
+        try:
+            emit_path.parent.mkdir(parents=True, exist_ok=True)
+            save_space(reduced, emit_path)
+        except OSError as exc:
+            raise ConfigError(f"--emit {emit_path}: {exc.strerror or exc}") from exc
+        lines.append(str(emit_path))
+    elif args.emit_default:
+        lines.append((f"reduced-{_safe_name(reduced.name)}.json", partial(save_space, reduced)))
+        return _publish(args, "reduce", lines, space, extra={"ruleset": ruleset.name})
+    print("\n".join(lines))
     return 0
 
 
-def _search_space(args):
+def _searches(args, fits, wanted: str):
+    """The space (reduced by --preset), the objectives, and one evolve result
+    per seed in seed..seed+repeats-1. fits(count) says whether the command
+    takes that many objectives; wanted says how many it takes."""
     space = load_space(args.space)
-    advisory_weights = None
+    weights = None
     if args.preset:
         ruleset = load_ruleset(args.preset)
         space = apply_ruleset(space, ruleset)
-        weights = ruleset.advisory.get("unit_weights")
-        if weights is not None:
-            advisory_weights = tuple(float(w) for w in weights)
-    return space, advisory_weights
-
-
-def _unit_weights(args, advisory):
-    if args.unit_weights is None:
-        return advisory
-    if args.unit_weights.strip().lower() == "uniform":
-        return None
-    return _parse_floats(args.unit_weights, "--unit-weights")
-
-
-def _check_search(space, unit_weights) -> None:
-    """Refuse a space whose mutation bounds overflow, or unit weights that
-    do not fit it, before the output directory is made."""
-    from .mutation import UnitPicker, mutation_tables  # only searches import it
-
-    mutation_tables(space)  # cached: evolve reuses these tables
-    UnitPicker(space, unit_weights)
-
-
-def _run_search(space, args, objectives, seed, unit_weights):
-    config = SearchConfig(
-        objectives=objectives,
-        population=args.population,
-        generations=args.generations,
-        children=args.children,
-        seed=seed,
-        unit_weights=unit_weights,
-        dedupe=not args.no_dedupe,
-        fitness_mode=args.fitness_mode,
-    )
-    return evolve(space, config)
+        advice = ruleset.advisory.get("unit_weights")
+        if advice is not None:
+            weights = tuple(float(w) for w in advice)
+    objectives = parse_objectives(args.objectives, space)
+    if not fits(len(objectives)):
+        raise ConfigError(f"search {args.subcommand} needs {wanted}")
+    if args.unit_weights is not None:
+        uniform = args.unit_weights.strip().lower() == "uniform"
+        weights = None if uniform else _parse_floats(args.unit_weights, "--unit-weights")
+    results = [
+        evolve(space, SearchConfig(
+            objectives=objectives,
+            population=args.population,
+            generations=args.generations,
+            children=args.children,
+            seed=args.seed + i,
+            unit_weights=weights,
+            dedupe=not args.no_dedupe,
+            fitness_mode=args.fitness_mode,
+        ))
+        for i in range(args.repeats)
+    ]
+    return space, objectives, results
 
 
 def cmd_search_pareto(args) -> int:
-    space, advisory = _search_space(args)
-    objectives = parse_objectives(args.objectives, space)
-    if len(objectives) < 2:
-        raise ConfigError("search pareto needs at least two objectives")
-    unit_weights = _unit_weights(args, advisory)
-    _check_search(space, unit_weights)
-    out = _out_dir(args)
-    manifest = _manifest(args, space)
-    for ev in objectives:
-        manifest.evaluators.append(_evaluator_entry(ev))
-    seeds = [args.seed + i for i in range(args.repeats)]
-    for seed in seeds:
-        result = _run_search(space, args, objectives, seed, unit_weights)
+    space, objectives, results = _searches(args, lambda n: n >= 2, "at least two objectives")
+    items = []
+    for seed, result in enumerate(results, start=args.seed):
+        front = result.frontier
+        best = {name: None for name, _ in front.objectives}
+        for (name, direction), column in zip(front.objectives,
+                                             zip(*(p.metrics for p in front.points))):
+            best[name] = max(column) if direction == "maximize" else min(column)
+        summary = " ".join(f"best_{name}={best[name]!r}" for name, _ in front.objectives)
         stem = f"pareto-{_safe_name(space.name)}-s{seed}"
-        csv_path = out / f"{stem}.csv"
-        json_path = out / f"{stem}.json"
-        history_path = out / f"{stem}-history.json"
-        write_frontier_csv(result.frontier, csv_path)
-        write_frontier_json(result.frontier, json_path)
-        write_search_history(result, history_path)
-        for p in (csv_path, json_path, history_path):
-            manifest.add_output(p, out)
-        names = result.frontier.objectives
-        best = {name: None for name, _ in names}
-        for (name, direction), value in zip(names, zip(*[p.metrics for p in result.frontier.points])):
-            best[name] = max(value) if direction == "maximize" else min(value)
-        summary = " ".join(f"best_{name}={best[name]!r}" for name, _ in names)
-        print(
+        items += [
             f"seed={seed} evaluations={result.total_evaluations} "
-            f"frontier_size={len(result.frontier.points)} {summary}"
-        )
-        print(csv_path)
-        print(json_path)
-        print(history_path)
-    manifest.extra = {"repeats": args.repeats, "budget_per_run": args.population + args.generations * args.children}
-    manifest_path = out / "search-pareto-manifest.json"
-    manifest.write(manifest_path)
-    print(manifest_path)
-    return 0
+            f"frontier_size={len(front.points)} {summary}",
+            (f"{stem}.csv", partial(write_frontier_csv, front)),
+            (f"{stem}.json", partial(write_frontier_json, front)),
+            (f"{stem}-history.json", partial(write_search_history, result)),
+        ]
+    return _publish(args, "search-pareto", items, space, objectives, {
+        "repeats": args.repeats,
+        "budget_per_run": args.population + args.generations * args.children,
+    })
 
 
 def cmd_search_max(args) -> int:
-    space, advisory = _search_space(args)
-    objectives = parse_objectives(args.objectives, space)
-    if len(objectives) != 1:
-        raise ConfigError("search max needs exactly one objective")
-    unit_weights = _unit_weights(args, advisory)
-    _check_search(space, unit_weights)
-    out = _out_dir(args)
-    manifest = _manifest(args, space)
-    manifest.evaluators.append(_evaluator_entry(objectives[0]))
-    seeds = [args.seed + i for i in range(args.repeats)]
-    best_values = []
-    for seed in seeds:
-        result = _run_search(space, args, objectives, seed, unit_weights)
+    space, objectives, results = _searches(args, lambda n: n == 1, "exactly one objective")
+    items = []
+    for seed, result in enumerate(results, start=args.seed):
         best = result.best
-        best_values.append(best.metrics[0])
-        stem = f"max-{_safe_name(space.name)}-s{seed}"
-        best_path = out / f"{stem}.json"
-        history_path = out / f"{stem}-history.json"
         record = serialize(best.arch)
         record["metrics"] = {objectives[0].name: best.metrics[0]}
-        write_json(record, best_path)
-        write_search_history(result, history_path)
-        manifest.add_output(best_path, out)
-        manifest.add_output(history_path, out)
-        print(f"seed={seed} evaluations={result.total_evaluations} best={best.metrics[0]!r}")
-        print(best_path)
-        print(history_path)
+        stem = f"max-{_safe_name(space.name)}-s{seed}"
+        items += [
+            f"seed={seed} evaluations={result.total_evaluations} best={best.metrics[0]!r}",
+            (f"{stem}.json", partial(write_json, record)),
+            (f"{stem}-history.json", partial(write_search_history, result)),
+        ]
     import statistics  # only here: importing it costs a few ms per process
 
+    best_values = [result.best.metrics[0] for result in results]
     mean = statistics.fmean(best_values)
     stdev = statistics.stdev(best_values) if len(best_values) > 1 else 0.0
-    print(f"repeats={args.repeats} mean_best={mean!r} stdev_best={stdev!r}")
-    manifest.extra = {
+    items.append(f"repeats={args.repeats} mean_best={mean!r} stdev_best={stdev!r}")
+    return _publish(args, "search-max", items, space, objectives, {
         "repeats": args.repeats,
         "mean_best": mean,
         "stdev_best": stdev,
         "budget_per_run": args.population + args.generations * args.children,
-    }
-    manifest_path = out / "search-max-manifest.json"
-    manifest.write(manifest_path)
-    print(manifest_path)
-    return 0
+    })
 
 
 def cmd_search_compare(args) -> int:
     front_a = read_frontier_csv(args.frontier_a)
     front_b = read_frontier_csv(args.frontier_b)
     cmp = compare_frontiers(front_a, front_b, grid_points=args.grid_points)
-    print(f"budget_axis={cmp.budget_axis}")
-    print(f"quality_axis={cmp.quality_axis}")
-    print(f"frac_a={cmp.frac_a!r}")
-    print(f"frac_b={cmp.frac_b!r}")
-    print(f"frac_tie={cmp.frac_tie!r}")
-    out = _out_dir(args)
-    csv_path = out / "compare.csv"
-    write_comparison_csv(cmp, csv_path)
-    manifest = _manifest(args)
-    manifest.add_output(csv_path, out)
-    manifest.extra = {
+    items = [
+        f"budget_axis={cmp.budget_axis}",
+        f"quality_axis={cmp.quality_axis}",
+        f"frac_a={cmp.frac_a!r}",
+        f"frac_b={cmp.frac_b!r}",
+        f"frac_tie={cmp.frac_tie!r}",
+        ("compare.csv", partial(write_comparison_csv, cmp)),
+    ]
+    return _publish(args, "search-compare", items, extra={
         "frontier_a": str(args.frontier_a),
         "frontier_b": str(args.frontier_b),
         "frac_a": cmp.frac_a,
         "frac_b": cmp.frac_b,
-    }
-    manifest_path = out / "search-compare-manifest.json"
-    manifest.write(manifest_path)
-    print(csv_path)
-    print(manifest_path)
-    return 0
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +469,8 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
-    args.raw_argv = ["archscope", *argv]
+    args.manifest = RunManifest(command=["archscope", *argv], seed=args.seed)
+    args.manifest.start()
     try:
         return args.func(args)
     except ArchscopeError as exc:

@@ -1,6 +1,7 @@
 """The one home of the conventions every document shares (docs/FORMATS.md):
 indented sorted-key JSON, CSV under '# key=value' headers, and resolving a config
-from an instance, a mapping, a preset name, or a JSON file path."""
+from an instance, a mapping, a preset name, or a JSON file path. Every input
+file is read here, so a file that cannot be read is a ConfigError naming it."""
 
 from __future__ import annotations
 
@@ -25,13 +26,23 @@ def write_csv(path, header: dict, rows) -> None:
     Path(path).write_text(buf.getvalue())
 
 
+def _read_text(path) -> str:
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read ({exc.strerror or exc})") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(
+            f"{path}: not {exc.encoding} text ({exc.reason} at byte {exc.start})") from exc
+
+
 def read_csv(path):
     """Inverse of write_csv: the '# key=value' fields, and a CSV reader over the
     non-blank lines after them. '#' lines without '=' are skipped; a repeated
     key keeps its last value."""
     header: dict[str, str] = {}
     body = []
-    for line in Path(path).read_text().splitlines():
+    for line in _read_text(path).splitlines():
         if line.startswith("#"):
             key, sep, value = line.lstrip("#").strip().partition("=")
             if sep:
@@ -54,7 +65,7 @@ def resolve_config(source, cls: type, presets: dict, parse, noun: str):
         path = Path(source)
         if path.exists():
             try:
-                config = json.loads(path.read_text())
+                config = json.loads(_read_text(path))
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
             return parse(config)

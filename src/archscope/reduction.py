@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 
 from .errors import ConfigError, ValidationError
 from .formats import resolve_config, write_json
-from .spaces import DesignSpace, UnitSpec, consistent_blocks
+from .spaces import DesignSpace, UnitSpec, _require, _require_each, consistent_blocks
 
 RULESET_VERSION = 1
 
@@ -171,7 +171,7 @@ def _parse_rule(entry: dict, where: str) -> ReductionRule:
     if units_raw in ("all", None):
         units = None
     elif isinstance(units_raw, list) and units_raw:
-        units = tuple(int(u) for u in units_raw)
+        units = _require_each(units_raw, int, f"{where}.units")
     else:
         raise ConfigError(f"{where}.units: expected 'all' or a non-empty list of unit indices")
     if kind == REMOVE_BLOCK:
@@ -195,7 +195,8 @@ def _parse_rule(entry: dict, where: str) -> ReductionRule:
     resolutions = entry.get("resolutions")
     if not isinstance(resolutions, list) or not resolutions:
         raise ConfigError(f"{where}.resolutions: expected a non-empty list")
-    return ReductionRule(kind=kind, resolutions=tuple(int(r) for r in resolutions))
+    return ReductionRule(kind=kind,
+                         resolutions=_require_each(resolutions, int, f"{where}.resolutions"))
 
 
 def ruleset_from_config(config: dict) -> RuleSet:
@@ -211,6 +212,9 @@ def ruleset_from_config(config: dict) -> RuleSet:
     advisory = config.get("advisory", {})
     if not isinstance(advisory, dict):
         raise ConfigError("rule set: advisory must be a mapping")
+    if advisory.get("unit_weights") is not None:
+        _require_each(_require(advisory, "unit_weights", list, "advisory"), float,
+                      "advisory.unit_weights")
     return RuleSet(name=name, space=str(config.get("space", "")), rules=rules, advisory=advisory)
 
 

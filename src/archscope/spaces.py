@@ -354,17 +354,30 @@ def space_to_config(space: DesignSpace) -> dict:
     }
 
 
-def _require(mapping, key, kind, where):
-    if key not in mapping:
-        raise ConfigError(f"{where}.{key}: missing")
-    value = mapping[key]
+_MISSING = object()
+
+
+def _require(container, key, kind, where, default=_MISSING):
+    """container[key] checked to be a kind (float takes any number, int no
+    bool); errors name the field where.key, or where[key] for a list index.
+    A missing key gives default when one is passed."""
+    field = f"{where}[{key}]" if isinstance(key, int) else f"{where}.{key}"
+    if isinstance(key, str) and key not in container:
+        if default is not _MISSING:
+            return default
+        raise ConfigError(f"{field}: missing")
+    value = container[key]
     if kind is float:
         if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ConfigError(f"{where}.{key}: expected a number, got {value!r}")
+            raise ConfigError(f"{field}: expected a number, got {value!r}")
         return float(value)
     if kind is int and isinstance(value, bool) or not isinstance(value, kind):
-        raise ConfigError(f"{where}.{key}: expected {kind.__name__}, got {value!r}")
+        raise ConfigError(f"{field}: expected {kind.__name__}, got {value!r}")
     return value
+
+
+def _require_each(values: list, kind, where) -> tuple:
+    return tuple(_require(values, i, kind, where) for i in range(len(values)))
 
 
 def _parse_block(entry, family, where) -> BlockSpec:
@@ -377,9 +390,9 @@ def _parse_block(entry, family, where) -> BlockSpec:
         raise ConfigError(f"{where}.kernel: must be a positive odd size, got {kernel}")
     if expansion <= 0:
         raise ConfigError(f"{where}.expansion: must be positive, got {expansion}")
-    ratio = entry.get("channel_ratio")
-    if ratio is not None:
-        ratio = float(ratio)
+    ratio = None
+    if entry.get("channel_ratio") is not None:
+        ratio = _require(entry, "channel_ratio", float, where)
         if ratio <= 0:
             raise ConfigError(f"{where}.channel_ratio: must be positive, got {ratio}")
     if family in (MBCONV_V3, MBCONV_V2):
@@ -422,7 +435,8 @@ def _parse_unit(entry, index, family) -> UnitSpec:
         depth_min=lo,
         depth_max=hi,
         blocks=blocks,
-        channel_ratios=tuple(float(r) for r in entry.get("channel_ratios", [])),
+        channel_ratios=_require_each(_require(entry, "channel_ratios", list, where, []), float,
+                                     f"{where}.channel_ratios"),
         base_channels=base,
     )
     if len(set(unit.channel_ratios)) != len(unit.channel_ratios):
@@ -449,7 +463,7 @@ def parse_space_config(config: dict) -> DesignSpace:
     resolutions = config.get("resolutions")
     if not isinstance(resolutions, list) or not resolutions:
         raise ConfigError("space.resolutions: must be a non-empty list")
-    res = tuple(sorted(int(r) for r in resolutions))
+    res = tuple(sorted(_require_each(resolutions, int, "space.resolutions")))
     if any(r < 1 for r in res):
         raise ConfigError("space.resolutions: sizes must be positive")
     if len(set(res)) != len(res):
@@ -465,17 +479,17 @@ def parse_space_config(config: dict) -> DesignSpace:
                 raise ConfigError(
                     f"units[{u.index - 1}].channel_ratios: empty beside units with a ratio gene"
                 )
-    stem_cfg = config.get("stem", {})
-    head_cfg = config.get("head", {})
+    stem_cfg = _require(config, "stem", dict, "space", {})
+    head_cfg = _require(config, "head", dict, "space", {})
     stem = StemSpec(
-        kernel=int(stem_cfg.get("kernel", 3)),
-        stride=int(stem_cfg.get("stride", 2)),
-        out_channels=int(stem_cfg.get("out_channels", 16)),
+        kernel=_require(stem_cfg, "kernel", int, "space.stem", 3),
+        stride=_require(stem_cfg, "stride", int, "space.stem", 2),
+        out_channels=_require(stem_cfg, "out_channels", int, "space.stem", 16),
     )
     head = HeadSpec(
-        conv_channels=int(head_cfg.get("conv_channels", 0)),
-        hidden=int(head_cfg.get("hidden", 0)),
-        classes=int(head_cfg.get("classes", 1000)),
+        conv_channels=_require(head_cfg, "conv_channels", int, "space.head", 0),
+        hidden=_require(head_cfg, "hidden", int, "space.head", 0),
+        classes=_require(head_cfg, "classes", int, "space.head", 1000),
     )
     return DesignSpace(
         name=name, family=family, units=units, resolutions=res, stem=stem, head=head

@@ -11,9 +11,11 @@ from archscope.spaces import (
     deserialize,
     load_space,
     save_space,
+    space_to_config,
     validate_architecture,
 )
 from archscope.devices import load_profile, save_profile
+from archscope.errors import ValidationError
 
 from .conftest import build_mini_space
 
@@ -475,6 +477,130 @@ def test_bad_input_exits_2_before_sampling(capsys, monkeypatch, tmp_path, mini_f
     err = capsys.readouterr().err
     assert rc == 2
     assert "error:" in err and named in err
+    assert "Traceback" not in err
+    assert not out_dir.exists()
+
+
+def _fail_second_search(monkeypatch):
+    real, calls = cli.evolve, []
+
+    def evolve(space, config):
+        calls.append(config.seed)
+        if len(calls) == 2:
+            raise ValidationError(f"search seed {config.seed} failed")
+        return real(space, config)
+    monkeypatch.setattr(cli, "evolve", evolve)
+
+
+@pytest.mark.parametrize("argv, named", [
+    (("profile", "blocks", "--space", "{mini}", "--metric", "macs", "--samples", "0"),
+     "sample size must be >= 1, got 0"),
+    (("profile", "placements", "--space", "{mini}", "--metric", "macs",
+      "--baseline-samples", "0"), "sample size must be >= 1, got 0"),
+    (("search", "pareto", "--space", "{mini}", "--repeats", "2", "--population", "4",
+      "--generations", "1", "--children", "2"), "search seed 1 failed"),
+    (("reduce", "--space", "ofa", "--preset", "ofa-npu", "--emit", "{file}/npu.json"),
+     "--emit {file}/npu.json: "),
+    (("profile", "blocks", "--space", "{mini}", "--metric", "macs", "--samples", "2",
+      "--out", "{file}/out"), "--out {file}/out: "),
+], ids=["blocks-samples-0", "placements-baseline-0", "pareto-second-repeat",
+        "reduce-emit-below-a-file", "out-below-a-file"])
+def test_failed_run_exits_2_and_writes_nothing(capsys, monkeypatch, tmp_path, mini_file,
+                                               argv, named):
+    # nothing is written until the work succeeds: not --out, nor its env default
+    regular = tmp_path / "file"
+    regular.write_text("")
+    monkeypatch.setenv("ARCHSCOPE_OUT", str(tmp_path / "out"))
+    _fail_second_search(monkeypatch)
+    rc, out, err = _run(capsys, *(a.format(mini=mini_file, file=regular) for a in argv))
+    assert rc == 2 and out == ""
+    assert err.startswith("error: " + named.format(file=regular))
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "mini.json"]
+
+
+def test_reduce_emit_makes_no_out_dir(capsys, monkeypatch, tmp_path):
+    monkeypatch.setenv("ARCHSCOPE_OUT", str(tmp_path / "out"))
+    emit = tmp_path / "reduced" / "npu.json"
+    rc, out, _ = _run(capsys, "reduce", "--space", "ofa", "--preset", "ofa-npu",
+                      "--emit", str(emit))
+    assert rc == 0 and out.splitlines()[-1] == str(emit)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["reduced"]
+
+
+@pytest.fixture
+def bad_inputs(tmp_path):
+    """Input files each broken in one way, by name: unreadable files, and space
+    configs and rule sets with one field of the wrong type."""
+    paths = {"dir": tmp_path / "dir", "missing": tmp_path / "missing.csv",
+             "latin1": tmp_path / "latin1.json"}
+    paths["dir"].mkdir()
+    paths["latin1"].write_bytes('{"name": "ré"}'.encode("latin-1"))
+
+    def space(name, base, change):
+        config = space_to_config(load_space(base))
+        change(config)
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(config))
+
+    space("resolution-str", "ofa", lambda c: c.update(resolutions=["a"]))
+    space("resolution-null", "ofa", lambda c: c.update(resolutions=[None]))
+    space("stem-kernel", "ofa", lambda c: c["stem"].update(kernel="x"))
+    space("stem-list", "ofa", lambda c: c.update(stem=[1]))
+    space("head-classes", "ofa", lambda c: c["head"].update(classes="many"))
+    space("unit-ratios", "resnet50", lambda c: c["units"][0].update(channel_ratios=["x"]))
+    space("block-ratio", "resnet50",
+          lambda c: c["units"][0]["blocks"][0].update(channel_ratio="x"))
+    for name, change in {
+        "rule-units": {"rules": [{"kind": "cap_depth", "units": ["x"], "depth": 3}]},
+        "rule-resolutions": {"rules": [{"kind": "restrict_resolutions",
+                                        "resolutions": ["x"]}]},
+        "advisory-weights": {"advisory": {"unit_weights": ["x", 1, 1, 1, 1]}},
+    }.items():
+        rules = {"name": "bad", "space": "ofa",
+                 "rules": [{"kind": "cap_depth", "units": [1], "depth": 3}], **change}
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(rules))
+    return {name: str(path) for name, path in paths.items()}
+
+
+@pytest.mark.parametrize("argv, named", [
+    (("spaces", "count", "--space", "{dir}"), "{dir}: cannot read"),
+    (("spaces", "count", "--space", "{latin1}"), "{latin1}: not utf-8 text"),
+    (("profile", "blocks", "--space", "ofa", "--metric", "table:{dir}"), "{dir}: cannot read"),
+    (("profile", "blocks", "--space", "ofa", "--metric", "profile:{dir}"),
+     "{dir}: cannot read"),
+    (("search", "compare", "{missing}", "{missing}"), "{missing}: cannot read"),
+    (("search", "compare", "{dir}", "{dir}"), "{dir}: cannot read"),
+    (("spaces", "count", "--space", "{resolution-str}"),
+     "space.resolutions[0]: expected int, got 'a'"),
+    (("spaces", "count", "--space", "{resolution-null}"),
+     "space.resolutions[0]: expected int, got None"),
+    (("spaces", "count", "--space", "{stem-kernel}"), "space.stem.kernel: expected int, got 'x'"),
+    (("spaces", "count", "--space", "{stem-list}"), "space.stem: expected dict, got [1]"),
+    (("spaces", "count", "--space", "{head-classes}"),
+     "space.head.classes: expected int, got 'many'"),
+    (("spaces", "count", "--space", "{unit-ratios}"),
+     "units[0].channel_ratios[0]: expected a number, got 'x'"),
+    (("profile", "blocks", "--space", "{block-ratio}", "--metric", "macs"),
+     "units[0].blocks[0].channel_ratio: expected a number, got 'x'"),
+    (("reduce", "--space", "ofa", "--rules", "{rule-units}"),
+     "rules[0].units[0]: expected int, got 'x'"),
+    (("reduce", "--space", "ofa", "--rules", "{rule-resolutions}"),
+     "rules[0].resolutions[0]: expected int, got 'x'"),
+    (("search", "max", "--space", "ofa", "--preset", "{advisory-weights}"),
+     "advisory.unit_weights[0]: expected a number, got 'x'"),
+], ids=["space-dir", "space-not-utf8", "table-dir", "profile-dir", "compare-missing",
+        "compare-dir", "resolution-str", "resolution-null", "stem-kernel", "stem-list",
+        "head-classes", "unit-ratios", "block-ratio", "rule-units", "rule-resolutions",
+        "advisory-weights"])
+def test_bad_input_files_exit_2_naming_the_path_or_field(capsys, tmp_path, bad_inputs,
+                                                         argv, named):
+    out_dir = tmp_path / "out"
+    rc, out, err = _run(capsys, *(a.format_map(bad_inputs) for a in argv),
+                        "--out", str(out_dir))
+    assert rc == 2 and out == ""
+    assert err.startswith("error: " + named.format_map(bad_inputs))
     assert "Traceback" not in err
     assert not out_dir.exists()
 

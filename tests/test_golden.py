@@ -2,12 +2,15 @@
 
 Reruns within one checkout are compared elsewhere; these digests pin the
 bytes across changes, so a change to a random stream, a sample order or a
-file format shows up here. Manifests carry timestamps and are not pinned.
+file format shows up here. Each run's stdout is pinned too, with its output
+root replaced. Manifests carry timestamps and are not pinned.
 A deliberate stream or format change updates the digests and says so in
 CHANGES.md.
 """
 
+import contextlib
 import hashlib
+import io
 
 import pytest
 
@@ -97,6 +100,42 @@ EXPECTED = {
         "c94310a203a1b9aa2352e1e7811c2f8f02a308030b9dce0e096e82665a73664c",
 }
 
+# sha256 of each run's stdout, its output root replaced by OUT
+STDOUT = {
+    "blocks-acc":
+        "ed0800fe6115cc1ac23b9dcc68e2f6dd0f76a8097474444e37c192069e48bc7a",
+    "blocks-maxacc":
+        "0fd7bccd767377f2579b8f228b92d4d78dc0eeae2fd08f60cbcff160de89717b",
+    "blocks-note10":
+        "c48823a2ba79c4b93d542a6c33540242745fd1a44c64a85ee05dd84cb8061a27",
+    "blocks-npu":
+        "f31919d96baa4816bd007e3db6a1696b293b1e05ad7f886c3b4e4a30e4400b48",
+    "blocks-params":
+        "837af85942ea7b290bbe4d5d7b53dfd26081b52c6f734eb19a61d04d8de1d405",
+    "compare":
+        "9cbadee9dc794cbdd4eafedc4755c5efb854f94e5cdcab7fdf00a541e8bc0b10",
+    "max":
+        "5f0e6482882f70a2eca7dd345c4602f16af61481344c986dfcb49783a4398866",
+    "max-weights":
+        "2cd8a0c5fbe792969a2425b08433a0d566e402f1e57f3dcfc55173561019d0c5",
+    "pareto":
+        "5b9c77ca2ad10443bb4d6bd60ee7664288b29253bbb3519f0a38a3b8604f49ca",
+    "pareto-acc-macs":
+        "9d29cf67ae8ef08c60917597b21353262b524621110254d9d64ac8787fc95a74",
+    "pareto-rank-sum":
+        "f86d349c81560c2854624af50166325c1aae08d7922730d2f9f844fcadfd563e",
+    "placements-cpu":
+        "d0f75051c363fb7d798d143d068fe93ff874ec2961766e231885423c710f27e4",
+    "placements-gpu":
+        "97ae623a49339579a142c9f9ad6fe07c0fccb6f79c267ce507618b95e60669d8",
+    "reduce":
+        "520e4e876fb3cd487e104f4d04c73c8326af9ecdab28b7c720f57b54fcc0d7b7",
+    "sweep":
+        "fefed7970c8a4f48e688a3058dc168acd0aab280ae23a9d276bdbc4107cd9f94",
+    "sweep-pct":
+        "49ff6356cb1571e2301eb27e93cc560664e1eb10abc4a752d5ba53e76c42a493",
+}
+
 _RUNS = (
     ("blocks-acc", "profile", "blocks", "--space", "resnet50", "--metric", "acc",
      "--samples", "4"),
@@ -160,19 +199,34 @@ def _save_documents(out):
 
 
 @pytest.fixture(scope="module")
-def digests(tmp_path_factory):
+def golden(tmp_path_factory):
+    """Run every golden command once: the output root, and each run's stdout
+    with that root replaced by OUT."""
     out = tmp_path_factory.mktemp("golden")
+    stdout = {}
+
+    def run(name, *argv):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert cli.main([*argv, "--out", str(out / name)]) == 0
+        stdout[name] = buf.getvalue().replace(str(out), "OUT")
+
     for name, *argv in _RUNS:
-        assert cli.main([*argv, "--out", str(out / name)]) == 0
+        run(name, *argv)
     reduced = out / "reduce" / "reduced-resnet50-resnet50-maxacc.json"
-    assert cli.main(["profile", "blocks", "--space", str(reduced), "--metric", "macs",
-                     "--samples", "3", "--out", str(out / "blocks-maxacc")]) == 0
+    run("blocks-maxacc", "profile", "blocks", "--space", str(reduced), "--metric", "macs",
+        "--samples", "3")
     pareto = out / "pareto"
-    assert cli.main(["search", "compare", str(pareto / "pareto-ofa-ofa-npu-s3.csv"),
-                     str(pareto / "pareto-ofa-ofa-npu-s4.csv"), "--grid-points", "12",
-                     "--out", str(out / "compare")]) == 0
+    run("compare", "search", "compare", str(pareto / "pareto-ofa-ofa-npu-s3.csv"),
+        str(pareto / "pareto-ofa-ofa-npu-s4.csv"), "--grid-points", "12")
     (out / "docs").mkdir()
     _save_documents(out / "docs")
+    return out, stdout
+
+
+@pytest.fixture(scope="module")
+def digests(golden):
+    out, _ = golden
     return {
         path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
         for path in sorted(out.rglob("*"))
@@ -187,3 +241,8 @@ def test_file_set_is_pinned(digests):
 @pytest.mark.parametrize("name", sorted(EXPECTED))
 def test_data_file_digest(digests, name):
     assert digests[name] == EXPECTED[name]
+
+
+@pytest.mark.parametrize("name", sorted(STDOUT))
+def test_stdout_digest(golden, name):
+    assert hashlib.sha256(golden[1][name].encode()).hexdigest() == STDOUT[name]
