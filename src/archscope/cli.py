@@ -436,9 +436,10 @@ def build_parser() -> argparse.ArgumentParser:
     group = reduce_p.add_mutually_exclusive_group(required=True)
     group.add_argument("--preset", help=f"one of: {', '.join(list_rulesets())}")
     group.add_argument("--rules", help="rule-set JSON file")
-    reduce_p.add_argument("--emit", help="write the reduced space config to this path")
-    reduce_p.add_argument("--emit-default", action="store_true",
-                          help="write the reduced space config under --out")
+    group = reduce_p.add_mutually_exclusive_group()
+    group.add_argument("--emit", help="write the reduced space config to this path")
+    group.add_argument("--emit-default", action="store_true",
+                       help="write the reduced space config under --out")
     reduce_p.add_argument("--include-resolutions", action="store_true")
     reduce_p.set_defaults(func=cmd_reduce)
     _add_common(reduce_p)

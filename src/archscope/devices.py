@@ -39,7 +39,7 @@ from .costs import (
     unit_spatial_sizes,
 )
 from .errors import ConfigError, ValidationError
-from .formats import resolve_config, write_json
+from .formats import int_or_finite, integer, require, require_each, resolve_config, write_json
 from .spaces import (
     MBCONV_V2,
     MBCONV_V3,
@@ -273,73 +273,40 @@ def identity_profile(space: DesignSpace, resolution: int | None = None) -> Devic
     )
 
 
-def _num(text: str):
-    try:
-        return int(text)
-    except ValueError:
-        return float(text)
-
-
-def _number(value, where: str, kind=float):
-    """kind(value), or a ConfigError naming the field."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"device profile {where}: expected a number, got {value!r}") from exc
-
-
-def _parse_table(raw, where) -> dict:
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{where}: expected a mapping of value -> factor")
-    out = {}
-    for key, value in raw.items():
-        try:
-            out[_num(str(key))] = float(value)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{where}[{key!r}]: bad entry ({exc})") from exc
-    return out
-
-
 def profile_from_config(config: dict) -> DeviceProfile:
     if not isinstance(config, dict):
-        raise ConfigError("device profile: expected a mapping")
-    for key in ("name", "families", "kernel_factor", "expansion_factor"):
-        if key not in config:
-            raise ConfigError(f"device profile: missing field {key!r}")
-    for key, kind in (("families", list), ("unit_scale", dict), ("resolution_templates", list)):
-        if key in config and not isinstance(config[key], kind):
-            raise ConfigError(f"device profile {key}: expected a {kind.__name__}")
-    families = tuple(config["families"])
+        raise ConfigError(f"profile: expected a mapping, got {type(config).__name__}")
+    name = require(config, "name", str, "profile")
+    families = require_each(require(config, "families", list, "profile"), str, "profile.families")
     for fam in families:
         if fam not in _ALL_FAMILIES:
-            raise ConfigError(f"device profile families: unknown family {fam!r}")
-    raw_cost = config.get("layer_cost_ms", 1.0)
-    if isinstance(raw_cost, dict):
-        cost = {}
-        for key, value in raw_cost.items():
-            where = f"layer_cost_ms[{key!r}]"
-            cost[_number(key, where, int)] = (
-                [_number(v, where) for v in value] if isinstance(value, list)
-                else _number(value, where)
-            )
+            raise ConfigError(f"profile.families: unknown family {fam!r}")
+
+    def table(key, parse_key, *default):
+        raw = require(config, key, dict, "profile", *default)
+        return {parse_key(str(k), f"profile.{key} key"): require(raw, k, float, f"profile.{key}")
+                for k in raw}
+
+    cost = config.get("layer_cost_ms")
+    if isinstance(cost, dict):
+        cost = {integer(str(k), "profile.layer_cost_ms key"):
+                require_each(v, float, f"profile.layer_cost_ms.{k}") if isinstance(v, list)
+                else require(cost, k, float, "profile.layer_cost_ms") for k, v in cost.items()}
     else:
-        cost = _number(raw_cost, "layer_cost_ms")
-    unit_scale = config.get("unit_scale", {})
+        cost = require(config, "layer_cost_ms", float, "profile", 1.0)
     return DeviceProfile(
-        name=str(config["name"]),
+        name=name,
         families=families,
-        kernel_factor=_parse_table(config["kernel_factor"], "kernel_factor"),
-        expansion_factor=_parse_table(config["expansion_factor"], "expansion_factor"),
-        ratio_factor=_parse_table(config.get("ratio_factor", {}), "ratio_factor"),
-        unit_scale={_number(k, f"unit_scale[{k!r}]", int): _number(v, f"unit_scale[{k!r}]")
-                    for k, v in unit_scale.items()},
+        kernel_factor=table("kernel_factor", int_or_finite),
+        expansion_factor=table("expansion_factor", int_or_finite),
+        ratio_factor=table("ratio_factor", int_or_finite, {}),
+        unit_scale=table("unit_scale", integer, {}),
         layer_cost_ms=cost,
-        resolution_templates=tuple(sorted(
-            _number(t, "resolution_templates", int)
-            for t in config.get("resolution_templates", [224])
-        )),
-        fixed_overhead_ms=_number(config.get("fixed_overhead_ms", 0.0), "fixed_overhead_ms"),
-        pad_cost_ms=_number(config.get("pad_cost_ms", 0.0), "pad_cost_ms"),
+        resolution_templates=tuple(sorted(require_each(
+            require(config, "resolution_templates", list, "profile", [224]), int,
+            "profile.resolution_templates"))),
+        fixed_overhead_ms=require(config, "fixed_overhead_ms", float, "profile", 0.0),
+        pad_cost_ms=require(config, "pad_cost_ms", float, "profile", 0.0),
     )
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from .errors import ConfigError
-from .formats import read_csv, write_csv, write_json
+from .formats import finite, integer, read_csv, write_csv, write_json
 from .profiler import HeatmapReport, SweepReport
 from .search import EvaluatedArch, FrontierComparison, ParetoFront, SearchResult
 from .spaces import Architecture, DesignSpace, block_axes, serialize
@@ -161,23 +161,21 @@ def read_frontier_csv(path) -> ParetoFront:
     for row in reader:
         if len(row) != n_fixed + len(objectives):
             raise ConfigError(f"{path}: malformed frontier row {row!r}")
-        depths = tuple(int(d) for d in row[6].split("|"))
-        blocks = tuple(tuple(part.split("+")) for part in row[7].split("|"))
-        ratios = tuple(float(r) for r in row[8].split("|")) if row[8] else ()
+        where = f"{path}: row {row!r}"
         arch = Architecture(
             space=row[4],
-            resolution=int(row[5]),
-            depths=depths,
-            blocks=blocks,
-            channel_ratios=ratios,
+            resolution=integer(row[5], where),
+            depths=tuple(integer(d, where) for d in row[6].split("|")),
+            blocks=tuple(tuple(part.split("+")) for part in row[7].split("|")),
+            channel_ratios=tuple(finite(r, where) for r in row[8].split("|")) if row[8] else (),
         )
         points.append(
             EvaluatedArch(
                 arch=arch,
-                metrics=tuple(float(v) for v in row[n_fixed:]),
-                eval_id=int(row[0]),
-                generation=int(row[1]),
-                parent_id=int(row[2]),
+                metrics=tuple(finite(v, where) for v in row[n_fixed:]),
+                eval_id=integer(row[0], where),
+                generation=integer(row[1], where),
+                parent_id=integer(row[2], where),
                 mutation=row[3],
             )
         )

@@ -1,13 +1,16 @@
 """The one home of the conventions every document shares (docs/FORMATS.md):
-indented sorted-key JSON, CSV under '# key=value' headers, and resolving a config
-from an instance, a mapping, a preset name, or a JSON file path. Every input
-file is read here, so a file that cannot be read is a ConfigError naming it."""
+indented sorted-key JSON, CSV under '# key=value' headers, resolving a config
+from an instance, a mapping, a preset name, or a JSON file path, and checking
+the fields inside them. Every input file is read here, so a file that cannot
+be read is a ConfigError naming it, and every input field is checked here, so
+a field of the wrong type is a ConfigError naming the field."""
 
 from __future__ import annotations
 
 import csv
 import io
 import json
+import math
 from pathlib import Path
 
 from .errors import ConfigError
@@ -73,3 +76,54 @@ def resolve_config(source, cls: type, presets: dict, parse, noun: str):
             f"unknown {noun} {key!r}: not a preset ({', '.join(presets)}) and no such file"
         )
     raise ConfigError(f"cannot load a {noun} from {type(source).__name__}")
+
+
+_MISSING = object()
+
+
+def require(container, key, kind, where, default=_MISSING):
+    """container[key] checked to be a kind (float takes any number, int no
+    bool); errors name the field where.key, or where[key] for a list index.
+    A missing key gives default when one is passed."""
+    field = f"{where}[{key}]" if isinstance(key, int) else f"{where}.{key}"
+    if isinstance(key, str) and key not in container:
+        if default is not _MISSING:
+            return default
+        raise ConfigError(f"{field}: missing")
+    value = container[key]
+    if kind is float:
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            raise ConfigError(f"{field}: expected a number, got {value!r}")
+        return float(value)
+    if kind is int and isinstance(value, bool) or not isinstance(value, kind):
+        raise ConfigError(f"{field}: expected {kind.__name__}, got {value!r}")
+    return value
+
+
+def require_each(values: list, kind, where) -> tuple:
+    return tuple(require(values, i, kind, where) for i in range(len(values)))
+
+
+def integer(text: str, where: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ConfigError(f"{where}: expected an integer, got {text!r}") from None
+
+
+def finite(text: str, where: str) -> float:
+    try:
+        value = float(text)
+        if math.isfinite(value):
+            return value
+    except (TypeError, ValueError):
+        pass
+    raise ConfigError(f"{where}: expected a finite number, got {text!r}")
+
+
+def int_or_finite(text: str, where: str):
+    """An integer when text spells one, else a finite number: '3' -> 3, '0.25' -> 0.25."""
+    try:
+        return integer(text, where)
+    except ConfigError:
+        return finite(text, where)

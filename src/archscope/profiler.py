@@ -45,7 +45,7 @@ from .costs import MetricEvaluator
 from .errors import ValidationError
 # sample_fixed and sample_uniform are unused here: the benchmark's tracer
 # patches them on this module (and sample_uniform on search); they go with the
-# next benchmark change (ROADMAP item 5)
+# next benchmark change (ROADMAP item 2)
 from .sampling import (
     STREAM_BASELINE,
     STREAM_PLACEMENT,
@@ -69,7 +69,7 @@ DEFAULT_BASELINE_SAMPLES = 10000
 DEFAULT_TAUS = (5.0, 95.0)
 # Read only by the benchmark's tracer, which also patches
 # SampleSet.percentile_stderr by name; both go with the next benchmark change
-# (ROADMAP item 5).
+# (ROADMAP item 2).
 BOOTSTRAP_RESAMPLES = 200
 
 # rows per scoring call of a conditioned pass: whole placements are drawn and

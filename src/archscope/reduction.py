@@ -18,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from .errors import ConfigError, ValidationError
-from .formats import resolve_config, write_json
-from .spaces import DesignSpace, UnitSpec, _require, _require_each, consistent_blocks
+from .formats import require, require_each, resolve_config, write_json
+from .spaces import DesignSpace, UnitSpec, consistent_blocks
 
 RULESET_VERSION = 1
 
@@ -164,58 +164,56 @@ def ruleset_to_config(ruleset: RuleSet) -> dict:
 def _parse_rule(entry: dict, where: str) -> ReductionRule:
     if not isinstance(entry, dict):
         raise ConfigError(f"{where}: expected a mapping, got {entry!r}")
-    kind = entry.get("kind")
+    kind = require(entry, "kind", str, where)
     if kind not in RULE_KINDS:
         raise ConfigError(f"{where}.kind: expected one of {RULE_KINDS}, got {kind!r}")
     units_raw = entry.get("units", "all")
     if units_raw in ("all", None):
         units = None
     elif isinstance(units_raw, list) and units_raw:
-        units = _require_each(units_raw, int, f"{where}.units")
+        units = require_each(units_raw, int, f"{where}.units")
     else:
         raise ConfigError(f"{where}.units: expected 'all' or a non-empty list of unit indices")
     if kind == REMOVE_BLOCK:
-        blocks = entry.get("blocks")
-        if not isinstance(blocks, list) or not blocks:
+        blocks = require_each(require(entry, "blocks", list, where), str, f"{where}.blocks")
+        if not blocks:
             raise ConfigError(f"{where}.blocks: remove_block needs a non-empty block list")
-        return ReductionRule(kind=kind, units=units, blocks=tuple(str(b) for b in blocks))
+        return ReductionRule(kind=kind, units=units, blocks=blocks)
     if kind in (CAP_DEPTH, FORCE_DEPTH):
-        depth = entry.get("depth")
-        if depth == MAX_DEPTH and kind == FORCE_DEPTH:
+        if kind == FORCE_DEPTH and entry.get("depth") == MAX_DEPTH:
             return ReductionRule(kind=kind, units=units, depth=MAX_DEPTH)
-        if not isinstance(depth, int) or isinstance(depth, bool) or depth < 1:
-            raise ConfigError(f"{where}.depth: expected a positive int" +
-                              (" or 'max'" if kind == FORCE_DEPTH else ""))
+        depth = require(entry, "depth", int, where)
+        if depth < 1:
+            raise ConfigError(f"{where}.depth: must be >= 1, got {depth}")
         return ReductionRule(kind=kind, units=units, depth=depth)
     if kind == FIX_CHANNEL_RATIO:
-        ratio = entry.get("channel_ratio")
-        if not isinstance(ratio, (int, float)) or isinstance(ratio, bool) or ratio <= 0:
-            raise ConfigError(f"{where}.channel_ratio: expected a positive number")
-        return ReductionRule(kind=kind, units=units, channel_ratio=float(ratio))
-    resolutions = entry.get("resolutions")
-    if not isinstance(resolutions, list) or not resolutions:
+        ratio = require(entry, "channel_ratio", float, where)
+        if ratio <= 0:
+            raise ConfigError(f"{where}.channel_ratio: must be positive, got {ratio}")
+        return ReductionRule(kind=kind, units=units, channel_ratio=ratio)
+    resolutions = require_each(require(entry, "resolutions", list, where), int,
+                               f"{where}.resolutions")
+    if not resolutions:
         raise ConfigError(f"{where}.resolutions: expected a non-empty list")
-    return ReductionRule(kind=kind,
-                         resolutions=_require_each(resolutions, int, f"{where}.resolutions"))
+    return ReductionRule(kind=kind, resolutions=resolutions)
 
 
 def ruleset_from_config(config: dict) -> RuleSet:
     if not isinstance(config, dict):
-        raise ConfigError("rule set: expected a mapping")
-    name = config.get("name")
-    if not isinstance(name, str) or not name:
-        raise ConfigError("rule set: missing name")
-    rules_raw = config.get("rules")
-    if not isinstance(rules_raw, list) or not rules_raw:
-        raise ConfigError("rule set: rules must be a non-empty list")
+        raise ConfigError(f"ruleset: expected a mapping, got {type(config).__name__}")
+    name = require(config, "name", str, "ruleset", "")
+    if not name:
+        raise ConfigError("ruleset.name: missing name")
+    rules_raw = require(config, "rules", list, "ruleset")
+    if not rules_raw:
+        raise ConfigError("ruleset.rules: must be a non-empty list")
     rules = tuple(_parse_rule(r, f"rules[{i}]") for i, r in enumerate(rules_raw))
-    advisory = config.get("advisory", {})
-    if not isinstance(advisory, dict):
-        raise ConfigError("rule set: advisory must be a mapping")
+    advisory = require(config, "advisory", dict, "ruleset", {})
     if advisory.get("unit_weights") is not None:
-        _require_each(_require(advisory, "unit_weights", list, "advisory"), float,
-                      "advisory.unit_weights")
-    return RuleSet(name=name, space=str(config.get("space", "")), rules=rules, advisory=advisory)
+        require_each(require(advisory, "unit_weights", list, "advisory"), float,
+                     "advisory.unit_weights")
+    return RuleSet(name=name, space=require(config, "space", str, "ruleset", ""), rules=rules,
+                   advisory=advisory)
 
 
 def load_ruleset(source) -> RuleSet:

@@ -94,11 +94,14 @@ class Genes:
     def from_architectures(cls, space: DesignSpace, archs) -> "Genes":
         """The batch whose row i is archs[i], exactly: the inverse of
         architecture(). Raises ValidationError for an architecture of another
-        space, a depth outside its unit's range or a gene the space lacks."""
+        space, a depth outside its unit's range, a gene the space lacks or a
+        block its unit's channel ratio does not admit."""
         lmax = max(u.depth_max for u in space.units)
         resolutions = {r: i for i, r in enumerate(space.resolutions)}
         ratio_index = [{r: i for i, r in enumerate(values)} for values in ratio_values(space)]
         block_index = [{b.code: i for i, b in enumerate(unit.blocks)} for unit in space.units]
+        admitted = [[set(row[:n].tolist()) for row, n in zip(rows, counts)]
+                    for rows, counts in zip(*space.candidate_table())]
         has_ratio = any(u.channel_ratios for u in space.units)
         no_ratio = [0] * space.n_units
         shape = (space.n_units, space.n_units, space.n_units if has_ratio else 0)
@@ -110,11 +113,16 @@ class Genes:
                     unit.depth_min <= d <= unit.depth_max and len(codes) == d
                     for unit, d, codes in zip(space.units, arch.depths, arch.blocks))
                 if fits:
+                    picks = ([index[r] for index, r in zip(ratio_index, arch.channel_ratios)]
+                             if has_ratio else no_ratio)
+                    blocks = [[index[c] for c in codes]
+                              for index, codes in zip(block_index, arch.blocks)]
+                    fits = all(admitted[u][r].issuperset(b)
+                               for u, (r, b) in enumerate(zip(picks, blocks)))
+                if fits:
                     res.append(resolutions[arch.resolution])
-                    ratio.append([index[r] for index, r in zip(ratio_index, arch.channel_ratios)]
-                                 if has_ratio else no_ratio)
-                    block.append([[index[c] for c in codes] + [-1] * (lmax - len(codes))
-                                  for index, codes in zip(block_index, arch.blocks)])
+                    ratio.append(picks)
+                    block.append([b + [-1] * (lmax - len(b)) for b in blocks])
                     depth.append(arch.depths)
             except (KeyError, TypeError):
                 fits = False

@@ -35,7 +35,7 @@ import numpy as np
 from .costs import MAXIMIZE, MINIMIZE, MetricEvaluator
 from .errors import EvaluationError, ValidationError
 # sample_uniform is unused here: the benchmark's tracer patches it on this
-# module; it goes with the next benchmark change (ROADMAP item 5)
+# module; it goes with the next benchmark change (ROADMAP item 2)
 from .sampling import (
     STREAM_SEARCH_INIT,
     STREAM_SEARCH_MUTATE,

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ValidationError
-from .formats import resolve_config, write_json
+from .formats import require, require_each, resolve_config, write_json
 
 MBCONV_V3 = "mbconv_v3"
 MBCONV_V2 = "mbconv_v2"
@@ -354,45 +354,19 @@ def space_to_config(space: DesignSpace) -> dict:
     }
 
 
-_MISSING = object()
-
-
-def _require(container, key, kind, where, default=_MISSING):
-    """container[key] checked to be a kind (float takes any number, int no
-    bool); errors name the field where.key, or where[key] for a list index.
-    A missing key gives default when one is passed."""
-    field = f"{where}[{key}]" if isinstance(key, int) else f"{where}.{key}"
-    if isinstance(key, str) and key not in container:
-        if default is not _MISSING:
-            return default
-        raise ConfigError(f"{field}: missing")
-    value = container[key]
-    if kind is float:
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ConfigError(f"{field}: expected a number, got {value!r}")
-        return float(value)
-    if kind is int and isinstance(value, bool) or not isinstance(value, kind):
-        raise ConfigError(f"{field}: expected {kind.__name__}, got {value!r}")
-    return value
-
-
-def _require_each(values: list, kind, where) -> tuple:
-    return tuple(_require(values, i, kind, where) for i in range(len(values)))
-
-
 def _parse_block(entry, family, where) -> BlockSpec:
     if not isinstance(entry, dict):
         raise ConfigError(f"{where}: expected a mapping, got {entry!r}")
-    code = _require(entry, "code", str, where)
-    kernel = _require(entry, "kernel", int, where)
-    expansion = _require(entry, "expansion", float, where)
+    code = require(entry, "code", str, where)
+    kernel = require(entry, "kernel", int, where)
+    expansion = require(entry, "expansion", float, where)
     if kernel < 1 or kernel % 2 == 0:
         raise ConfigError(f"{where}.kernel: must be a positive odd size, got {kernel}")
     if expansion <= 0:
         raise ConfigError(f"{where}.expansion: must be positive, got {expansion}")
     ratio = None
     if entry.get("channel_ratio") is not None:
-        ratio = _require(entry, "channel_ratio", float, where)
+        ratio = require(entry, "channel_ratio", float, where)
         if ratio <= 0:
             raise ConfigError(f"{where}.channel_ratio: must be positive, got {ratio}")
     if family in (MBCONV_V3, MBCONV_V2):
@@ -412,14 +386,14 @@ def _parse_unit(entry, index, family) -> UnitSpec:
     where = f"units[{index - 1}]"
     if not isinstance(entry, dict):
         raise ConfigError(f"{where}: expected a mapping, got {entry!r}")
-    lo = _require(entry, "depth_min", int, where)
-    hi = _require(entry, "depth_max", int, where)
+    lo = require(entry, "depth_min", int, where)
+    hi = require(entry, "depth_max", int, where)
     if lo < 1:
         raise ConfigError(f"{where}.depth_min: must be >= 1, got {lo}")
     if hi < lo:
         raise ConfigError(f"{where}.depth_max: must be >= depth_min, got {hi} < {lo}")
-    raw_blocks = entry.get("blocks")
-    if not isinstance(raw_blocks, list) or not raw_blocks:
+    raw_blocks = require(entry, "blocks", list, where)
+    if not raw_blocks:
         raise ConfigError(f"{where}.blocks: must be a non-empty list")
     blocks = tuple(
         _parse_block(b, family, f"{where}.blocks[{i}]") for i, b in enumerate(raw_blocks)
@@ -427,16 +401,16 @@ def _parse_unit(entry, index, family) -> UnitSpec:
     codes = [b.code for b in blocks]
     if len(set(codes)) != len(codes):
         raise ConfigError(f"{where}.blocks: duplicate block codes")
-    base = entry.get("base_channels", 0)
-    if not isinstance(base, int) or base < 0:
-        raise ConfigError(f"{where}.base_channels: must be a non-negative int")
+    base = require(entry, "base_channels", int, where, 0)
+    if base < 0:
+        raise ConfigError(f"{where}.base_channels: must be non-negative, got {base}")
     unit = UnitSpec(
         index=index,
         depth_min=lo,
         depth_max=hi,
         blocks=blocks,
-        channel_ratios=_require_each(_require(entry, "channel_ratios", list, where, []), float,
-                                     f"{where}.channel_ratios"),
+        channel_ratios=require_each(require(entry, "channel_ratios", list, where, []), float,
+                                    f"{where}.channel_ratios"),
         base_channels=base,
     )
     if len(set(unit.channel_ratios)) != len(unit.channel_ratios):
@@ -456,20 +430,20 @@ def _parse_unit(entry, index, family) -> UnitSpec:
 def parse_space_config(config: dict) -> DesignSpace:
     if not isinstance(config, dict):
         raise ConfigError(f"space config: expected a mapping, got {type(config).__name__}")
-    name = _require(config, "name", str, "space")
-    family = _require(config, "family", str, "space")
+    name = require(config, "name", str, "space")
+    family = require(config, "family", str, "space")
     if family not in FAMILIES:
         raise ConfigError(f"space.family: unknown family {family!r}; expected one of {FAMILIES}")
-    resolutions = config.get("resolutions")
-    if not isinstance(resolutions, list) or not resolutions:
+    resolutions = require(config, "resolutions", list, "space")
+    if not resolutions:
         raise ConfigError("space.resolutions: must be a non-empty list")
-    res = tuple(sorted(_require_each(resolutions, int, "space.resolutions")))
+    res = tuple(sorted(require_each(resolutions, int, "space.resolutions")))
     if any(r < 1 for r in res):
         raise ConfigError("space.resolutions: sizes must be positive")
     if len(set(res)) != len(res):
         raise ConfigError("space.resolutions: duplicates")
-    raw_units = config.get("units")
-    if not isinstance(raw_units, list) or not raw_units:
+    raw_units = require(config, "units", list, "space")
+    if not raw_units:
         raise ConfigError("space.units: must be a non-empty list")
     units = tuple(_parse_unit(u, i + 1, family) for i, u in enumerate(raw_units))
     # records carry one ratio per unit or none, so the ratio gene is all or nothing
@@ -479,17 +453,17 @@ def parse_space_config(config: dict) -> DesignSpace:
                 raise ConfigError(
                     f"units[{u.index - 1}].channel_ratios: empty beside units with a ratio gene"
                 )
-    stem_cfg = _require(config, "stem", dict, "space", {})
-    head_cfg = _require(config, "head", dict, "space", {})
+    stem_cfg = require(config, "stem", dict, "space", {})
+    head_cfg = require(config, "head", dict, "space", {})
     stem = StemSpec(
-        kernel=_require(stem_cfg, "kernel", int, "space.stem", 3),
-        stride=_require(stem_cfg, "stride", int, "space.stem", 2),
-        out_channels=_require(stem_cfg, "out_channels", int, "space.stem", 16),
+        kernel=require(stem_cfg, "kernel", int, "space.stem", 3),
+        stride=require(stem_cfg, "stride", int, "space.stem", 2),
+        out_channels=require(stem_cfg, "out_channels", int, "space.stem", 16),
     )
     head = HeadSpec(
-        conv_channels=_require(head_cfg, "conv_channels", int, "space.head", 0),
-        hidden=_require(head_cfg, "hidden", int, "space.head", 0),
-        classes=_require(head_cfg, "classes", int, "space.head", 1000),
+        conv_channels=require(head_cfg, "conv_channels", int, "space.head", 0),
+        hidden=require(head_cfg, "hidden", int, "space.head", 0),
+        classes=require(head_cfg, "classes", int, "space.head", 1000),
     )
     return DesignSpace(
         name=name, family=family, units=units, resolutions=res, stem=stem, head=head

@@ -20,7 +20,6 @@ a CSV body with columns (unit, layer, block_code, value) or
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -36,7 +35,7 @@ from .costs import (
     slot_sum,
 )
 from .errors import ConfigError, CoverageError
-from .formats import read_csv, write_csv
+from .formats import finite, integer, read_csv, write_csv
 from .spaces import (
     Architecture,
     DesignSpace,
@@ -169,23 +168,6 @@ def save_table(table: MetricTable, path) -> None:
     write_csv(path, header, [_COLUMNS[table.kind], *rows])
 
 
-def _integer(text: str, where: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ConfigError(f"{where}: expected an integer, got {text!r}") from None
-
-
-def _finite(text: str, where: str) -> float:
-    try:
-        value = float(text)
-        if math.isfinite(value):
-            return value
-    except (TypeError, ValueError):
-        pass
-    raise ConfigError(f"{where}: expected a finite number, got {text!r}")
-
-
 def load_table(path, space: DesignSpace | None = None) -> MetricTable:
     """Parse a table file; binds and coverage-checks against space when given."""
     header, reader = read_csv(path)
@@ -199,7 +181,7 @@ def load_table(path, space: DesignSpace | None = None) -> MetricTable:
     for key, value in header.items():
         if key.startswith("resolution_constant."):
             where = f"{path}: header {key}"
-            constants[_integer(key.split(".", 1)[1], where)] = _finite(value, where)
+            constants[integer(key.split(".", 1)[1], where)] = finite(value, where)
     columns = _COLUMNS[kind]
     if next(reader, None) != columns:
         raise ConfigError(f"{path}: {kind} table needs columns {','.join(columns)}")
@@ -209,10 +191,10 @@ def load_table(path, space: DesignSpace | None = None) -> MetricTable:
             raise ConfigError(f"{path}: malformed row {row!r}")
         where = f"{path}: row {row!r}"
         key = (
-            (_integer(row[0], where), _integer(row[1], where), row[2])
+            (integer(row[0], where), integer(row[1], where), row[2])
             if kind == ADDITIVE else row[0]
         )
-        entries[key] = _finite(row[-1], where)
+        entries[key] = finite(row[-1], where)
     table = MetricTable(
         space=header["space"],
         metric=header["metric"],
@@ -230,7 +212,7 @@ def load_table(path, space: DesignSpace | None = None) -> MetricTable:
 def exact_table_from_pairs(space: DesignSpace, metric: str, direction: str, units: str, pairs) -> MetricTable:
     """Build an exact table from (architecture, value) pairs; a value that is
     not a finite number is a ConfigError naming its pair's index."""
-    entries = {record_hash(serialize(arch)): _finite(value, f"pair {i}")
+    entries = {record_hash(serialize(arch)): finite(value, f"pair {i}")
                for i, (arch, value) in enumerate(pairs)}
     return MetricTable(
         space=space.name,

@@ -3,9 +3,11 @@ import json
 import pytest
 
 from archscope import cli
-from archscope.exports import read_frontier_csv
+from archscope.exports import read_frontier_csv, write_frontier_csv
 from archscope.manifest import file_sha256
 from archscope.reduction import ReductionRule, RuleSet, save_ruleset
+from archscope.sampling import sample_uniform, spawn_rng
+from archscope.search import EvaluatedArch, ParetoFront
 from archscope.spaces import (
     count_architectures,
     deserialize,
@@ -409,8 +411,8 @@ def test_non_numeric_profile_and_table_fields_exit_2(capsys, tmp_path, mini_file
 
 
 @pytest.mark.parametrize("field, named", [
-    ({"fixed_overhead_ms": "inf"}, "fixed_overhead_ms"),
-    ({"kernel_factor": {"3": 1.0, "5": 1.0, "7": "1e400"}}, "kernel_factor[7]"),
+    ({"fixed_overhead_ms": float("inf")}, "fixed_overhead_ms"),
+    ({"kernel_factor": {"3": 1.0, "5": 1.0, "7": 1e400}}, "kernel_factor[7]"),
 ])
 def test_non_finite_profile_fields_exit_2_naming_the_field(capsys, tmp_path, field, named):
     profile = tmp_path / "p.json"
@@ -458,9 +460,12 @@ def test_negative_profile_costs_exit_2_naming_the_field(capsys, tmp_path, field,
     (("profile", "placements", "--metric", "macs", "--seed", "-1"), {}, "--seed"),
     (("profile", "blocks", "--metric", "macs", "--seed", "-1"), {}, "--seed"),
     (("search", "pareto", "--seed", "-1"), {}, "--seed"),
+    (("reduce", "--preset", "ofa-npu", "--emit", "reduced.json", "--emit-default"), {},
+     "argument --emit-default: not allowed with argument --emit"),
 ], ids=["max-repeats-0", "pareto-repeats-negative", "workers-0", "workers-env",
         "percentile-150", "percentile-repeated", "percentile-same-label",
-        "placements-seed-negative", "blocks-seed-negative", "pareto-seed-negative"])
+        "placements-seed-negative", "blocks-seed-negative", "pareto-seed-negative",
+        "reduce-emit-and-emit-default"])
 def test_bad_input_exits_2_before_sampling(capsys, monkeypatch, tmp_path, mini_file,
                                            argv, env, named):
     def never(*args, **kwargs):
@@ -530,18 +535,27 @@ def test_reduce_emit_makes_no_out_dir(capsys, monkeypatch, tmp_path):
 
 @pytest.fixture
 def bad_inputs(tmp_path):
-    """Input files each broken in one way, by name: unreadable files, and space
-    configs and rule sets with one field of the wrong type."""
+    """Input files each broken in one way, by name: unreadable files, space
+    configs, rule sets and device profiles with one field of the wrong type,
+    and frontier CSVs with one bad cell."""
     paths = {"dir": tmp_path / "dir", "missing": tmp_path / "missing.csv",
              "latin1": tmp_path / "latin1.json"}
     paths["dir"].mkdir()
     paths["latin1"].write_bytes('{"name": "ré"}'.encode("latin-1"))
 
+    def write(name, config):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(config))
+
     def space(name, base, change):
         config = space_to_config(load_space(base))
         change(config)
-        paths[name] = tmp_path / f"{name}.json"
-        paths[name].write_text(json.dumps(config))
+        write(name, config)
+
+    def profile(name, change):
+        config = load_profile("npu-like").config()
+        change(config)
+        write(name, config)
 
     space("resolution-str", "ofa", lambda c: c.update(resolutions=["a"]))
     space("resolution-null", "ofa", lambda c: c.update(resolutions=[None]))
@@ -551,17 +565,35 @@ def bad_inputs(tmp_path):
     space("unit-ratios", "resnet50", lambda c: c["units"][0].update(channel_ratios=["x"]))
     space("block-ratio", "resnet50",
           lambda c: c["units"][0]["blocks"][0].update(channel_ratio="x"))
+    space("base-true", "ofa", lambda c: c["units"][0].update(base_channels=True))
+    profile("profile-template", lambda c: c.update(resolution_templates=[224.7]))
+    profile("profile-factor", lambda c: c["kernel_factor"].update({"3": True}))
+    profile("profile-name", lambda c: c.update(name=["x"]))
     for name, change in {
         "rule-units": {"rules": [{"kind": "cap_depth", "units": ["x"], "depth": 3}]},
         "rule-resolutions": {"rules": [{"kind": "restrict_resolutions",
                                         "resolutions": ["x"]}]},
         "advisory-weights": {"advisory": {"unit_weights": ["x", 1, 1, 1, 1]}},
+        "rule-space": {"space": 5},
+        "rule-blocks": {"rules": [{"kind": "remove_block", "blocks": [7]}]},
     }.items():
         rules = {"name": "bad", "space": "ofa",
                  "rules": [{"kind": "cap_depth", "units": [1], "depth": 3}], **change}
-        paths[name] = tmp_path / f"{name}.json"
-        paths[name].write_text(json.dumps(rules))
-    return {name: str(path) for name, path in paths.items()}
+        write(name, rules)
+    rows = {}  # each broken frontier row as the error quotes it
+    front = ParetoFront(objectives=(("synthetic-acc", "maximize"), ("macs", "minimize")),
+                        points=[EvaluatedArch(arch=sample_uniform(load_space("ofa"), spawn_rng(0)),
+                                              metrics=(0.75, 3.0e8), eval_id=0, generation=0)])
+    for name, (column, cell) in {"frontier-depths": (6, "2|x"), "frontier-metric": (9, "fast"),
+                                 "frontier-nan": (9, "nan")}.items():
+        paths[name] = tmp_path / f"{name}.csv"
+        write_frontier_csv(front, paths[name])
+        *header, row = paths[name].read_text().splitlines()
+        cells = row.split(",")
+        cells[column] = cell
+        paths[name].write_text("\n".join([*header, ",".join(cells)]) + "\n")
+        rows[f"{name}-row"] = repr(cells)
+    return {**{name: str(path) for name, path in paths.items()}, **rows}
 
 
 @pytest.mark.parametrize("argv, named", [
@@ -590,10 +622,30 @@ def bad_inputs(tmp_path):
      "rules[0].resolutions[0]: expected int, got 'x'"),
     (("search", "max", "--space", "ofa", "--preset", "{advisory-weights}"),
      "advisory.unit_weights[0]: expected a number, got 'x'"),
+    (("search", "compare", "{frontier-depths}", "{frontier-depths}"),
+     "{frontier-depths}: row {frontier-depths-row}: expected an integer, got 'x'"),
+    (("search", "compare", "{frontier-metric}", "{frontier-metric}"),
+     "{frontier-metric}: row {frontier-metric-row}: expected a finite number, got 'fast'"),
+    (("search", "compare", "{frontier-nan}", "{frontier-nan}"),
+     "{frontier-nan}: row {frontier-nan-row}: expected a finite number, got 'nan'"),
+    (("profile", "blocks", "--space", "ofa", "--metric", "profile:{profile-template}",
+      "--samples", "2"), "profile.resolution_templates[0]: expected int, got 224.7"),
+    (("profile", "blocks", "--space", "ofa", "--metric", "profile:{profile-factor}",
+      "--samples", "2"), "profile.kernel_factor.3: expected a number, got True"),
+    (("profile", "blocks", "--space", "ofa", "--metric", "profile:{profile-name}",
+      "--samples", "2"), "profile.name: expected str, got ['x']"),
+    (("profile", "blocks", "--space", "{base-true}", "--metric", "macs", "--samples", "2"),
+     "units[0].base_channels: expected int, got True"),
+    (("reduce", "--space", "ofa", "--rules", "{rule-space}"),
+     "ruleset.space: expected str, got 5"),
+    (("reduce", "--space", "ofa", "--rules", "{rule-blocks}"),
+     "rules[0].blocks[0]: expected str, got 7"),
 ], ids=["space-dir", "space-not-utf8", "table-dir", "profile-dir", "compare-missing",
         "compare-dir", "resolution-str", "resolution-null", "stem-kernel", "stem-list",
         "head-classes", "unit-ratios", "block-ratio", "rule-units", "rule-resolutions",
-        "advisory-weights"])
+        "advisory-weights", "frontier-depths", "frontier-metric", "frontier-nan",
+        "profile-template", "profile-factor", "profile-name", "base-channels-true",
+        "rule-space", "rule-blocks"])
 def test_bad_input_files_exit_2_naming_the_path_or_field(capsys, tmp_path, bad_inputs,
                                                          argv, named):
     out_dir = tmp_path / "out"

@@ -150,7 +150,7 @@ def test_profile_config_round_trip(tmp_path):
 
 
 def test_profile_config_errors():
-    with pytest.raises(ConfigError, match="missing field"):
+    with pytest.raises(ConfigError, match=r"profile\.kernel_factor: missing"):
         profile_from_config({"name": "x", "families": ["mbconv_v2"]})
     with pytest.raises(ConfigError, match="unknown family"):
         profile_from_config({
@@ -166,19 +166,26 @@ _MINIMAL = {"name": "x", "families": ["mbconv_v2"],
 
 
 @pytest.mark.parametrize("field, value, named", [
-    ("layer_cost_ms", "fast", "layer_cost_ms"),
-    ("layer_cost_ms", None, "layer_cost_ms"),
-    ("layer_cost_ms", {"1": "fast"}, "layer_cost_ms['1']"),
-    ("layer_cost_ms", {"one": 1.0}, "layer_cost_ms['one']"),
-    ("layer_cost_ms", {"1": [1.0, "fast"]}, "layer_cost_ms['1']"),
-    ("unit_scale", {"1": "big"}, "unit_scale['1']"),
-    ("unit_scale", {"u1": 1.0}, "unit_scale['u1']"),
-    ("resolution_templates", [224, "huge"], "resolution_templates"),
-    ("fixed_overhead_ms", "none", "fixed_overhead_ms"),
-    ("pad_cost_ms", [0.4], "pad_cost_ms"),
-])
+    ("layer_cost_ms", "fast", "profile.layer_cost_ms: expected a number, got 'fast'"),
+    ("layer_cost_ms", None, "profile.layer_cost_ms: expected a number, got None"),
+    ("layer_cost_ms", {"1": "fast"}, "profile.layer_cost_ms.1: expected a number, got 'fast'"),
+    ("layer_cost_ms", {"one": 1.0},
+     "profile.layer_cost_ms key: expected an integer, got 'one'"),
+    ("layer_cost_ms", {"1": [1.0, "fast"]},
+     "profile.layer_cost_ms.1[1]: expected a number, got 'fast'"),
+    ("unit_scale", {"1": "big"}, "profile.unit_scale.1: expected a number, got 'big'"),
+    ("unit_scale", {"u1": 1.0}, "profile.unit_scale key: expected an integer, got 'u1'"),
+    ("resolution_templates", [224, "huge"],
+     "profile.resolution_templates[1]: expected int, got 'huge'"),
+    ("fixed_overhead_ms", "none", "profile.fixed_overhead_ms: expected a number, got 'none'"),
+    ("pad_cost_ms", [0.4], "profile.pad_cost_ms: expected a number, got [0.4]"),
+], ids=["layer_cost_ms-fast-layer_cost_ms", "layer_cost_ms-None-layer_cost_ms",
+        "layer_cost_ms-value2-layer_cost_ms['1']", "layer_cost_ms-value3-layer_cost_ms['one']",
+        "layer_cost_ms-value4-layer_cost_ms['1']", "unit_scale-value5-unit_scale['1']",
+        "unit_scale-value6-unit_scale['u1']", "resolution_templates-value7-resolution_templates",
+        "fixed_overhead_ms-none-fixed_overhead_ms", "pad_cost_ms-value9-pad_cost_ms"])
 def test_profile_config_rejects_non_numeric_fields(field, value, named):
-    with pytest.raises(ConfigError, match=f"device profile {re.escape(named)}: expected a number"):
+    with pytest.raises(ConfigError, match=re.escape(named)):
         profile_from_config({**_MINIMAL, field: value})
 
 
@@ -186,7 +193,7 @@ def test_profile_config_rejects_non_numeric_fields(field, value, named):
     ("families", "mbconv_v2"), ("unit_scale", [1.0]), ("resolution_templates", 224),
 ])
 def test_profile_config_rejects_wrong_containers(field, value):
-    with pytest.raises(ConfigError, match=f"device profile {field}: expected a"):
+    with pytest.raises(ConfigError, match=rf"profile\.{field}: expected (list|dict), got"):
         profile_from_config({**_MINIMAL, field: value})
 
 

@@ -50,6 +50,7 @@ from archscope.spaces import (
     list_spaces,
     load_space,
     parse_space_config,
+    validate_architecture,
 )
 from archscope.tables import ADDITIVE, MetricTable, table_evaluator
 
@@ -648,6 +649,18 @@ def test_from_architectures_rejects_non_members():
     for other in bad:
         with pytest.raises(ValidationError, match="architecture 1 is not a member"):
             Genes.from_architectures(space, [arch, other])
+
+
+def test_from_architectures_rejects_blocks_outside_the_unit_ratio():
+    # every gene is one the space has, but unit 1's C100 blocks need ratio 1.0
+    space = load_space("resnet50")
+    arch = sample_uniform(space, spawn_rng(0))
+    assert arch.channel_ratios[0] == 1.0 and arch.blocks[0][0].startswith("C100-")
+    other = replace(arch, channel_ratios=(0.65, *arch.channel_ratios[1:]))
+    with pytest.raises(ValidationError, match="not admissible under channel ratio 0.65"):
+        validate_architecture(space, other)
+    with pytest.raises(ValidationError, match="architecture 1 is not a member"):
+        Genes.from_architectures(space, [arch, other])
 
 
 def _failing(space, bad_arch, kind):
