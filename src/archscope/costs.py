@@ -1,6 +1,7 @@
 """Analytic cost models and the metric-evaluator contract.
 
-MAC and parameter counts are exact integers, built from per-slot terms into
+MAC and parameter counts are exact integers. Both come from one list of
+weight tensors per layer, (output positions, weights, biases), counted into
 lookup tables that score a gene batch, not walked layer by layer. The shape
 chain is fixed by the macro skeleton: the stem conv halves the input, and
 the first layer of every unit halves it again (stride-2 convs use ceil
@@ -45,6 +46,7 @@ from .spaces import (
 
 MINIMIZE = "minimize"
 MAXIMIZE = "maximize"
+SE_REDUCTION = 4  # squeeze-and-excitation width: max(1, mid // SE_REDUCTION)
 
 
 def half(size: int) -> int:
@@ -62,171 +64,79 @@ def unit_spatial_sizes(space: DesignSpace, resolution: int) -> list[tuple[int, i
     return sizes
 
 
-def _mbconv_macs(
-    block: BlockSpec, c_in: int, c_out: int, h_in: int, h_out: int,
-    count_se: bool, se_reduction: int,
-) -> int:
-    mid = c_in * int(block.expansion)
-    total = h_in * h_in * c_in * mid  # 1x1 expand
-    total += h_out * h_out * mid * block.kernel * block.kernel  # depthwise
-    if block.uses_se and count_se:
-        se_mid = max(1, mid // se_reduction)
-        total += mid * se_mid + se_mid * mid  # two FC layers
-    total += h_out * h_out * mid * c_out  # 1x1 project
-    return total
-
-
-def _bottleneck_macs(
-    block: BlockSpec, c_in: int, c_out: int, h_in: int, h_out: int, project: bool
-) -> int:
-    mid = max(1, int(c_out * block.expansion + 0.5))
-    total = h_in * h_in * c_in * mid  # 1x1 reduce
-    total += h_out * h_out * mid * mid * block.kernel * block.kernel  # kxk mid conv
-    total += h_out * h_out * mid * c_out  # 1x1 expand
-    if project:
-        total += h_out * h_out * c_in * c_out  # projection shortcut
-    return total
-
-
-def _stem_macs(space: DesignSpace, resolution: int) -> int:
-    h = half(resolution)
-    stem = space.stem
-    return h * h * 3 * stem.out_channels * stem.kernel * stem.kernel
-
-
-def _layer_macs(
-    block: BlockSpec, first: bool, c_in: int, c_out: int, h_in: int, h_out: int,
-    count_se: bool, se_reduction: int,
-) -> int:
-    """One layer from its input width and size; first marks a unit's layer 1."""
+def _layer_terms(block: BlockSpec, first: bool, c_in: int, c_out: int, h_in: int, h_out: int,
+                 count_se: bool) -> list[tuple[int, int, int]]:
+    """One layer's weight tensors as (output positions, weights, biases), from
+    its input width and size; first marks a unit's layer 1."""
+    k2 = block.kernel * block.kernel
     if block.family in (MBCONV_V3, MBCONV_V2):
-        return _mbconv_macs(block, c_in, c_out, h_in, h_out, count_se, se_reduction)
+        mid = c_in * int(block.expansion)
+        terms = [(h_in * h_in, c_in * mid, mid),  # 1x1 expand
+                 (h_out * h_out, k2 * mid, mid)]  # depthwise, one filter per channel
+        if block.uses_se and count_se:
+            se_mid = max(1, mid // SE_REDUCTION)
+            terms += [(1, mid * se_mid, se_mid), (1, se_mid * mid, mid)]  # two FC layers
+        return terms + [(h_out * h_out, mid * c_out, c_out)]  # 1x1 project
     if block.family == RESNET_BOTTLENECK:
+        mid = max(1, int(c_out * block.expansion + 0.5))
+        terms = [(h_in * h_in, c_in * mid, mid),  # 1x1 reduce
+                 (h_out * h_out, k2 * mid * mid, mid),  # kxk mid conv
+                 (h_out * h_out, mid * c_out, c_out)]  # 1x1 expand
         # layer 1 strides, so it always carries the projection shortcut
-        return _bottleneck_macs(block, c_in, c_out, h_in, h_out, first)
-    raise ValidationError(f"no MAC model for block family {block.family!r}")
+        return terms + [(h_out * h_out, c_in * c_out, c_out)] if first else terms
+    raise ValidationError(f"no cost model for block family {block.family!r}")
 
 
-def _head_macs(space: DesignSpace, c: int, h_final: int) -> int:
+def _head_terms(space: DesignSpace, c: int, h_final: int) -> list[tuple[int, int, int]]:
+    """The head's weight tensors: optional 1x1 conv and hidden FC, then the classifier."""
     head = space.head
-    total = 0
+    terms = []
     if head.conv_channels:
-        total += h_final * h_final * c * head.conv_channels
+        terms.append((h_final * h_final, c * head.conv_channels, head.conv_channels))
         c = head.conv_channels
     if head.hidden:
-        total += c * head.hidden
+        terms.append((1, c * head.hidden, head.hidden))
         c = head.hidden
-    return total + c * head.classes
+    return terms + [(1, c * head.classes, head.classes)]
 
 
-def macs(
-    space: DesignSpace,
-    arch: Architecture,
-    *,
-    count_se: bool = True,
-    se_reduction: int = 4,
-) -> int:
+def macs(space: DesignSpace, arch: Architecture, *, count_se: bool = True) -> int:
     """Exact multiply-accumulate count for the whole network: a batch of one.
 
     Each call builds the space's count tables; to score many architectures,
     use macs_evaluator's fn or evaluate_batch, which build them once."""
-    totals = _macs_totals(space, count_se=count_se, se_reduction=se_reduction)
-    return int(totals(batch_of_one(space, arch))[0])
+    return int(_macs_totals(space, count_se=count_se)(batch_of_one(space, arch))[0])
 
 
-def _mbconv_params(
-    block: BlockSpec, c_in: int, c_out: int, count_se: bool, se_reduction: int,
-    include_bias: bool,
-) -> int:
-    mid = c_in * int(block.expansion)
-    total = c_in * mid  # expand 1x1
-    total += block.kernel * block.kernel * mid  # depthwise, one filter per channel
-    if block.uses_se and count_se:
-        se_mid = max(1, mid // se_reduction)
-        total += mid * se_mid + se_mid * mid
-        if include_bias:
-            total += se_mid + mid
-    total += mid * c_out  # project 1x1
-    if include_bias:
-        total += mid + mid + c_out
-    return total
-
-
-def _bottleneck_params(block: BlockSpec, c_in: int, c_out: int, project: bool, include_bias: bool) -> int:
-    mid = max(1, int(c_out * block.expansion + 0.5))
-    total = c_in * mid + block.kernel * block.kernel * mid * mid + mid * c_out
-    if project:
-        total += c_in * c_out  # projection shortcut
-    if include_bias:
-        total += mid + mid + c_out + (c_out if project else 0)
-    return total
-
-
-def _stem_params(space: DesignSpace, include_bias: bool) -> int:
-    stem = space.stem
-    return stem.kernel * stem.kernel * 3 * stem.out_channels + (
-        stem.out_channels if include_bias else 0)
-
-
-def _layer_params(
-    block: BlockSpec, first: bool, c_in: int, c_out: int, count_se: bool, se_reduction: int,
-    include_bias: bool,
-) -> int:
-    """One layer from its input width; first marks a unit's layer 1."""
-    if block.family in (MBCONV_V3, MBCONV_V2):
-        return _mbconv_params(block, c_in, c_out, count_se, se_reduction, include_bias)
-    if block.family == RESNET_BOTTLENECK:
-        return _bottleneck_params(block, c_in, c_out, first, include_bias)
-    raise ValidationError(f"no parameter model for block family {block.family!r}")
-
-
-def _head_params(space: DesignSpace, c: int, include_bias: bool) -> int:
-    head = space.head
-    total = 0
-    if head.conv_channels:
-        total += c * head.conv_channels
-        if include_bias:
-            total += head.conv_channels
-        c = head.conv_channels
-    if head.hidden:
-        total += c * head.hidden + (head.hidden if include_bias else 0)
-        c = head.hidden
-    return total + c * head.classes + (head.classes if include_bias else 0)
-
-
-def param_count(
-    space: DesignSpace,
-    arch: Architecture,
-    *,
-    count_se: bool = True,
-    se_reduction: int = 4,
-    include_bias: bool = False,
-) -> int:
+def param_count(space: DesignSpace, arch: Architecture, *, count_se: bool = True,
+                include_bias: bool = False) -> int:
     """Exact weight count; batch norm excluded, conv biases behind a flag. A
     batch of one.
 
     Each call builds the space's count tables; to score many architectures,
     use params_evaluator's fn or evaluate_batch, which build them once."""
-    totals = _params_totals(space, count_se=count_se, se_reduction=se_reduction,
-                            include_bias=include_bias)
+    totals = _params_totals(space, count_se=count_se, include_bias=include_bias)
     return int(totals(batch_of_one(space, arch))[0])
 
 
-def _count_totals(space: DesignSpace, stem, layer, head):
-    """Function of a Genes batch to its exact integer counts: stem(resolution)
-    plus, per present layer, layer(block, first, c_in, c_out, h_in, h_out)
-    plus head(c, h_final), read from tables of those terms. Layer 1 is keyed
-    by the previous unit's ratio (its input width) and the head by the last
-    unit's ratio; every later layer has the same term. The tables are int64,
-    or Python ints (dtype object) when a total could reach 2**63."""
+def _count_totals(space: DesignSpace, count: Callable, count_se: bool):
+    """Function of a Genes batch to its exact integer counts: count of the
+    stem's tensor, plus count(_layer_terms(...)) per present layer, plus
+    count(_head_terms(...)), read from tables. Layer 1 is keyed by the
+    previous unit's ratio (its input width) and the head by the last unit's
+    ratio; every later layer has the same count. The tables are int64, or
+    Python ints (dtype object) when a total could reach 2**63."""
     widths = [
         [effective_channels(unit.base_channels, r) for r in values]
         for unit, values in zip(space.units, ratio_values(space))
     ]
     n_res = len(space.resolutions)
     sizes = [unit_spatial_sizes(space, r) for r in space.resolutions]
-    stems = np.array([stem(r) for r in space.resolutions], dtype=object)
-    heads = np.array([[head(c, hw[-1][1]) for c in widths[-1]] for hw in sizes], dtype=object)
+    k, width = space.stem.kernel, space.stem.out_channels  # the stem: one kxk conv from RGB
+    stems = np.array([count([(half(r) ** 2, k * k * 3 * width, width)])
+                      for r in space.resolutions], dtype=object)
+    heads = np.array([[count(_head_terms(space, c, hw[-1][1])) for c in widths[-1]]
+                      for hw in sizes], dtype=object)
     bound = stems.max() + heads.max()
     firsts, rests = [], []  # per unit: [res, prev ratio, ratio, block], [res, ratio, block]
     for u, unit in enumerate(space.units):
@@ -238,9 +148,11 @@ def _count_totals(space: DesignSpace, stem, layer, head):
             h_in, h_out = hw[u]
             for r, c_out in enumerate(widths[u]):
                 for b, block in enumerate(unit.blocks):
-                    rest[s, r, b] = layer(block, False, c_out, c_out, h_out, h_out)
+                    rest[s, r, b] = count(_layer_terms(
+                        block, False, c_out, c_out, h_out, h_out, count_se))
                     for p, c_in in enumerate(prev):
-                        first[s, p, r, b] = layer(block, True, c_in, c_out, h_in, h_out)
+                        first[s, p, r, b] = count(_layer_terms(
+                            block, True, c_in, c_out, h_in, h_out, count_se))
         bound += first.max() + (unit.depth_max - 1) * rest.max()
         firsts.append(first)
         rests.append(rest)
@@ -406,25 +318,13 @@ def params_digest(params: dict) -> str:
     ).hexdigest()[:16]
 
 
-def _macs_totals(space: DesignSpace, *, count_se: bool = True, se_reduction: int = 4):
-    return _count_totals(
-        space,
-        lambda resolution: _stem_macs(space, resolution),
-        lambda block, first, c_in, c_out, h_in, h_out: _layer_macs(
-            block, first, c_in, c_out, h_in, h_out, count_se, se_reduction),
-        lambda c, h_final: _head_macs(space, c, h_final),
-    )
+def _macs_totals(space: DesignSpace, *, count_se: bool = True):
+    return _count_totals(space, lambda terms: sum(p * w for p, w, _ in terms), count_se)
 
 
-def _params_totals(space: DesignSpace, *, count_se: bool = True, se_reduction: int = 4,
-                   include_bias: bool = False):
+def _params_totals(space: DesignSpace, *, count_se: bool = True, include_bias: bool = False):
     return _count_totals(
-        space,
-        lambda resolution: _stem_params(space, include_bias),
-        lambda block, first, c_in, c_out, h_in, h_out: _layer_params(
-            block, first, c_in, c_out, count_se, se_reduction, include_bias),
-        lambda c, h_final: _head_params(space, c, include_bias),
-    )
+        space, lambda terms: sum(w + (b if include_bias else 0) for _, w, b in terms), count_se)
 
 
 def _count_evaluator(space: DesignSpace, name: str, totals: Callable, kw: dict,

@@ -26,7 +26,7 @@ price fails only the rows that need it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Mapping
 
 from .costs import (
@@ -39,7 +39,8 @@ from .costs import (
     unit_spatial_sizes,
 )
 from .errors import ConfigError, ValidationError
-from .formats import int_or_finite, integer, require, require_each, resolve_config, write_json
+from .formats import (int_or_finite, integer, refuse_unknown, require, require_each,
+                      resolve_config, write_json)
 from .spaces import (
     MBCONV_V2,
     MBCONV_V3,
@@ -276,6 +277,7 @@ def identity_profile(space: DesignSpace, resolution: int | None = None) -> Devic
 def profile_from_config(config: dict) -> DeviceProfile:
     if not isinstance(config, dict):
         raise ConfigError(f"profile: expected a mapping, got {type(config).__name__}")
+    refuse_unknown(config, ("format_version", *(f.name for f in fields(DeviceProfile))), "profile")
     name = require(config, "name", str, "profile")
     families = require_each(require(config, "families", list, "profile"), str, "profile.families")
     for fam in families:

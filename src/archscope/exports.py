@@ -149,17 +149,18 @@ def read_frontier_csv(path) -> ParetoFront:
     objectives = []
     for key, value in header.items():
         if key.startswith("objective."):
-            name, _, direction = value.partition(":")
+            name, _, direction = value.rpartition(":")
             objectives.append((name, direction))
     if not objectives:
         raise ConfigError(f"{path}: no objective header lines; not a frontier export")
     columns = next(reader, None)
+    expected = _FRONTIER_COLUMNS + [name for name, _ in objectives]
+    if columns != expected:  # metric columns must name the objectives, in order
+        raise ConfigError(f"{path}: frontier columns {columns!r}, expected {expected!r}")
     n_fixed = len(_FRONTIER_COLUMNS)
-    if columns is None or columns[:n_fixed] != _FRONTIER_COLUMNS:
-        raise ConfigError(f"{path}: unexpected frontier columns {columns!r}")
     points = []
     for row in reader:
-        if len(row) != n_fixed + len(objectives):
+        if len(row) != len(expected):
             raise ConfigError(f"{path}: malformed frontier row {row!r}")
         where = f"{path}: row {row!r}"
         arch = Architecture(

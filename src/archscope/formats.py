@@ -100,6 +100,14 @@ def require(container, key, kind, where, default=_MISSING):
     return value
 
 
+def refuse_unknown(container: dict, keys, where) -> None:
+    """Refuse a key outside keys, so a misspelt optional field cannot take its
+    default silently."""
+    for key in container:
+        if key not in keys:
+            raise ConfigError(f"{where}.{key}: unknown field")
+
+
 def require_each(values: list, kind, where) -> tuple:
     return tuple(require(values, i, kind, where) for i in range(len(values)))
 

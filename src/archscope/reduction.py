@@ -15,10 +15,10 @@ experiments; each declares its base space and may carry an advisory section
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .errors import ConfigError, ValidationError
-from .formats import require, require_each, resolve_config, write_json
+from .formats import refuse_unknown, require, require_each, resolve_config, write_json
 from .spaces import DesignSpace, UnitSpec, consistent_blocks
 
 RULESET_VERSION = 1
@@ -164,6 +164,7 @@ def ruleset_to_config(ruleset: RuleSet) -> dict:
 def _parse_rule(entry: dict, where: str) -> ReductionRule:
     if not isinstance(entry, dict):
         raise ConfigError(f"{where}: expected a mapping, got {entry!r}")
+    refuse_unknown(entry, [f.name for f in fields(ReductionRule)], where)
     kind = require(entry, "kind", str, where)
     if kind not in RULE_KINDS:
         raise ConfigError(f"{where}.kind: expected one of {RULE_KINDS}, got {kind!r}")
@@ -201,6 +202,7 @@ def _parse_rule(entry: dict, where: str) -> ReductionRule:
 def ruleset_from_config(config: dict) -> RuleSet:
     if not isinstance(config, dict):
         raise ConfigError(f"ruleset: expected a mapping, got {type(config).__name__}")
+    refuse_unknown(config, ("format_version", *(f.name for f in fields(RuleSet))), "ruleset")
     name = require(config, "name", str, "ruleset", "")
     if not name:
         raise ConfigError("ruleset.name: missing name")

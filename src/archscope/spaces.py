@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from .errors import ConfigError, ValidationError
-from .formats import require, require_each, resolve_config, write_json
+from .formats import refuse_unknown, require, require_each, resolve_config, write_json
 
 MBCONV_V3 = "mbconv_v3"
 MBCONV_V2 = "mbconv_v2"
@@ -340,16 +340,8 @@ def space_to_config(space: DesignSpace) -> dict:
         "name": space.name,
         "family": space.family,
         "resolutions": list(space.resolutions),
-        "stem": {
-            "kernel": space.stem.kernel,
-            "stride": space.stem.stride,
-            "out_channels": space.stem.out_channels,
-        },
-        "head": {
-            "conv_channels": space.head.conv_channels,
-            "hidden": space.head.hidden,
-            "classes": space.head.classes,
-        },
+        "stem": asdict(space.stem),
+        "head": asdict(space.head),
         "units": units,
     }
 
@@ -357,6 +349,7 @@ def space_to_config(space: DesignSpace) -> dict:
 def _parse_block(entry, family, where) -> BlockSpec:
     if not isinstance(entry, dict):
         raise ConfigError(f"{where}: expected a mapping, got {entry!r}")
+    refuse_unknown(entry, ("code", "kernel", "expansion", "channel_ratio"), where)
     code = require(entry, "code", str, where)
     kernel = require(entry, "kernel", int, where)
     expansion = require(entry, "expansion", float, where)
@@ -386,6 +379,8 @@ def _parse_unit(entry, index, family) -> UnitSpec:
     where = f"units[{index - 1}]"
     if not isinstance(entry, dict):
         raise ConfigError(f"{where}: expected a mapping, got {entry!r}")
+    refuse_unknown(entry, ("depth_min", "depth_max", "base_channels", "channel_ratios", "blocks"),
+                   where)
     lo = require(entry, "depth_min", int, where)
     hi = require(entry, "depth_max", int, where)
     if lo < 1:
@@ -427,9 +422,20 @@ def _parse_unit(entry, index, family) -> UnitSpec:
     return unit
 
 
+def _parse_ints(config: dict, key: str, cls):
+    """A StemSpec or HeadSpec from the optional mapping config[key]: every
+    field an int, a missing one the class default, an unknown key refused."""
+    where = f"space.{key}"
+    entry = require(config, key, dict, "space", {})
+    refuse_unknown(entry, [f.name for f in fields(cls)], where)
+    return cls(**{f.name: require(entry, f.name, int, where, f.default) for f in fields(cls)})
+
+
 def parse_space_config(config: dict) -> DesignSpace:
     if not isinstance(config, dict):
         raise ConfigError(f"space config: expected a mapping, got {type(config).__name__}")
+    refuse_unknown(config, ("format_version", "name", "family", "resolutions", "stem", "head",
+                            "units"), "space")
     name = require(config, "name", str, "space")
     family = require(config, "family", str, "space")
     if family not in FAMILIES:
@@ -453,21 +459,9 @@ def parse_space_config(config: dict) -> DesignSpace:
                 raise ConfigError(
                     f"units[{u.index - 1}].channel_ratios: empty beside units with a ratio gene"
                 )
-    stem_cfg = require(config, "stem", dict, "space", {})
-    head_cfg = require(config, "head", dict, "space", {})
-    stem = StemSpec(
-        kernel=require(stem_cfg, "kernel", int, "space.stem", 3),
-        stride=require(stem_cfg, "stride", int, "space.stem", 2),
-        out_channels=require(stem_cfg, "out_channels", int, "space.stem", 16),
-    )
-    head = HeadSpec(
-        conv_channels=require(head_cfg, "conv_channels", int, "space.head", 0),
-        hidden=require(head_cfg, "hidden", int, "space.head", 0),
-        classes=require(head_cfg, "classes", int, "space.head", 1000),
-    )
-    return DesignSpace(
-        name=name, family=family, units=units, resolutions=res, stem=stem, head=head
-    )
+    return DesignSpace(name=name, family=family, units=units, resolutions=res,
+                       stem=_parse_ints(config, "stem", StemSpec),
+                       head=_parse_ints(config, "head", HeadSpec))
 
 
 def load_space(source) -> DesignSpace:

@@ -566,9 +566,12 @@ def bad_inputs(tmp_path):
     space("block-ratio", "resnet50",
           lambda c: c["units"][0]["blocks"][0].update(channel_ratio="x"))
     space("base-true", "ofa", lambda c: c["units"][0].update(base_channels=True))
+    space("unit-misspelt", "ofa",
+          lambda c: c["units"][0].update(base_chanels=c["units"][0].pop("base_channels")))
     profile("profile-template", lambda c: c.update(resolution_templates=[224.7]))
     profile("profile-factor", lambda c: c["kernel_factor"].update({"3": True}))
     profile("profile-name", lambda c: c.update(name=["x"]))
+    profile("profile-misspelt", lambda c: c.update(pad_cost=c.pop("pad_cost_ms")))
     for name, change in {
         "rule-units": {"rules": [{"kind": "cap_depth", "units": ["x"], "depth": 3}]},
         "rule-resolutions": {"rules": [{"kind": "restrict_resolutions",
@@ -576,6 +579,7 @@ def bad_inputs(tmp_path):
         "advisory-weights": {"advisory": {"unit_weights": ["x", 1, 1, 1, 1]}},
         "rule-space": {"space": 5},
         "rule-blocks": {"rules": [{"kind": "remove_block", "blocks": [7]}]},
+        "rule-misspelt": {"rules": [{"kind": "cap_depth", "unit": [2], "depth": 3}]},
     }.items():
         rules = {"name": "bad", "space": "ofa",
                  "rules": [{"kind": "cap_depth", "units": [1], "depth": 3}], **change}
@@ -593,6 +597,10 @@ def bad_inputs(tmp_path):
         cells[column] = cell
         paths[name].write_text("\n".join([*header, ",".join(cells)]) + "\n")
         rows[f"{name}-row"] = repr(cells)
+    paths["frontier-columns"] = tmp_path / "frontier-columns.csv"
+    write_frontier_csv(front, paths["frontier-columns"])
+    text = paths["frontier-columns"].read_text()
+    paths["frontier-columns"].write_text(text.replace(",synthetic-acc,macs\n", ",latency,params\n"))
     return {**{name: str(path) for name, path in paths.items()}, **rows}
 
 
@@ -640,12 +648,19 @@ def bad_inputs(tmp_path):
      "ruleset.space: expected str, got 5"),
     (("reduce", "--space", "ofa", "--rules", "{rule-blocks}"),
      "rules[0].blocks[0]: expected str, got 7"),
+    (("spaces", "count", "--space", "{unit-misspelt}"), "units[0].base_chanels: unknown field"),
+    (("profile", "blocks", "--space", "ofa", "--metric", "profile:{profile-misspelt}",
+      "--samples", "2"), "profile.pad_cost: unknown field"),
+    (("reduce", "--space", "ofa", "--rules", "{rule-misspelt}"), "rules[0].unit: unknown field"),
+    (("search", "compare", "{frontier-columns}", "{frontier-columns}"),
+     "{frontier-columns}: frontier columns"),
 ], ids=["space-dir", "space-not-utf8", "table-dir", "profile-dir", "compare-missing",
         "compare-dir", "resolution-str", "resolution-null", "stem-kernel", "stem-list",
         "head-classes", "unit-ratios", "block-ratio", "rule-units", "rule-resolutions",
         "advisory-weights", "frontier-depths", "frontier-metric", "frontier-nan",
         "profile-template", "profile-factor", "profile-name", "base-channels-true",
-        "rule-space", "rule-blocks"])
+        "rule-space", "rule-blocks", "unit-misspelt", "profile-misspelt", "rule-misspelt",
+        "frontier-columns"])
 def test_bad_input_files_exit_2_naming_the_path_or_field(capsys, tmp_path, bad_inputs,
                                                          argv, named):
     out_dir = tmp_path / "out"
@@ -655,6 +670,15 @@ def test_bad_input_files_exit_2_naming_the_path_or_field(capsys, tmp_path, bad_i
     assert err.startswith("error: " + named.format_map(bad_inputs))
     assert "Traceback" not in err
     assert not out_dir.exists()
+
+
+def test_frontier_csv_round_trips_metric_names_with_colons(tmp_path):
+    # a profile's name is free text, so an objective header can read "npu:v2:minimize"
+    front = ParetoFront(objectives=(("npu:v2", "minimize"), ("synthetic-acc", "maximize")),
+                        points=[EvaluatedArch(arch=sample_uniform(load_space("ofa"), spawn_rng(1)),
+                                              metrics=(1.25, 0.75), eval_id=3, generation=1)])
+    write_frontier_csv(front, tmp_path / "front.csv")
+    assert read_frontier_csv(tmp_path / "front.csv") == front
 
 
 def test_internal_errors_exit_1(capsys, monkeypatch):

@@ -256,3 +256,14 @@ def test_counts_past_int64_stay_exact():
         expected_params)
     assert macs_ev.evaluate_batch(genes).tolist() == [float(m) for m in expected_macs]
     assert params_ev.evaluate_batch(genes).tolist() == [float(p) for p in expected_params]
+
+
+@pytest.mark.parametrize("count", [macs, param_count])
+def test_unknown_block_family_has_no_cost_model(count):
+    # parse_space_config refuses an unknown family, so only a space built in code reaches this
+    block = BlockSpec(code="Attn-3", family="attention", kernel=3, expansion=2)
+    unit = UnitSpec(index=1, depth_min=1, depth_max=1, blocks=(block,), base_channels=16)
+    space = DesignSpace(name="attn", family="attention", units=(unit,), resolutions=(32,))
+    arch = Architecture(space="attn", resolution=32, depths=(1,), blocks=(("Attn-3",),))
+    with pytest.raises(ValidationError, match="no cost model for block family 'attention'"):
+        count(space, arch)

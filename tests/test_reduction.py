@@ -265,6 +265,15 @@ def test_parse_errors_name_fields():
         ruleset_from_config(_config(advisory=["x"]))
 
 
+def test_parse_refuses_unknown_keys_but_not_advisory_ones():
+    with pytest.raises(ConfigError, match=r"ruleset\.nmae: unknown field"):
+        ruleset_from_config(_config(nmae="x"))
+    with pytest.raises(ConfigError, match=r"rules\[0\]\.unit: unknown field"):
+        ruleset_from_config(_config(rules=[{"kind": "cap_depth", "unit": [2], "depth": 3}]))
+    advisory = {"unit_weights": [1, 1, 1, 2, 2], "derived_from": {"blocks.csv": "0" * 64}}
+    assert ruleset_from_config(_config(advisory=advisory)).advisory == advisory
+
+
 def test_parse_errors_rule_fields():
     with pytest.raises(ConfigError, match=r"rules\[0\].kind"):
         ruleset_from_config(_config(rules=[{"kind": "shrink"}]))

@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import replace
 
 import pytest
@@ -159,6 +160,20 @@ def test_config_errors_name_the_field():
     bad["units"][2]["depth_max"] = 1
     with pytest.raises(ConfigError, match=r"units\[2\]\.depth_max"):
         parse_space_config(bad)
+
+
+@pytest.mark.parametrize("field, change", [
+    ("space.note", lambda c: c.update(note="x")),
+    ("space.stem.channels", lambda c: c["stem"].update(channels=16)),
+    ("space.head.hiden", lambda c: c["head"].update(hiden=1280)),
+    ("units[2].depth", lambda c: c["units"][2].update(depth=3)),
+    ("units[0].blocks[1].kernal", lambda c: c["units"][0]["blocks"][1].update(kernal=5)),
+], ids=["top", "stem", "head", "unit", "block"])
+def test_config_refuses_unknown_keys(field, change):
+    config = space_to_config(load_space("ofa"))
+    change(config)
+    with pytest.raises(ConfigError, match=re.escape(f"{field}: unknown field")):
+        parse_space_config(config)
 
 
 def test_config_rejects_mixed_ratio_and_plain_units():
