@@ -5,7 +5,7 @@ The public names below are imported from their modules on first use
 (PEP 562), so importing one module, such as archscope.cli, does not import
 every other."""
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 # module -> the public names it defines
 _EXPORTS = {
@@ -13,12 +13,13 @@ _EXPORTS = {
     "spaces": "Architecture BlockSpec DesignSpace Placement UnitSpec count_architectures "
               "count_placements deserialize enumerate_architectures iter_placements "
               "list_spaces load_space save_space serialize validate_architecture",
-    "sampling": "sample_fixed sample_uniform spawn_rng",
+    "sampling": "sample_fixed sample_uniform stream",
     "costs": "AccuracyModel MetricEvaluator accuracy_evaluator macs macs_evaluator "
              "param_count params_evaluator synthetic_accuracy",
     "devices": "DeviceProfile identity_profile latency_evaluator load_profile "
                "profile_latency save_profile",
-    "tables": "MetricTable load_table save_table table_evaluate table_evaluator",
+    "tables": "MetricTable exact_table_from_pairs load_table save_table table_evaluate "
+              "table_evaluator",
     "evaluators": "parse_objectives resolve_evaluator",
     "profiler": "SampleSet block_heatmap draw_samples estimate_block_mean "
                 "estimate_placement_stats percentile placement_sweep",

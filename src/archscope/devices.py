@@ -279,6 +279,8 @@ def profile_from_config(config: dict) -> DeviceProfile:
         raise ConfigError(f"profile: expected a mapping, got {type(config).__name__}")
     refuse_unknown(config, ("format_version", *(f.name for f in fields(DeviceProfile))), "profile")
     name = require(config, "name", str, "profile")
+    if name != name.strip():  # "# key=value" headers would not give it back
+        raise ConfigError(f"profile.name: {name!r} has leading or trailing whitespace")
     families = require_each(require(config, "families", list, "profile"), str, "profile.families")
     for fam in families:
         if fam not in _ALL_FAMILIES:

@@ -13,8 +13,8 @@ word matrix are decoded through array tables built once per space, each
 word reduced modulo a bound that divides the word range L, so every choice
 is exactly uniform. With dedupe on, the duplicates of a generation are
 redrawn together in one more batch, and each takes the first unseen of its
-ten alternatives, else the last. docs/FORMATS.md ("Search stream") states
-the draws and their decoding.
+ten alternatives, else the last. docs/FORMATS.md ("Search draws") states
+the draws, from sampling.Stream, and their decoding.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ValidationError
+from .sampling import Stream
 from .spaces import DesignSpace, ratio_values
 
 DEDUPE_RETRIES = 10
@@ -60,8 +61,8 @@ class UnitPicker:
 
 
 def _cdf(q: np.ndarray) -> np.ndarray:
-    """Per row of unit weights q [n, U], the CDF through which
-    Generator.choice(U, p=q / q.sum()) maps its double."""
+    """Per row of unit weights q [n, U], the CDF through which a unit is
+    picked: the first unit whose entry exceeds the row's double."""
     cdf = (q / q.sum(axis=1, keepdims=True)).cumsum(axis=1)
     return cdf / cdf[:, -1:]
 
@@ -126,14 +127,15 @@ class MutationTables:
                 f"space {space.name!r}: the mutation bounds {sorted(bounds)} have a least "
                 f"common multiple of {self.bound}, which does not fit in 63 bits")
 
-    def draw(self, rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """The unit doubles [n] and the word matrix [n, words] of n mutations."""
-        return rng.random(n), rng.integers(0, self.bound, size=(n, self.words))
+    def draw(self, doubles: Stream, words: Stream, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """The unit doubles [n] and the word matrix [n, words] of n mutations,
+        each from its stream (which may be one stream, doubles first)."""
+        return doubles.doubles(n), words.below(self.bound, n * self.words).reshape(n, self.words)
 
     def mutate(self, rows: np.ndarray, x: np.ndarray, words: np.ndarray,
                picker: UnitPicker) -> tuple[np.ndarray, np.ndarray]:
         """One mutation of each gene row, decoded from its unit double and its
-        row of words (docs/FORMATS.md, "Search stream"); returns the child rows
+        row of words (docs/FORMATS.md, "Search draws"); returns the child rows
         and their descriptions as integer columns (action, unit, position,
         old, new), which describe() formats."""
         k = np.arange(len(rows))
@@ -217,12 +219,13 @@ def row_keys(rows: np.ndarray) -> list[bytes]:
     return [data[i : i + width] for i in range(0, len(data), width)]
 
 
-def dedupe(tables: MutationTables, picker: UnitPicker, rng: np.random.Generator,
+def dedupe(tables: MutationTables, picker: UnitPicker, streams: tuple[Stream, Stream],
            parents: np.ndarray, kids: np.ndarray, descs: np.ndarray, seen: set) -> None:
     """Replace, in place, each child of a generation whose row was seen
     before: the children are checked in order and each new row joins seen;
-    then one more batch gives every duplicate DEDUPE_RETRIES alternatives
-    from its own parent, and it takes its first unseen one, else the last."""
+    then one more batch, drawn from streams (doubles, words), gives every
+    duplicate DEDUPE_RETRIES alternatives from its own parent, and it takes
+    its first unseen one, else the last."""
     duplicates = []
     for i, key in enumerate(row_keys(kids)):
         if key in seen:
@@ -233,7 +236,7 @@ def dedupe(tables: MutationTables, picker: UnitPicker, rng: np.random.Generator,
         return
     n = len(duplicates) * DEDUPE_RETRIES
     alts, alt_descs = tables.mutate(np.repeat(parents[duplicates], DEDUPE_RETRIES, axis=0),
-                                    *tables.draw(rng, n), picker)
+                                    *tables.draw(*streams, n), picker)
     alt_keys = row_keys(alts)
     for j, i in enumerate(duplicates):
         tries = range(j * DEDUPE_RETRIES, (j + 1) * DEDUPE_RETRIES)

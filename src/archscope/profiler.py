@@ -24,13 +24,14 @@ numbers. A sweep computes every statistic of every row of the pass's
 matrix at once, and a heatmap each row's mean and standard error; the
 shared baseline's statistics are computed once.
 
-Every placement draws from its own RNG stream derived from the master seed
-(see sampling.spawn_rng), so results are bitwise identical no matter how many
-workers run the placements or in what order they finish. The pass draws and
-scores whole placements in chunks of about PASS_CHUNK rows: each stream
-makes its own draws (sampling.sample_streams) and one evaluate_batch call
-scores the chunk, so a chunk's rows equal those of one placement at a time,
-and workers run chunks.
+Every placement draws from its own random stream, keyed by the placement
+and the resolution under the master seed (see sampling.Stream), so results
+are bitwise identical no matter how many workers run the placements or in
+what order they finish. The pass draws and scores whole placements in chunks
+of about PASS_CHUNK rows: the chunk's streams are drawn as one array
+expression (sampling.sample_streams) and one evaluate_batch call scores the
+chunk, so a chunk's rows equal those of one placement at a time, and
+workers run chunks.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from .sampling import (
     sample_fixed,
     sample_streams,
     sample_uniform,
-    spawn_rng,
+    stream_origins,
 )
 from .spaces import (
     DesignSpace,
@@ -284,22 +285,24 @@ def _stream_key(placement: Placement | None, space: DesignSpace, resolution: int
     return (STREAM_PLACEMENT, placement.unit, placement.layer, b_idx, res_key)
 
 
-def _draw(space, evaluator, placements, n, seed, resolution) -> np.ndarray:
+def _draw(space, evaluator, placements, origins, n, resolution) -> np.ndarray:
     """[len(placements), n] metric draws, row k conditioned on placements[k]
-    (None: unconditioned) from that placement's own stream, sampled as one
-    gene batch (sampling.sample_streams) and scored by one evaluate_batch
-    call. When anything in the batch fails, its placements are drawn again one
-    at a time, so a failure raises at the placement, and with the message and
+    (None: unconditioned) from that placement's stream, whose origins are
+    (s[k], gamma[k]) (sampling.stream_origins), sampled as one gene batch
+    (sampling.sample_streams) and scored by one evaluate_batch call. When
+    anything in the batch fails, its placements are drawn again one at a
+    time, so a failure raises at the placement, and with the message and
     record, where a one-placement-at-a-time loop stops."""
-    rngs = [spawn_rng(seed, *_stream_key(p, space, resolution)) for p in placements]
-    genes = sample_streams(space, rngs, n, placements, resolution)
+    genes = sample_streams(space, origins, n, placements, resolution)
     try:
         return evaluator.evaluate_batch(genes).reshape(len(placements), n)
     except Exception:
         if len(placements) == 1:
             raise
+        s, gamma = origins
         return np.concatenate(
-            [_draw(space, evaluator, [p], n, seed, resolution) for p in placements])
+            [_draw(space, evaluator, [p], (s[k : k + 1], gamma[k : k + 1]), n, resolution)
+             for k, p in enumerate(placements)])
 
 
 def draw_samples(
@@ -321,7 +324,9 @@ def draw_samples(
         validate_placement(space, placement)
     return SampleSet(
         metric=evaluator.name,
-        values=_draw(space, evaluator, [placement], n, seed, resolution)[0],
+        values=_draw(space, evaluator, [placement],
+                     stream_origins(seed, [_stream_key(placement, space, resolution)]), n,
+                     resolution)[0],
         seed=seed,
         condition=placement,
         resolution=resolution,
@@ -350,18 +355,20 @@ def _conditioned_pass(space, evaluator, placements, n, seed, resolution, workers
     if n < 1:
         raise ValidationError(f"sample size must be >= 1, got {n}")
     placements = list(placements)
+    s, gamma = stream_origins(seed, [_stream_key(p, space, resolution) for p in placements])
     per_chunk = max(1, PASS_CHUNK // n)
-    chunks = [placements[i : i + per_chunk] for i in range(0, len(placements), per_chunk)]
+    starts = range(0, len(placements), per_chunk)
 
-    def job(chunk):
-        return _draw(space, evaluator, chunk, n, seed, resolution)
+    def job(i):
+        part = slice(i, i + per_chunk)
+        return _draw(space, evaluator, placements[part], (s[part], gamma[part]), n, resolution)
 
     if workers <= 1:
-        return np.concatenate([job(c) for c in chunks])
+        return np.concatenate([job(i) for i in starts])
     from concurrent.futures import ThreadPoolExecutor  # a few ms to import
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return np.concatenate(list(pool.map(job, chunks)))
+        return np.concatenate(list(pool.map(job, starts)))
 
 
 def _row_means_and_errors(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1,26 +1,31 @@
-"""Uniform and placement-conditioned sampling.
+"""Counter-based random streams, and uniform and placement-conditioned sampling.
 
-Every draw is a batch: sample_batch draws n architectures as integer gene
-arrays (Genes) with two Generator.integers calls, first the resolution and
-each unit's channel ratio and depth for the whole batch, then one block per
-layer slot from the candidates consistent with that architecture's ratio.
-docs/FORMATS.md ("Sampling stream") states the layout; it is part of the
-contract (same seed, same architectures). sample_streams assembles many
-streams into one batch, each stream making its own two calls; sample_batch
-is its one-stream case, and sample_uniform and sample_fixed are batches of
-one.
+Every random draw of the package comes from a Stream(seed, *key), key being
+small non-negative ints naming the consumer (baseline, placement, search
+generation...). Word i of a stream is mix64(s + (i + 1) * gamma mod 2**64),
+mix64 being the SplitMix64 finalizer (Steele, Lea & Flood 2014) and s and
+gamma (odd) derived from the seed's 64-bit limbs and the key. A stream is
+thus a pure function of (seed, key, index), with no generator state, so
+results cannot depend on scheduling, and many streams are drawn as one
+uint64 array expression with s and gamma as [K, 1] columns
+(stream_origins, draw_below). below(bound, count) is exactly uniform: a
+word at or above the largest multiple of bound under 2**64 is rejected and
+its position takes the next word past the batch's end.
+
+A batch of n architectures (sample_batch, or sample_streams for one batch
+per stream) is one below(L, n * W) call read as [n, W], W = 1 + 2U + U * Lmax
+words per architecture in the Genes.rows() layout, and each gene is its
+word modulo its bound; L (DesignSpace.sampling_bound) is a multiple of every
+such bound. docs/FORMATS.md ("Random stream") states the hash, the key table
+and the layout; they are part of the contract (same seed, same
+architectures). sample_uniform and sample_fixed are batches of one.
 
 A placement condition pins the named block at its (unit, layer) slot and
 resamples nothing else, so every other slot keeps its unconditioned
 marginal; the pinned unit's depth is drawn uniformly from
 {max(layer, depth_min) .. depth_max} so the slot exists, and a pinned block
 bound to a channel ratio fixes its unit's ratio. The pinned slot still takes
-its draw, which the pin then overwrites.
-
-Stream splitting: independent generators are derived as
-``default_rng(SeedSequence([seed, *key]))`` where key is a tuple of small
-non-negative ints naming the consumer (baseline, placement, search...). The
-rule is used everywhere results must not depend on scheduling.
+its word, which the pin then overwrites.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from .spaces import (
     validate_placement,
 )
 
-# stream namespace tags for spawn_rng keys
+# stream namespace tags: the first key entry
 STREAM_BASELINE = 0
 STREAM_PLACEMENT = 1
 # 2 is retired: it seeded the resampling bootstrap that exact percentile
@@ -44,28 +49,142 @@ STREAM_PLACEMENT = 1
 STREAM_SEARCH_INIT = 3
 STREAM_SEARCH_MUTATE = 4
 
+_GOLDEN = 0x9E3779B97F4A7C15  # the SplitMix64 increment
+_MIX = (0xBF58476D1CE4E5B9, 0x94D049BB133111EB)
+_WEAK_FLIP = 0xAAAAAAAAAAAAAAAA
 
-def spawn_rng(seed: int, *key: int) -> np.random.Generator:
-    """Derive an independent generator from a master seed and an integer key."""
-    return np.random.default_rng(np.random.SeedSequence([int(seed), *[int(k) for k in key]]))
+
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """The SplitMix64 finalizer of a uint64 array, in place."""
+    t = z >> 30
+    z ^= t
+    z *= _MIX[0]
+    np.right_shift(z, 27, out=t)
+    z ^= t
+    z *= _MIX[1]
+    np.right_shift(z, 31, out=t)
+    z ^= t
+    return z
+
+
+def stream_origins(seed: int, keys) -> tuple[np.ndarray, np.ndarray]:
+    """(s, gamma), uint64 [K], of the streams (seed, *keys[k]) for K keys of
+    one length: mix64 absorbs the limb count, the seed's 64-bit limbs (least
+    significant first), the key length and the key, each as h = mix64((h +
+    golden) ^ value) from h = 0; s = mix64(h + golden) and gamma =
+    mix64(h + 2 golden) | 1, with 0xAAAA... xored in when gamma has fewer
+    than 24 bit changes (gamma ^ (gamma >> 1) has under 24 ones)."""
+    seed = int(seed)
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
+    limbs = [seed & (2**64 - 1)]
+    while seed >> 64 * len(limbs):
+        limbs.append(seed >> 64 * len(limbs) & (2**64 - 1))
+    try:
+        keys = np.array(keys, dtype=np.uint64).reshape(len(keys), -1)
+    except OverflowError:
+        raise ValidationError(f"stream keys must be integers in [0, 2**64): {keys}") from None
+    h = np.zeros(len(keys), dtype=np.uint64)
+    for value in (len(limbs), *limbs, keys.shape[1], *keys.T):
+        h += _GOLDEN
+        h ^= value
+        _mix64(h)
+    s = _mix64(h + _GOLDEN)
+    h += 2 * _GOLDEN % 2**64
+    gamma = _mix64(h) | 1
+    changes = np.unpackbits((gamma ^ (gamma >> 1)).view(np.uint8).reshape(-1, 8), axis=1)
+    gamma[changes.sum(axis=1) < 24] ^= _WEAK_FLIP
+    return s, gamma
+
+
+def _words(s: np.ndarray, gamma: np.ndarray, start: int, count: int) -> np.ndarray:
+    """Words start .. start + count - 1 of each stream, uint64 [K, count]."""
+    z = np.arange(start + 1, start + count + 1, dtype=np.uint64) * gamma[:, None]
+    z += s[:, None]
+    return _mix64(z)
+
+
+def draw_below(s: np.ndarray, gamma: np.ndarray, start: int, bound: int,
+               count: int) -> tuple[np.ndarray, list[int]]:
+    """count values uniform on [0, bound) per stream from word start on, int64
+    [K, count], and the index of each stream's next unread word. A word at or
+    above 2**64 - 2**64 % bound is rejected; the rejected positions, in
+    order, take the next accepted words past the batch's end."""
+    if not 1 <= bound < 2**63:
+        raise ValidationError(f"stream bound must be in [1, 2**63), got {bound}")
+    words = _words(s, gamma, start, count)
+    ends = [start + count] * len(s)
+    limit = 2**64 - 2**64 % bound
+    if limit < 2**64:
+        rejected = words >= limit
+        for k in np.flatnonzero(rejected.any(axis=1)).tolist():
+            slots, taken = np.flatnonzero(rejected[k]), []
+            while len(taken) < len(slots):
+                more = _words(s[k : k + 1], gamma[k : k + 1], ends[k], len(slots) - len(taken))[0]
+                ends[k] += len(more)
+                taken.extend(more[more < limit])
+            words[k, slots] = taken
+    quotient = words // bound  # a scalar divisor: much faster than words % bound
+    quotient *= bound
+    words -= quotient
+    return words.view(np.int64), ends
+
+
+class Stream:
+    """The random stream named by (seed, *key), read from a cursor: each call
+    takes the words after the last one read. docs/FORMATS.md ("Random
+    stream") states the words; seed and key entries are non-negative ints,
+    seeds of any size."""
+
+    def __init__(self, seed: int, *key: int):
+        self.s, self.gamma = stream_origins(seed, [key])
+        self.position = 0  # words read so far
+
+    @classmethod
+    def each(cls, seed: int, keys) -> list[Stream]:
+        """Stream(seed, *key) for each of keys (all of one length), derived as
+        one array expression: deriving a stream costs tens of numpy calls."""
+        s, gamma = stream_origins(seed, keys)
+        streams = [cls.__new__(cls) for _ in keys]
+        for k, stream in enumerate(streams):
+            stream.s, stream.gamma, stream.position = s[k : k + 1], gamma[k : k + 1], 0
+        return streams
+
+    def words(self, count: int) -> np.ndarray:
+        """The next count raw words, uint64."""
+        out = _words(self.s, self.gamma, self.position, count)[0]
+        self.position += count
+        return out
+
+    def below(self, bound: int, count: int) -> np.ndarray:
+        """count int64 values uniform on [0, bound), 1 <= bound < 2**63."""
+        values, (self.position,) = draw_below(self.s, self.gamma, self.position, bound, count)
+        return values[0]
+
+    def doubles(self, count: int) -> np.ndarray:
+        """count doubles uniform on [0, 1): (word >> 11) * 2**-53."""
+        return (self.words(count) >> 11).astype(np.float64) * 2.0**-53
+
+
+stream = Stream  # the package's export
 
 
 def sample_uniform(
-    space: DesignSpace, rng: np.random.Generator, *, resolution: int | None = None
+    space: DesignSpace, stream: Stream, *, resolution: int | None = None
 ) -> Architecture:
     """One architecture with every gene uniform over its choices: a batch of one."""
-    return sample_batch(space, rng, 1, resolution=resolution).architecture(0)
+    return sample_batch(space, stream, 1, resolution=resolution).architecture(0)
 
 
 def sample_fixed(
     space: DesignSpace,
     placement: Placement,
-    rng: np.random.Generator,
+    stream: Stream,
     *,
     resolution: int | None = None,
 ) -> Architecture:
     """One architecture conditioned on a pinned (unit, layer, block): a batch of one."""
-    return sample_batch(space, rng, 1, placement, resolution).architecture(0)
+    return sample_batch(space, stream, 1, placement, resolution).architecture(0)
 
 
 # ---------------------------------------------------------------------------
@@ -183,77 +302,97 @@ class Genes:
 
 def sample_batch(
     space: DesignSpace,
-    rng: np.random.Generator,
+    stream: Stream,
     n: int,
     placement: Placement | None = None,
     resolution: int | None = None,
 ) -> Genes:
-    """n architectures as gene arrays, uniform or conditioned on a placement,
-    at a given resolution or over all of them: sample_streams of one stream."""
-    return sample_streams(space, [rng], n, [placement], resolution)
+    """n architectures as gene arrays from the stream's next n * W words,
+    uniform or conditioned on a placement, at a given resolution or over all
+    of them."""
+    bound, width = space.sampling_bound(), _width(space)
+    return _decode(space, stream.below(bound, n * width)[None], n, [placement], resolution)
 
 
 def sample_streams(
     space: DesignSpace,
-    rngs: list[np.random.Generator],
+    origins: tuple[np.ndarray, np.ndarray],
     n: int,
     placements: list[Placement | None],
     resolution: int | None = None,
 ) -> Genes:
     """One batch of n architectures per stream, rows [k * n, (k + 1) * n)
-    drawn from rngs[k], uniform or conditioned on placements[k] (None).
+    from the first n * W words of the stream with origins (s[k], gamma[k])
+    (stream_origins), uniform or conditioned on placements[k] (None). Row k
+    equals sample_batch on a fresh Stream with that key; the draws are one
+    array expression for all the streams."""
+    s, gamma = origins
+    values, _ = draw_below(s, gamma, 0, space.sampling_bound(), n * _width(space))
+    return _decode(space, values, n, placements, resolution)
 
-    Each stream makes exactly two rng.integers calls with array bounds: a
-    head matrix [1 + 2U, n] (the resolution row, then per unit a ratio row
-    and a depth row, each offset by its low), then the block picks
-    [n, U, Lmax], each slot below its row's depth bounded by the candidates
-    consistent with the row's ratio and every other slot by 1. A fixed gene
-    has bound 1. So a stream's rows, and the state it leaves its generator
-    in, do not depend on the other streams; the pick bounds, the block
-    lookup and the pins are computed once for the whole batch.
-    """
+
+def _width(space: DesignSpace) -> int:
+    """W, the words of one architecture: 1 + 2U + U * Lmax."""
     units = space.units
-    low, bound = [0], [len(space.resolutions)]
+    return 1 + len(units) * (2 + max(u.depth_max for u in units))
+
+
+def _decode(space, values, n, placements, resolution) -> Genes:
+    """The genes of [K, n * W] values below L, read as K * n rows of W in the
+    Genes.rows() layout: each gene is its value modulo its bound (plus its
+    low for a depth), a block slot past the row's depth is -1, and the
+    placements[k] (None: unpinned) pin rows [k * n, (k + 1) * n)."""
+    units = space.units
+    u_count = len(units)
+    rows = values.reshape(-1, _width(space))
+    low = np.array([0] + [0] * u_count + [u.depth_min for u in units])
+    bound = np.array([len(space.resolutions)] + [len(u.channel_ratios) or 1 for u in units]
+                     + [u.depth_max - u.depth_min + 1 for u in units])
     if resolution is not None:
         if resolution not in space.resolutions:
             raise ValidationError(f"resolution {resolution} not one of {space.resolutions}")
         low[0], bound[0] = space.resolutions.index(resolution), 1
-    for unit in units:
-        low += (0, unit.depth_min)
-        bound += (len(unit.channel_ratios) or 1, unit.depth_max - unit.depth_min + 1)
-    heads, pins = [], []
-    for k, (rng, placement) in enumerate(zip(rngs, placements)):
-        lo, hi = low, bound
-        if placement is not None:
-            validate_placement(space, placement)
-            pin, unit = placement.unit - 1, space.unit(placement.unit)
-            lo, hi = list(low), list(bound)
-            pinned = space.block(placement.unit, placement.block_code)
-            if unit.channel_ratios and pinned.channel_ratio is not None:
-                lo[1 + 2 * pin] = unit.channel_ratios.index(pinned.channel_ratio)
-                hi[1 + 2 * pin] = 1
-            first = max(placement.layer, unit.depth_min)
-            lo[2 + 2 * pin], hi[2 + 2 * pin] = first, unit.depth_max - first + 1
-            codes = [b.code for b in unit.blocks]
-            pins.append((k, pin, placement.layer - 1, codes.index(placement.block_code)))
-        heads.append(np.array(lo)[:, None] + rng.integers(0, np.array(hi)[:, None],
-                                                          size=(len(hi), n)))
-
-    head = _joined(heads, axis=1)  # [1 + 2U, N], streams side by side
-    ratio, depth = head[1::2].T, head[2::2].T  # [N, U]
+    head = rows[:, : 1 + 2 * u_count] % bound
+    head += low
+    pins = []
+    for k, placement in enumerate(placements):
+        if placement is None:
+            continue
+        validate_placement(space, placement)
+        pin, unit = placement.unit - 1, space.unit(placement.unit)
+        part = slice(k * n, (k + 1) * n)
+        pinned = space.block(placement.unit, placement.block_code)
+        if unit.channel_ratios and pinned.channel_ratio is not None:
+            head[part, 1 + pin] = unit.channel_ratios.index(pinned.channel_ratio)
+        first = max(placement.layer, unit.depth_min)
+        head[part, 1 + u_count + pin] = first + rows[part, 1 + u_count + pin] % (
+            unit.depth_max - first + 1)
+        pins.append((part, pin, placement.layer - 1,
+                     [b.code for b in unit.blocks].index(placement.block_code)))
+    ratio, depth = head[:, 1 : 1 + u_count], head[:, 1 + u_count :]
     candidates, counts = space.candidate_table()
-    unit_index = np.arange(len(units))
-    present = np.arange(max(u.depth_max for u in units)) < depth[:, :, None]
-    pick_bound = np.where(present, counts[unit_index, ratio][:, :, None], 1)
-    picks = _joined([rng.integers(0, pick_bound[k * n : (k + 1) * n])
-                     for k, rng in enumerate(rngs)], axis=0)
-    block = np.where(present, candidates[unit_index[:, None], ratio[:, :, None], picks], -1)
-    for k, pin, layer, b in pins:
-        block[k * n : (k + 1) * n, pin, layer] = b
-    return Genes(space=space, resolution=head[0], ratio=ratio, depth=depth, block=block)
+    slots = rows[:, 1 + 2 * u_count :].reshape(len(rows), u_count, -1)
+    lmax = slots.shape[2]
+    # present[i, u, l]: slot l is below row i's depth of unit u
+    present = (np.arange(lmax) < np.arange(lmax + 1)[:, None]).take(depth, axis=0)
+    cell = ratio + np.arange(u_count) * counts.shape[1]  # (unit, ratio) of each row
+    picks = _modulo(slots, counts.take(cell)[:, :, None], counts[counts > 0])
+    cell *= candidates.shape[2]
+    block = candidates.take(picks + cell[:, :, None])
+    np.copyto(block, -1, where=~present)
+    for part, pin, layer, b in pins:
+        block[part, pin, layer] = b
+    return Genes(space=space, resolution=head[:, 0], ratio=ratio, depth=depth, block=block)
 
 
-def _joined(parts: list[np.ndarray], axis: int) -> np.ndarray:
-    """The parts concatenated along axis; a single part is returned as is,
-    since one stream is the common case and a copy of its draws costs time."""
-    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=axis)
+def _modulo(values: np.ndarray, bounds: np.ndarray, distinct: np.ndarray) -> np.ndarray:
+    """values % bounds for non-negative values, bounds taking only the values
+    in distinct: each one is a scalar divisor, with which numpy divides
+    several times faster than with an array of divisors."""
+    out = None
+    for b in sorted(set(distinct.tolist())):
+        part = values // b
+        part *= -b
+        part += values
+        out = part if out is None else np.where(bounds == b, part, out)
+    return out

@@ -14,7 +14,8 @@ evaluated architecture (Genes.rows), a metrics matrix [P + G * K, m], the
 parents' eval_ids and each mutation's integer columns; the population is an
 array of eval_ids. A generation is mutated as one gene batch by the
 mutation module: three draws (the parents, one unit double per child and a
-word matrix), and its duplicates are redrawn together in one more batch;
+word matrix), each from its own stream of the generation (see _streams), and
+its duplicates are redrawn together in one more batch;
 dedupe keys are the rows' bytes. No mutation draw depends on a metric, so
 the K children are then scored as one gene batch, one evaluate_batch call
 per objective; generation zero is drawn as one batch by sample_batch. When
@@ -40,9 +41,9 @@ from .sampling import (
     STREAM_SEARCH_INIT,
     STREAM_SEARCH_MUTATE,
     Genes,
+    Stream,
     sample_batch,
     sample_uniform,
-    spawn_rng,
 )
 from .spaces import Architecture, DesignSpace, arch_key
 
@@ -121,7 +122,7 @@ class SearchResult:
 def mutate(
     space: DesignSpace,
     arch: Architecture,
-    rng: np.random.Generator,
+    stream: Stream,
     unit_weights=None,
 ) -> tuple[Architecture, str]:
     """One uniformly chosen applicable mutation; returns (child, description).
@@ -129,7 +130,8 @@ def mutate(
     unit_weights is None (uniform), one weight per unit, or a UnitPicker
     built from either. The child always differs from the input. Raises if no
     gene of the space can move at all. A batch of one of the mutation that
-    evolve runs: the same draws and the same decoding.
+    evolve runs, its unit double and then its words read from the one
+    stream, with the same decoding.
     """
     from .mutation import UnitPicker, mutation_tables  # see evolve
 
@@ -137,7 +139,7 @@ def mutate(
         space, unit_weights)
     tables = mutation_tables(space)
     rows = Genes.from_architectures(space, [arch]).rows()
-    child, desc = tables.mutate(rows, *tables.draw(rng, 1), picker)
+    child, desc = tables.mutate(rows, *tables.draw(stream, stream, 1), picker)
     return Genes.from_rows(space, child).architecture(0), tables.describe(desc[0].tolist())
 
 
@@ -307,6 +309,12 @@ def _score(objectives, genes: Genes) -> np.ndarray:
         return np.array([_metrics(objectives, genes.architecture(i)) for i in range(len(genes))])
 
 
+def _streams(seed: int, generation: int) -> list[Stream]:
+    """Generation g's streams (seed, STREAM_SEARCH_MUTATE, g, part): its
+    parents, unit doubles and words, then the dedupe doubles and words."""
+    return Stream.each(seed, [(STREAM_SEARCH_MUTATE, generation, part) for part in range(5)])
+
+
 def evolve(space: DesignSpace, config: SearchConfig) -> SearchResult:
     """Run the elitist EA; deterministic for a fixed (space, config)."""
     # only here: commands that never search do not compile the mutation module
@@ -315,7 +323,7 @@ def evolve(space: DesignSpace, config: SearchConfig) -> SearchResult:
     pop_size, children, objectives = config.population, config.children, config.objectives
     directions = config.directions()
     tables, picker = mutation_tables(space), UnitPicker(space, config.unit_weights)
-    first = sample_batch(space, spawn_rng(config.seed, STREAM_SEARCH_INIT), pop_size)
+    first = sample_batch(space, Stream(config.seed, STREAM_SEARCH_INIT), pop_size)
     # the run's store, indexed by eval_id: gene rows, metrics, parent eval_ids
     # and the mutations' integer columns (action -1: none)
     first_rows = first.rows()
@@ -329,14 +337,14 @@ def evolve(space: DesignSpace, config: SearchConfig) -> SearchResult:
     population = np.arange(pop_size)
     history = [_stats(0, pop_size, metrics[population], directions)]
 
-    rng_mut = spawn_rng(config.seed, STREAM_SEARCH_MUTATE)
     for gen in range(1, config.generations + 1):
         start, end = pop_size + (gen - 1) * children, pop_size + gen * children
-        parents = population[rng_mut.integers(pop_size, size=children)]
+        picks, doubles, words, *retries = _streams(config.seed, gen)
+        parents = population[picks.below(pop_size, children)]
         parent_rows = rows[parents]
-        kids, descs = tables.mutate(parent_rows, *tables.draw(rng_mut, children), picker)
+        kids, descs = tables.mutate(parent_rows, *tables.draw(doubles, words, children), picker)
         if config.dedupe:
-            dedupe(tables, picker, rng_mut, parent_rows, kids, descs, seen)
+            dedupe(tables, picker, retries, parent_rows, kids, descs, seen)
         rows[start:end], mutations[start:end], parent_ids[start:end] = kids, descs, parents
         metrics[start:end] = _score(objectives, Genes.from_rows(space, rows[start:end]))
         merged = np.concatenate([population, np.arange(start, end)])

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -96,6 +97,7 @@ class DesignSpace:
     # the sampler's tables, built once (see candidate_table)
     _candidates: np.ndarray = field(init=False, repr=False, compare=False)
     _candidate_counts: np.ndarray = field(init=False, repr=False, compare=False)
+    _sampling_bounds: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         index: dict = {}
@@ -114,6 +116,11 @@ class DesignSpace:
                 candidates[u, r, : len(pick)] = pick
                 counts[u, r] = len(pick)
         candidates.flags.writeable = counts.flags.writeable = False
+        bounds = {len(self.resolutions)}
+        for unit, per_ratio in zip(self.units, consistent):
+            bounds.update(range(1, unit.depth_max - unit.depth_min + 2), map(len, per_ratio),
+                          [len(per_ratio)])
+        object.__setattr__(self, "_sampling_bounds", tuple(sorted(bounds)))
         object.__setattr__(self, "_blocks", index)
         object.__setattr__(self, "_candidates", candidates)
         object.__setattr__(self, "_candidate_counts", counts)
@@ -139,6 +146,19 @@ class DesignSpace:
         ratio_values; r = 0 without a ratio gene), zero-padded past
         counts[u, r]; counts is 0 past the unit's ratios."""
         return self._candidates, self._candidate_counts
+
+    def sampling_bound(self) -> int:
+        """L, the least common multiple of every bound a sampled gene is
+        reduced by (docs/FORMATS.md, "Random stream"): the resolution count,
+        and per unit its ratio count, 1 up to its depth range (a pinned
+        layer shortens the range) and each candidate count. Raises
+        ValidationError, naming the bounds, when L does not fit in 63 bits."""
+        bound = math.lcm(*self._sampling_bounds)
+        if bound >= 2**63:
+            raise ValidationError(
+                f"space {self.name!r}: the sampling bounds {list(self._sampling_bounds)} have a "
+                f"least common multiple of {bound}, which does not fit in 63 bits")
+        return bound
 
     @property
     def n_units(self) -> int:

@@ -5,14 +5,15 @@ from the package, so agreement is evidence rather than tautology: a per-layer
 MAC/parameter walker that simulates the shape chain op by op, per-layer
 latency and synthetic-accuracy walkers that recompute every factor on every
 layer, an exhaustive expectation calculator that enumerates the sampling
-distribution with explicit probability weights, a literal loop-by-loop
-reading of the sampling stream's layout (docs/FORMATS.md), a quadratic-time
-Pareto filter, front sort and truncation ranking, and a plain-loop
-metric-table sum. reference_evolve and reference_mutate read the search
-stream one child at a time: they decode each child's unit double and words
-with loops over the architecture's own genes (not the library's tables),
-dedupe with arch_key strings, and rank and summarise with the pairwise code
-here. bootstrap_percentile_stderr is the library's earlier code, the
+distribution with explicit probability weights, the random stream
+(docs/FORMATS.md, "Random stream") in plain Python integers one word at a
+time, a literal loop-by-loop reading of the sampling layout, a
+quadratic-time Pareto filter, front sort and truncation ranking, and a
+plain-loop metric-table sum. reference_evolve and reference_mutate read the
+search's words one child at a time: they decode each child's unit double and
+words with loops over the architecture's own genes (not the library's
+tables), dedupe with arch_key strings, and rank and summarise with the
+pairwise code here. bootstrap_percentile_stderr is the library's earlier code, the
 resampling bootstrap that the exact percentile standard errors replaced,
 kept as a referee for them.
 """
@@ -29,7 +30,7 @@ import numpy as np
 from archscope import search
 from archscope.errors import EvaluationError, ValidationError
 from archscope.mutation import DEDUPE_RETRIES
-from archscope.sampling import STREAM_SEARCH_INIT, STREAM_SEARCH_MUTATE, sample_batch, spawn_rng
+from archscope.sampling import STREAM_SEARCH_INIT, STREAM_SEARCH_MUTATE
 from archscope.spaces import Architecture, arch_key, consistent_blocks
 
 # upper 0.1% points of the chi-square distribution, from standard tables
@@ -324,71 +325,124 @@ def exact_block_mean(space, code, fn):
 
 
 # ---------------------------------------------------------------------------
-# the sampling stream, read literally
+# the random stream, one word at a time
 
-def reference_sample_batch(space, rng, n, placement=None, resolution=None):
-    """The n architectures of docs/FORMATS.md "Sampling stream", with every
-    bound written out by plain loops: first rng.integers over the head
-    bounds [1 + 2U, n] (the resolution row, then a ratio row and a depth row
-    per unit, as [low, high) pairs), then over the block bounds [n, U, Lmax]
-    (the candidates under the row's ratio below its depth, 1 elsewhere)."""
-    lows, highs = [], []
+_WORD = 2**64
+_GOLDEN = 0x9E3779B97F4A7C15
 
-    def row(low, high):
-        lows.append([low] * n)
-        highs.append([high] * n)
 
-    if resolution is None:
-        row(0, len(space.resolutions))
-    else:
-        fixed = list(space.resolutions).index(resolution)
-        row(fixed, fixed + 1)
-    pinned_unit = placement.unit if placement is not None else None
+def _mix64(z):
+    """The SplitMix64 finalizer on a Python integer below 2**64."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) % _WORD
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % _WORD
+    return z ^ (z >> 31)
+
+
+class ReferenceStream:
+    """docs/FORMATS.md "Random stream" in Python integers: the origin s and
+    the odd increment gamma from the seed's limbs and the key, then word i
+    (from 1) = mix64(s + i * gamma) and rejection word by word."""
+
+    def __init__(self, seed, *key):
+        limbs = [seed % _WORD]
+        while seed >= _WORD:
+            seed //= _WORD
+            limbs.append(seed % _WORD)
+        h = 0
+        for value in [len(limbs), *limbs, len(key), *key]:
+            h = _mix64(((h + _GOLDEN) % _WORD) ^ value)
+        self.s = _mix64((h + _GOLDEN) % _WORD)
+        gamma = _mix64((h + 2 * _GOLDEN) % _WORD) | 1
+        if bin(gamma ^ (gamma >> 1)).count("1") < 24:
+            gamma ^= 0xAAAAAAAAAAAAAAAA
+        self.gamma = gamma
+        self.index = 0  # words read
+
+    def word(self):
+        self.index += 1
+        return _mix64((self.s + self.index * self.gamma) % _WORD)
+
+    def words(self, count):
+        return [self.word() for _ in range(count)]
+
+    def below(self, bound, count):
+        """count words, each rejected one replaced in order by the next
+        accepted word after them, each taken modulo bound."""
+        limit = _WORD - _WORD % bound
+        words = self.words(count)
+        for j in range(count):
+            while words[j] >= limit:
+                words[j] = self.word()
+        return [w % bound for w in words]
+
+    def doubles(self, count):
+        return [(w >> 11) / 2**53 for w in self.words(count)]
+
+
+# ---------------------------------------------------------------------------
+# the sampling layout, read literally
+
+def _lcm(values):
+    out = 1
+    for v in values:
+        out = out * v // math.gcd(out, v)
+    return out
+
+
+def reference_sampling_bound(space):
+    """L: the lcm of the resolution count and, per unit, its ratio count,
+    every depth range 1 .. depth_max - depth_min + 1 and the candidate count
+    under each ratio."""
+    bounds = [len(space.resolutions)]
     for unit in space.units:
         ratios = list(unit.channel_ratios) or [None]
-        if unit.index == pinned_unit:
-            block = next(b for b in unit.blocks if b.code == placement.block_code)
-            if unit.channel_ratios and block.channel_ratio is not None:
-                fixed = ratios.index(block.channel_ratio)
-                row(fixed, fixed + 1)
-            else:
-                row(0, len(ratios))
-            row(max(placement.layer, unit.depth_min), unit.depth_max + 1)
-        else:
-            row(0, len(ratios))
-            row(unit.depth_min, unit.depth_max + 1)
-    head = rng.integers(np.array(lows), np.array(highs))
+        bounds.append(len(ratios))
+        bounds.extend(range(1, unit.depth_max - unit.depth_min + 2))
+        bounds.extend(len(consistent_blocks(unit, r)) for r in ratios)
+    return _lcm(bounds)
 
-    lmax = max(unit.depth_max for unit in space.units)
-    choices = []  # [i][u]: the candidate codes under row i's ratio of unit u
-    block_bounds = []
-    for i in range(n):
-        choices.append([])
-        block_bounds.append([])
-        for u, unit in enumerate(space.units):
-            ratio = (list(unit.channel_ratios) or [None])[int(head[1 + 2 * u][i])]
-            codes = [b.code for b in consistent_blocks(unit, ratio)]
-            depth = int(head[2 + 2 * u][i])
-            choices[i].append(codes)
-            block_bounds[i].append([len(codes) if l < depth else 1 for l in range(lmax)])
-    picks = rng.integers(0, np.array(block_bounds))
 
-    has_ratio = any(unit.channel_ratios for unit in space.units)
+def reference_sample_batch(space, stream, n, placement=None, resolution=None):
+    """The n architectures of docs/FORMATS.md "Random stream" from a
+    ReferenceStream: below(L, n * W), then per architecture its W words read
+    one gene at a time: the resolution, each unit's ratio, each unit's depth,
+    then each unit's Lmax block slots, every gene its word modulo its bound."""
+    units = space.units
+    lmax = max(unit.depth_max for unit in units)
+    width = 1 + 2 * len(units) + len(units) * lmax
+    values = stream.below(reference_sampling_bound(space), n * width)
+    has_ratio = any(unit.channel_ratios for unit in units)
     archs = []
     for i in range(n):
+        words = values[i * width : (i + 1) * width]
+        res = words[0]
+        if resolution is None:
+            chosen = space.resolutions[res % len(space.resolutions)]
+        else:
+            chosen = resolution
         ratios, depths, blocks = [], [], []
-        for u, unit in enumerate(space.units):
-            depth = int(head[2 + 2 * u][i])
-            codes = [choices[i][u][int(picks[i][u][l])] for l in range(depth)]
-            if unit.index == pinned_unit:
-                codes[placement.layer - 1] = placement.block_code
-            r = (list(unit.channel_ratios) or [1.0])[int(head[1 + 2 * u][i])]
-            ratios.append(r)
+        for u, unit in enumerate(units):
+            choices = list(unit.channel_ratios) or [None]
+            ratio = choices[words[1 + u] % len(choices)]
+            low = unit.depth_min
+            pinned = placement is not None and placement.unit == unit.index
+            if pinned:
+                block = next(b for b in unit.blocks if b.code == placement.block_code)
+                if unit.channel_ratios and block.channel_ratio is not None:
+                    ratio = block.channel_ratio
+                low = max(placement.layer, unit.depth_min)
+            depth = low + words[1 + len(units) + u] % (unit.depth_max - low + 1)
+            codes = [b.code for b in consistent_blocks(unit, ratio)]
+            first_slot = 1 + 2 * len(units) + u * lmax
+            layer_codes = [codes[words[first_slot + l] % len(codes)] for l in range(depth)]
+            if pinned:
+                layer_codes[placement.layer - 1] = placement.block_code
+            ratios.append(1.0 if ratio is None else ratio)
             depths.append(depth)
-            blocks.append(tuple(codes))
+            blocks.append(tuple(layer_codes))
         archs.append(Architecture(
             space=space.name,
-            resolution=space.resolutions[int(head[0][i])],
+            resolution=chosen,
             depths=tuple(depths),
             blocks=tuple(blocks),
             channel_ratios=tuple(ratios) if has_ratio else (),
@@ -484,25 +538,27 @@ def _reference_actions(space, unit, depth, ratio):
 def _reference_word_bound(space):
     """L: the least common multiple of the action count and every bound
     each applicable action uses, over every unit, ratio and depth."""
-    bound = 1
+    bounds = []
     for unit in space.units:
         for ratio in unit.channel_ratios or [None]:
             for depth in range(unit.depth_min, unit.depth_max + 1):
                 actions = _reference_actions(space, unit, depth, ratio)
-                for b in [len(actions)] * bool(actions) + [b for _, bs in actions for b in bs]:
-                    bound = bound * b // math.gcd(bound, b)
-    return bound
+                bounds += [len(actions)] * bool(actions) + [b for _, bs in actions for b in bs]
+    return _lcm(bounds)
 
 
-def _reference_draw(space, rng, n):
-    """The n unit doubles and the n rows of words of one mutation batch."""
-    lmax = max(unit.depth_max for unit in space.units)
-    return rng.random(n), rng.integers(0, _reference_word_bound(space), size=(n, 3 + lmax))
+def _reference_draw(space, doubles, words, n):
+    """The n unit doubles and the n rows of words of one mutation batch, from
+    two ReferenceStreams (or one, doubles first)."""
+    width = 3 + max(unit.depth_max for unit in space.units)
+    xs = doubles.doubles(n)
+    values = words.below(_reference_word_bound(space), n * width)
+    return xs, [values[i * width : (i + 1) * width] for i in range(n)]
 
 
 def _reference_decode(space, arch, probs, x, words):
     """The child of arch and its description, from one unit double and one
-    row of words, read as docs/FORMATS.md "Search stream" states."""
+    row of words, read as docs/FORMATS.md "Search draws" states."""
     ratios = list(arch.channel_ratios)
     actions = []
     for u, unit in enumerate(space.units):
@@ -573,10 +629,11 @@ def _reference_decode(space, arch, probs, x, words):
     return child, desc
 
 
-def reference_mutate(space, arch, rng, unit_weights=None):
-    """One mutation: a batch of one unit double and one row of words."""
+def reference_mutate(space, arch, stream, unit_weights=None):
+    """One mutation: a batch of one unit double and one row of words, both
+    from the one stream."""
     probs = _reference_weights(space, unit_weights)
-    x, words = _reference_draw(space, rng, 1)
+    x, words = _reference_draw(space, stream, stream, 1)
     return _reference_decode(space, arch, probs, x[0], words[0])
 
 
@@ -632,12 +689,9 @@ def reference_evolve(space, config):
     """The elitist loop that decodes, dedupes and evaluates one architecture
     at a time, with arch_key strings as dedupe keys: each generation draws
     its parents, unit doubles and words as the search stream states, and
-    decodes every child before it evaluates any. Generation zero is the
-    library's one sample_batch draw, evaluated row by row. Truncation,
-    statistics and the frontier come from the pairwise code above, in plain
-    lists."""
-    rng_init = spawn_rng(config.seed, STREAM_SEARCH_INIT)
-    rng_mut = spawn_rng(config.seed, STREAM_SEARCH_MUTATE)
+    decodes every child before it evaluates any. Generation zero is
+    reference_sample_batch, evaluated row by row. Truncation, statistics and
+    the frontier come from the pairwise code above, in plain lists."""
     evaluations = 0
 
     def evaluate(arch, generation, parent_id, mutation):
@@ -656,10 +710,9 @@ def reference_evolve(space, config):
             parent_id=parent_id, mutation=mutation,
         )
 
-    genes = sample_batch(space, rng_init, config.population)
-    population = [
-        evaluate(genes.architecture(i), 0, -1, "") for i in range(config.population)
-    ]
+    first = reference_sample_batch(space, ReferenceStream(config.seed, STREAM_SEARCH_INIT),
+                                   config.population)
+    population = [evaluate(arch, 0, -1, "") for arch in first]
     all_points = list(population)
     seen = {arch_key(p.arch) for p in population}
     directions = config.directions()
@@ -681,8 +734,10 @@ def reference_evolve(space, config):
     probs = _reference_weights(space, config.unit_weights)
     retries = DEDUPE_RETRIES
     for gen in range(1, config.generations + 1):
-        picks = rng_mut.integers(len(population), size=config.children)
-        xs, words = _reference_draw(space, rng_mut, config.children)
+        picks, doubles, words, retry_doubles, retry_words = [
+            ReferenceStream(config.seed, STREAM_SEARCH_MUTATE, gen, part) for part in range(5)]
+        picks = picks.below(len(population), config.children)
+        xs, words = _reference_draw(space, doubles, words, config.children)
         parents = [population[int(i)] for i in picks]
         drafts = [_reference_decode(space, parent.arch, probs, x, row)
                   for parent, x, row in zip(parents, xs, words)]
@@ -694,7 +749,8 @@ def reference_evolve(space, config):
                 else:
                     seen.add(arch_key(child))
             if duplicates:
-                xs, words = _reference_draw(space, rng_mut, len(duplicates) * retries)
+                xs, words = _reference_draw(space, retry_doubles, retry_words,
+                                            len(duplicates) * retries)
                 for j, k in enumerate(duplicates):
                     tries = [_reference_decode(space, parents[k].arch, probs,
                                                xs[j * retries + t], words[j * retries + t])

@@ -18,7 +18,7 @@ from archscope.devices import latency_evaluator
 from archscope.profiler import draw_samples, estimate_block_mean
 from archscope.reduction import apply as apply_ruleset
 from archscope.reduction import list_rulesets, preset
-from archscope.sampling import sample_uniform, spawn_rng
+from archscope.sampling import Stream, sample_uniform
 from archscope.search import SearchConfig, compare_frontiers, evolve
 from archscope.spaces import (
     block_codes,
@@ -152,7 +152,7 @@ def test_criterion_5_analytic_macs_match_simulation():
     for name in ("ofa", "proxylessnas", "resnet50"):
         space = load_space(name)
         ev = macs_evaluator(space)
-        rng = spawn_rng(0, 500)
+        rng = Stream(0, 500)
         for _ in range(100):
             arch = sample_uniform(space, rng)
             if int(ev.evaluate(arch)) != walker_macs(space, arch):
@@ -195,7 +195,7 @@ def test_criterion_6_reductions_stay_inside_parent():
         if not _SENTENCES[name](reduced):
             failures.append(f"{name}:shape")
             continue
-        rng = spawn_rng(0, 600)
+        rng = Stream(0, 600)
         try:
             for _ in range(10_000):
                 validate_architecture(parent, sample_uniform(reduced, rng),

@@ -6,7 +6,7 @@ from archscope import cli
 from archscope.exports import read_frontier_csv, write_frontier_csv
 from archscope.manifest import file_sha256
 from archscope.reduction import ReductionRule, RuleSet, save_ruleset
-from archscope.sampling import sample_uniform, spawn_rng
+from archscope.sampling import Stream, sample_uniform
 from archscope.search import EvaluatedArch, ParetoFront
 from archscope.spaces import (
     count_architectures,
@@ -364,6 +364,23 @@ def test_mutation_bounds_beyond_63_bits_exit_2_naming_them(capsys, tmp_path, com
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", [("profile", "blocks"), ("profile", "placements")])
+def test_sampling_bounds_beyond_63_bits_exit_2_naming_them(capsys, tmp_path, command):
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps({
+        "name": "deep", "family": "mbconv_v2", "resolutions": [32],
+        "units": [{"depth_min": 1, "depth_max": 43, "base_channels": 8,
+                   "blocks": [{"code": "A", "kernel": 3, "expansion": 3}]}],
+    }))
+    rc, _, err = _run(capsys, *command, "--space", str(path), "--metric", "macs",
+                      "--samples", "2", "--out", str(tmp_path / "out"))
+    bounds = ", ".join(str(b) for b in range(1, 44))
+    assert rc == 2
+    assert err.startswith(f"error: space 'deep': the sampling bounds [{bounds}] have a least "
+                          "common multiple of 9419588158802421600, which does not fit in 63 bits")
+    assert not (tmp_path / "out").exists()
+
+
 def _bottleneck_config(path, blocks, ratios):
     path.write_text(json.dumps({
         "name": "bn", "family": "resnet_bottleneck", "resolutions": [32],
@@ -571,6 +588,7 @@ def bad_inputs(tmp_path):
     profile("profile-template", lambda c: c.update(resolution_templates=[224.7]))
     profile("profile-factor", lambda c: c["kernel_factor"].update({"3": True}))
     profile("profile-name", lambda c: c.update(name=["x"]))
+    profile("profile-name-space", lambda c: c.update(name=" npu "))
     profile("profile-misspelt", lambda c: c.update(pad_cost=c.pop("pad_cost_ms")))
     for name, change in {
         "rule-units": {"rules": [{"kind": "cap_depth", "units": ["x"], "depth": 3}]},
@@ -586,7 +604,7 @@ def bad_inputs(tmp_path):
         write(name, rules)
     rows = {}  # each broken frontier row as the error quotes it
     front = ParetoFront(objectives=(("synthetic-acc", "maximize"), ("macs", "minimize")),
-                        points=[EvaluatedArch(arch=sample_uniform(load_space("ofa"), spawn_rng(0)),
+                        points=[EvaluatedArch(arch=sample_uniform(load_space("ofa"), Stream(0)),
                                               metrics=(0.75, 3.0e8), eval_id=0, generation=0)])
     for name, (column, cell) in {"frontier-depths": (6, "2|x"), "frontier-metric": (9, "fast"),
                                  "frontier-nan": (9, "nan")}.items():
@@ -642,6 +660,8 @@ def bad_inputs(tmp_path):
       "--samples", "2"), "profile.kernel_factor.3: expected a number, got True"),
     (("profile", "blocks", "--space", "ofa", "--metric", "profile:{profile-name}",
       "--samples", "2"), "profile.name: expected str, got ['x']"),
+    (("search", "pareto", "--space", "ofa", "--objectives", "macs,profile:{profile-name-space}"),
+     "profile.name: ' npu ' has leading or trailing whitespace"),
     (("profile", "blocks", "--space", "{base-true}", "--metric", "macs", "--samples", "2"),
      "units[0].base_channels: expected int, got True"),
     (("reduce", "--space", "ofa", "--rules", "{rule-space}"),
@@ -658,7 +678,8 @@ def bad_inputs(tmp_path):
         "compare-dir", "resolution-str", "resolution-null", "stem-kernel", "stem-list",
         "head-classes", "unit-ratios", "block-ratio", "rule-units", "rule-resolutions",
         "advisory-weights", "frontier-depths", "frontier-metric", "frontier-nan",
-        "profile-template", "profile-factor", "profile-name", "base-channels-true",
+        "profile-template", "profile-factor", "profile-name", "profile-name-space",
+        "base-channels-true",
         "rule-space", "rule-blocks", "unit-misspelt", "profile-misspelt", "rule-misspelt",
         "frontier-columns"])
 def test_bad_input_files_exit_2_naming_the_path_or_field(capsys, tmp_path, bad_inputs,
@@ -675,7 +696,7 @@ def test_bad_input_files_exit_2_naming_the_path_or_field(capsys, tmp_path, bad_i
 def test_frontier_csv_round_trips_metric_names_with_colons(tmp_path):
     # a profile's name is free text, so an objective header can read "npu:v2:minimize"
     front = ParetoFront(objectives=(("npu:v2", "minimize"), ("synthetic-acc", "maximize")),
-                        points=[EvaluatedArch(arch=sample_uniform(load_space("ofa"), spawn_rng(1)),
+                        points=[EvaluatedArch(arch=sample_uniform(load_space("ofa"), Stream(1)),
                                               metrics=(1.25, 0.75), eval_id=3, generation=1)])
     write_frontier_csv(front, tmp_path / "front.csv")
     assert read_frontier_csv(tmp_path / "front.csv") == front

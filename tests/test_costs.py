@@ -18,7 +18,7 @@ from archscope.costs import (
 )
 from archscope.errors import EvaluationError, ValidationError
 from archscope.profiler import draw_samples
-from archscope.sampling import STREAM_BASELINE, sample_batch, sample_uniform, spawn_rng
+from archscope.sampling import STREAM_BASELINE, Stream, sample_batch, sample_uniform
 from archscope.spaces import (
     MBCONV_V2,
     Architecture,
@@ -88,15 +88,15 @@ def test_mbconv_layer_params_frozen():
 
 def test_macs_deterministic():
     space = load_space("ofa")
-    arch = sample_uniform(space, spawn_rng(4, 0))
+    arch = sample_uniform(space, Stream(4, 0))
     assert macs(space, arch) == macs(space, arch)
 
 
 def test_se_toggle_only_affects_se_family():
     ofa = load_space("ofa")  # carries squeeze-excite
     proxy = load_space("proxylessnas")  # does not
-    a = sample_uniform(ofa, spawn_rng(1, 0))
-    b = sample_uniform(proxy, spawn_rng(1, 0))
+    a = sample_uniform(ofa, Stream(1, 0))
+    b = sample_uniform(proxy, Stream(1, 0))
     assert macs(ofa, a, count_se=True) > macs(ofa, a, count_se=False)
     assert macs(proxy, b, count_se=True) == macs(proxy, b, count_se=False)
 
@@ -117,7 +117,7 @@ def test_macs_monotonic_in_block_size():
 
 def test_walker_agreement_spot(mini_ratio_space):
     space = mini_ratio_space
-    rng = spawn_rng(21, 0)
+    rng = Stream(21, 0)
     for _ in range(25):
         arch = sample_uniform(space, rng)
         assert macs(space, arch) == walker_macs(space, arch)
@@ -140,7 +140,7 @@ def test_evaluator_contract(mini_space):
     assert pv.direction == "minimize" and not pv.resolution_sensitive
     av = accuracy_evaluator(mini_space)
     assert av.direction == "maximize"
-    arch = sample_uniform(mini_space, spawn_rng(0, 0))
+    arch = sample_uniform(mini_space, Stream(0, 0))
     assert ev.evaluate(arch) == float(macs(mini_space, arch))
     with pytest.raises(ValidationError):
         MetricEvaluator(name="x", direction="sideways", fn=len)
@@ -150,7 +150,7 @@ def test_evaluator_contract(mini_space):
 def test_evaluator_rejects_non_finite_values(mini_space, value):
     ev = MetricEvaluator(name="broken", direction="maximize", fn=lambda arch: value)
     with pytest.raises(EvaluationError, match="'broken'.*non-finite") as exc:
-        ev.evaluate(sample_uniform(mini_space, spawn_rng(0, 0)))
+        ev.evaluate(sample_uniform(mini_space, Stream(0, 0)))
     assert exc.value.record is not None
 
 
@@ -164,7 +164,7 @@ def test_batch_path_rejects_non_finite_values(mini_space, value):
     ev = MetricEvaluator(name="broken", direction="maximize", fn=lambda arch: 0.0, batch=stub)
     with pytest.raises(EvaluationError, match="'broken'.*non-finite") as exc:
         draw_samples(mini_space, ev, 6, seed=0)
-    first_bad = sample_batch(mini_space, spawn_rng(0, STREAM_BASELINE, 0), 6).architecture(2)
+    first_bad = sample_batch(mini_space, Stream(0, STREAM_BASELINE, 0), 6).architecture(2)
     assert exc.value.record == arch_key(first_bad)
 
 
@@ -220,7 +220,7 @@ def test_synthetic_accuracy_later_units_matter_more():
 
 
 def test_accuracy_model_validation(mini_space):
-    arch = sample_uniform(mini_space, spawn_rng(0, 0))
+    arch = sample_uniform(mini_space, Stream(0, 0))
     with pytest.raises(ValidationError, match="every unit"):
         synthetic_accuracy(mini_space, arch, AccuracyModel(unit_weights=(0.1,), depth_bonus=(0.1,)))
     with pytest.raises(ValidationError, match="nondecreasing"):
@@ -245,7 +245,7 @@ def test_counts_past_int64_stay_exact():
             for e, k in ((1, 3), (6, 5))]} for base in (3_000_000_000, 5_000_000_000)],
         "head": {"conv_channels": 0, "classes": 10},
     })
-    genes = sample_batch(space, spawn_rng(3), 16)
+    genes = sample_batch(space, Stream(3), 16)
     archs = [genes.architecture(i) for i in range(len(genes))]
     expected_macs = [walker_macs(space, a) for a in archs]
     expected_params = [walker_params(space, a) for a in archs]

@@ -16,7 +16,7 @@ from archscope.devices import (
     save_profile,
 )
 from archscope.errors import ConfigError, ValidationError
-from archscope.sampling import Genes, sample_batch, sample_uniform, spawn_rng
+from archscope.sampling import Genes, Stream, sample_batch, sample_uniform
 from archscope.spaces import FAMILIES, Architecture, load_space, parse_space_config
 
 from .oracles import walker_latency
@@ -40,7 +40,7 @@ def test_identity_profile_counts_layers():
     for name in ("ofa", "proxylessnas", "resnet50"):
         space = load_space(name)
         profile = identity_profile(space)
-        rng = spawn_rng(1, 0)
+        rng = Stream(1, 0)
         for _ in range(30):
             arch = sample_uniform(space, rng)
             assert profile_latency(space, arch, profile) == float(sum(arch.depths))
@@ -77,7 +77,7 @@ def test_resolution_above_template_rejected(mini_space_2res):
 def test_family_mismatch_rejected():
     resnet = load_space("resnet50")
     npu = load_profile("npu-like")
-    arch = sample_uniform(resnet, spawn_rng(0, 0))
+    arch = sample_uniform(resnet, Stream(0, 0))
     with pytest.raises(ValidationError, match="families"):
         profile_latency(resnet, arch, npu)
 
@@ -203,7 +203,7 @@ def test_latency_evaluator_binding():
     assert ev.name == "npu-like"
     assert ev.direction == "minimize"
     assert ev.resolution_sensitive
-    arch = sample_uniform(space, spawn_rng(2, 0))
+    arch = sample_uniform(space, Stream(2, 0))
     assert ev.evaluate(arch) == profile_latency(space, arch, load_profile("npu-like"))
 
 
@@ -298,7 +298,7 @@ def test_partial_profile_fails_at_the_walkers_first_failing_row(config, seed, da
         pad_cost_ms=0.25,
     )
     ev = latency_evaluator(space, profile)
-    sampled = sample_batch(space, spawn_rng(seed), 12)
+    sampled = sample_batch(space, Stream(seed), 12)
     archs = [sampled.architecture(i) for i in range(len(sampled))]
     # rows that fail only after every row that does not, so most batches
     # fail in the middle

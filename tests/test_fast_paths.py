@@ -31,7 +31,7 @@ from archscope.devices import identity_profile, latency_evaluator, list_profiles
 from archscope.errors import EvaluationError, ValidationError
 from archscope.mutation import UnitPicker, mutation_tables
 from archscope.reduction import apply, preset
-from archscope.sampling import Genes, sample_batch, sample_uniform, spawn_rng
+from archscope.sampling import Genes, Stream, sample_batch, sample_fixed, sample_uniform
 from archscope.search import (
     FITNESS_DOMINANCE,
     FITNESS_RANK_SUM,
@@ -56,6 +56,7 @@ from archscope.tables import ADDITIVE, MetricTable, table_evaluator
 
 from .conftest import build_mini_ratio_space, build_mini_space
 from .oracles import (
+    ReferenceStream,
     _pairwise_rank,
     _unit_configs,
     brute_fronts,
@@ -120,7 +121,7 @@ def test_latency_evaluator_equals_walker(profile, space_name, seed):
     space = load_space(space_name)
     ev = latency_evaluator(space, profile)  # one memo across every resolution
     reference = load_profile(profile)
-    rng = spawn_rng(seed)
+    rng = Stream(seed)
     for resolution in space.resolutions:
         for _ in range(4):
             arch = sample_uniform(space, rng, resolution=resolution)
@@ -134,7 +135,7 @@ def test_accuracy_evaluator_equals_walker(space_name, seed):
     space = load_space(space_name)
     ev = accuracy_evaluator(space)
     model = default_accuracy_model(space)
-    rng = spawn_rng(seed)
+    rng = Stream(seed)
     for resolution in space.resolutions:
         for _ in range(4):
             arch = sample_uniform(space, rng, resolution=resolution)
@@ -198,11 +199,11 @@ def test_sample_batch_equals_the_reference_stream(config, seed):
     for resolution in (None, *space.resolutions):
         for key, placement in enumerate((None, *iter_placements(space))):
             for n in (1, 6):
-                ours, theirs = spawn_rng(seed, key), spawn_rng(seed, key)
+                ours, theirs = Stream(seed, key), ReferenceStream(seed, key)
                 genes = sample_batch(space, ours, n, placement, resolution)
                 assert _rows(genes) == reference_sample_batch(space, theirs, n, placement,
                                                               resolution)
-                assert ours.integers(2**62) == theirs.integers(2**62)  # same generator state
+                assert ours.position == theirs.index  # the same words read
 
 
 def _fits(observed, expected, n):
@@ -252,7 +253,7 @@ def test_sample_batch_matches_exact_enumeration(ratio_gene, data):
                       data.draw(st.none() | st.sampled_from(space.resolutions))))
     n = 10_000
     for placement, resolution in cases:
-        genes = sample_batch(space, spawn_rng(seed), n, placement, resolution)
+        genes = sample_batch(space, Stream(seed), n, placement, resolution)
         resolutions = space.resolutions if resolution is None else (resolution,)
         values, counts = np.unique(genes.resolution, return_counts=True)
         _fits({space.resolutions[v]: c for v, c in zip(values.tolist(), counts.tolist())},
@@ -272,7 +273,7 @@ def test_sample_batch_matches_exact_enumeration(ratio_gene, data):
 def test_count_and_accuracy_batches_equal_walkers_on_random_spaces(config, seed):
     space = parse_space_config(config)
     model = default_accuracy_model(space)
-    genes = sample_batch(space, spawn_rng(seed), 12)
+    genes = sample_batch(space, Stream(seed), 12)
     archs = _rows(genes)
     assert macs_evaluator(space).batch(genes).tolist() == [walker_macs(space, a) for a in archs]
     for bias in (False, True):
@@ -300,7 +301,7 @@ def test_latency_batch_equals_walker(profile, space_name, seed, pick):
     placements = list(iter_placements(space))
     for resolution in space.resolutions:
         for placement in (None, placements[pick % len(placements)]):
-            genes = sample_batch(space, spawn_rng(seed, resolution), 20, placement, resolution)
+            genes = sample_batch(space, Stream(seed, resolution), 20, placement, resolution)
             assert ev.batch(genes).tolist() == [
                 walker_latency(space, a, reference) for a in _rows(genes)]
 
@@ -319,7 +320,7 @@ def test_count_and_accuracy_batches_equal_walkers(space_name, seed, pick):
     )
     for resolution in space.resolutions:
         for placement in (None, placements[pick % len(placements)]):
-            genes = sample_batch(space, spawn_rng(seed, resolution), 20, placement, resolution)
+            genes = sample_batch(space, Stream(seed, resolution), 20, placement, resolution)
             for ev, walker in evaluators:
                 assert ev.batch(genes).tolist() == [walker(a) for a in _rows(genes)]
 
@@ -340,7 +341,7 @@ def test_draw_samples_equals_the_scalar_loop_for_every_evaluator_kind(mini_space
     for ev in evaluators:
         for p in (None, placement):
             got = profiler.draw_samples(space, ev, 25, seed=2, placement=p)
-            rng = spawn_rng(2, *profiler._stream_key(p, space, None))
+            rng = Stream(2, *profiler._stream_key(p, space, None))
             assert got.values.tolist() == [
                 ev.evaluate(a) for a in _rows(sample_batch(space, rng, 25, p))]
 
@@ -349,7 +350,7 @@ def test_batch_of_another_space_is_evaluated_row_by_row():
     ofa = load_space("ofa")
     reduced = apply(ofa, preset("ofa-npu"))  # fewer candidates: other block indices
     ev = macs_evaluator(ofa)
-    genes = sample_batch(reduced, spawn_rng(0), 5)
+    genes = sample_batch(reduced, Stream(0), 5)
     assert ev.batch(genes) is None
     assert ev.evaluate_batch(genes).tolist() == [ev.evaluate(a) for a in _rows(genes)]
 
@@ -524,7 +525,7 @@ def test_cdf_pick_equals_generator_choice(weights, seed):
     picker = UnitPicker(space, weights)
     w = np.asarray(weights) / np.sum(weights)
     assert picker.probs.tolist() == w.tolist()
-    ours, theirs = spawn_rng(seed), spawn_rng(seed)
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
     x = ours.random(20)  # one double per pick on both sides
     expected = [int(theirs.choice(5, p=w / w.sum())) for _ in range(20)]
     assert ours.random() == theirs.random()
@@ -540,8 +541,8 @@ def test_cdf_pick_equals_generator_choice(weights, seed):
 @given(config=_space_configs(), seed=st.integers(0, 2**32 - 1))
 def test_mutate_equals_the_reference_mutation(config, seed):
     space = parse_space_config(config)
-    archs = [sample_uniform(space, spawn_rng(seed, 1)) for _ in range(5)]
-    ours, theirs = spawn_rng(seed, 2), spawn_rng(seed, 2)
+    archs = [sample_uniform(space, Stream(seed, 1)) for _ in range(5)]
+    ours, theirs = Stream(seed, 2), ReferenceStream(seed, 2)
     picker = UnitPicker(space)
     for arch in archs:
         for weights in (None, picker):
@@ -606,11 +607,11 @@ def test_batch_mutation_matches_the_exact_law(space_name, weights):
     many batch mutations of fixed parent rows, fit the enumerated law."""
     space = _LAW_SPACES[space_name]()
     tables, picker, n = mutation_tables(space), UnitPicker(space, weights), 6000
-    parents = _rows(sample_batch(space, spawn_rng(21), 4))
-    rng = spawn_rng(22)
+    parents = _rows(sample_batch(space, Stream(21), 4))
+    rng = Stream(22)
     for arch in parents:
         rows = Genes.from_architectures(space, [arch] * n).rows()
-        kids, descs = tables.mutate(rows, *tables.draw(rng, n), picker)
+        kids, descs = tables.mutate(rows, *tables.draw(rng, rng, n), picker)
         observed = collections.Counter(tables.describe(d) for d in descs.tolist())
         _fits(observed, _exact_mutation_law(space, arch, weights), n)
         assert not (kids == rows).all(axis=1).any()  # every child differs from its parent
@@ -620,12 +621,12 @@ def test_batch_mutation_matches_the_exact_law(space_name, weights):
 @given(config=_space_configs(), seed=st.integers(0, 2**32 - 1))
 def test_genes_round_trip_sampled_and_mutated_architectures(config, seed):
     space = parse_space_config(config)
-    genes = sample_batch(space, spawn_rng(seed), 8)
+    genes = sample_batch(space, Stream(seed), 8)
     sampled = _rows(genes)
     again = Genes.from_architectures(space, sampled)
     for name in ("resolution", "ratio", "depth", "block"):
         assert np.array_equal(getattr(again, name), getattr(genes, name)), name
-    rng = spawn_rng(seed, 1)
+    rng = Stream(seed, 1)
     mutated = []
     for arch in sampled:
         try:
@@ -638,7 +639,7 @@ def test_genes_round_trip_sampled_and_mutated_architectures(config, seed):
 
 def test_from_architectures_rejects_non_members():
     space = load_space("ofa")
-    arch = sample_uniform(space, spawn_rng(0))
+    arch = sample_uniform(space, Stream(0))
     bad = [
         replace(arch, space="proxylessnas"),
         replace(arch, resolution=200),
@@ -654,7 +655,7 @@ def test_from_architectures_rejects_non_members():
 def test_from_architectures_rejects_blocks_outside_the_unit_ratio():
     # every gene is one the space has, but unit 1's C100 blocks need ratio 1.0
     space = load_space("resnet50")
-    arch = sample_uniform(space, spawn_rng(0))
+    arch = sample_fixed(space, Placement(1, 1, "C100-B20"), Stream(0))
     assert arch.channel_ratios[0] == 1.0 and arch.blocks[0][0].startswith("C100-")
     other = replace(arch, channel_ratios=(0.65, *arch.channel_ratios[1:]))
     with pytest.raises(ValidationError, match="not admissible under channel ratio 0.65"):

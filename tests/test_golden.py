@@ -17,7 +17,7 @@ import pytest
 from archscope import cli
 from archscope.devices import load_profile, save_profile
 from archscope.reduction import preset, save_ruleset
-from archscope.sampling import sample_uniform, spawn_rng
+from archscope.sampling import Stream, sample_uniform
 from archscope.tables import MetricTable, exact_table_from_pairs, save_table
 from archscope.spaces import iter_placements
 
@@ -25,79 +25,79 @@ from .conftest import build_mini_space
 
 EXPECTED = {
     "blocks-acc/blocks-resnet50-synthetic-acc.csv":
-        "31a478acc9d7861958d84977ed6b3be8fe450670a1e0cf45f0c98798f8f1f027",
+        "5b732b5a0c621ca4f8919bb5b47399d45d2c4018768a254507a7eb3b5ddbc0fa",
     "blocks-maxacc/blocks-resnet50-resnet50-maxacc-macs.csv":
-        "f7e87ba0b7aa87bb53cd45b319ab57b53a6895b2ffd1dd60d2ffbe5d49e2ca56",
+        "e00e585c0d69565304b91a235d778320914c31fd9ee1bf9ca87be55033266e84",
     "blocks-note10/blocks-proxylessnas-note10-linear.csv":
-        "d937cd517bdd40cfb0b40d06b17a9e4f941b4f3b02e1334b472a6f5eb636dde8",
+        "8a414b33ec93706542590a1429defa14837b575b2485f8da82167ff360d67d1b",
     "blocks-npu/blocks-ofa-npu-like.csv":
-        "d7f817dbfc007cff53a1e83155174d908c3f36fbf773c2f0cc21029646cd2410",
+        "224688edf4a794b967fef08a44e0c09120e8bd8391497af32e136e5d6822c2fe",
     "blocks-params/blocks-resnet50-params.csv":
-        "5c4a11fd68576334dcb44424e256d43db65cf5bc228bf508bf8ebe598a26c3cf",
+        "df8ece0fd0fe2a63301d647e16a0501f34ac4c17db75382f641e863d9829a45b",
     "compare/compare.csv":
-        "37e15f2c65792d8daacb73ed9a932bddb9ae2c71a32d3ab73cb845d3df80e32b",
+        "5f2ed3b5b625b490d35b61fe8899f8eb21dea017c5742faec6f2cf80a7687ebf",
     "docs/additive-table.csv":
         "c0f946ad1c30dca21e10c17921cb11fd69f40d58e70828764a4d5e073350014a",
     "docs/exact-table.csv":
-        "edf641e51cae1f9c311807d93ddb09d4cec25796be690bcf1e48194d99a64ee2",
+        "52cf3fd06114d3e6d9f64bb68521d81a78b4e3ca1426eef2bfbc10fb86a037d8",
     "docs/profile.json":
         "2c364ba1f2cd29c7765e96fcf69d729fe57ba7b2ae1377b7f7101ac39705fdf1",
     "docs/ruleset.json":
         "11714181bf62a9d1277cfdfd90eabae52e28603640a42ebef55873dffb271443",
     "max/max-resnet50-s1-history.json":
-        "974b807447545dd999337544f9ff22e85a259bd278e3bd88a55485f9e87f08eb",
+        "6e7bc576e32a1c2514c28aaff26c58ed59fe1bdda8c20e99214c21119c7640e8",
     "max/max-resnet50-s1.json":
-        "97c215ad7287b310916b8a973d4fd4cf1789f26fb91316608a9395258864c620",
+        "ce55d4a986f4dbfb374683fd8fa485429602836a1c3b0fc683b35919faf6976e",
     "max-weights/max-ofa-s2-history.json":
-        "51e11eefcdfd707b7a23df093c2ec8e70b7ec60621b1e4c434cd1dc1ade84901",
+        "3bea5d76d47271e381dd0258daf9a336ed9462956538485888b7f88b4bffd506",
     "max-weights/max-ofa-s2.json":
-        "b93d3b37753ffd32810a28868013a1856366879effe5e81228cc214e74a0cf08",
+        "cf067bffe34140d906b969dd44b71e9e23f25d62a818333c462196670a3da53c",
     "pareto-acc-macs/pareto-ofa-s5-history.json":
-        "8739388cd219d4f2c86e1abb8454c1ced38fc602f9f666717ddb78aba715ab26",
+        "0ae45b12749d2959252b1153b9fb9d1e33c3e16dc8886df9c7d88d5bb98df842",
     "pareto-acc-macs/pareto-ofa-s5.csv":
-        "fe3da6c30067cbbcb2dd7260cd7b7f8f68f1d2cec1a1f1c63dc7b60ba047c0dd",
+        "32cef00491360e9a5f6159fc0555e840b769d91bb5fa2c45bd5a4f700fc91c73",
     "pareto-acc-macs/pareto-ofa-s5.json":
-        "18117edb15418f788ee4fb46313fafe1a3682431ccfe216e425c1f9e724ec0e9",
+        "12822c35187fea8d51b98cb0330c611133d5a89c703e4960f7f568bb22d7acaf",
     "pareto-rank-sum/pareto-proxylessnas-s7-history.json":
-        "9bb6ebdeda8088296a51679c0f1c4e2700506cd4dbbf50fa97898a1cec0124bb",
+        "835701bfa94bd1defddcaae1fa550d6503b3e49a7b1e908afb258e814028f296",
     "pareto-rank-sum/pareto-proxylessnas-s7.csv":
-        "756eaff10a94850c055b8c989ba37ed9c5d0e2e52f12bc762c0636e02701b70c",
+        "68cb5f129509ec775b1e378a9d6e10d4ca06f1087d0230976524a8390a3a2a91",
     "pareto-rank-sum/pareto-proxylessnas-s7.json":
-        "6f68c8757a853c4e70fc61e0944ef8068d45d7df1a0c846770c9d3de1ceaf307",
+        "b7141d6788ec100838d24dd2f42beb2eb9f35fe65a7ec1f84a4480135a061850",
     "pareto/pareto-ofa-ofa-npu-s3-history.json":
-        "f3893d32ba7760b6294ad6487b9d7ff80938709776da168e7beca79ceaacb2dc",
+        "aad0a6c36d0ba40214dd13e30a54876efb911e7c013e11c7db1ae2135e57ef0d",
     "pareto/pareto-ofa-ofa-npu-s3.csv":
-        "9896daf77347b41a55f026bc0b37380377e1a0cb5f502337f2d1f620d2a25402",
+        "88892a9f8b825c540f8940e375fe4993099e32d6d230d0a9a009eb352fcbece8",
     "pareto/pareto-ofa-ofa-npu-s3.json":
-        "91872232585635e0c5b58a88b27ca78100663a4c42f21f802bb593d1f7637665",
+        "ebd00e3d1826e5867bd00db85b17d5adf227ecc8d0d2605912a441be4f49a8a8",
     "pareto/pareto-ofa-ofa-npu-s4-history.json":
-        "5423a4b0c5eff4f67d8a2142371e48bbc093a9eae08b0cb2d76fbc47555c3db4",
+        "e34c102d8fbf6fe74461fabf42a7de9dc91bccc56b28b5f13d9bdce97eb3e3c9",
     "pareto/pareto-ofa-ofa-npu-s4.csv":
-        "72f9d16b33959222b830d24d83f7ad0427d877781b0af0a443e9f6e3f27a4101",
+        "dddffa5ec893425470aef88a01b3e73dcd62e0a3a7b5aca3dd555907847c2438",
     "pareto/pareto-ofa-ofa-npu-s4.json":
-        "e583aad6d019f4aa62f7640e1d0e281029b7c1cc3f79907a2d3b4dd913c2b0ed",
+        "137a7e5f22efa43fb435775a5982f4ebf095be33efea9a7b7baa20b9f3ca61f9",
     "placements-cpu/placements-resnet50-cpu-expansion-bound-boundaries.json":
         "eba4192618f817814a681fdc48fe813b313abf9300b3d12a2b5e8c1d6c96acf2",
     "placements-cpu/placements-resnet50-cpu-expansion-bound.csv":
-        "e77311b9251f69e0741f4e1ec1ebecbec34b3242d4704deec61ad04939921de3",
+        "176b65b59879714f66a974cbb3a2dbd3a7a47e4a5895dcbe447ec0b94ab18d0d",
     "placements-gpu/placements-proxylessnas-gpu-flat-boundaries.json":
         "9bad662cee2d21f9e0b6fb66bf9f761ae07134ca30f8098ff735d1044f64a692",
     "placements-gpu/placements-proxylessnas-gpu-flat.csv":
-        "831c3d86ee92fcb6fddc4060ee42d18e05444bc74fcbbc72056ad67b7f97e457",
+        "a0355f9aaec31fc0b61dc026dcbf37ae00d1043e0e89db52e392ed3316a55868",
     "reduce/reduced-resnet50-resnet50-maxacc.json":
         "08c99207efb452b429e2774cff38b287ff8016465082e3df5ea819bea2e9bda2",
     "sweep/placements-ofa-macs-boundaries.json":
         "162cc5915eb70d789c801b826f5414162b407636803d1e982afd6a8378d33ad8",
     "sweep/placements-ofa-macs.csv":
-        "3017a3ce2636dfb3b87298e55f6ca748c370a98f6aa093d749e334fb97bb57be",
+        "87db3a28e04f40b2fb5e807f23144d5039c907d140b52e0b6a285dbf4895a2a6",
     "sweep/placements-ofa-macs.dat":
-        "1ce8fca28eb33f9163a73bb2ed3112c33936aed69fc2e072e025bab7db06879d",
+        "f422688c78149e57dabc48b6db4355cdee6ba73555821481f858327b37b02db7",
     "sweep-pct/placements-ofa-npu-like-boundaries.json":
         "3a63115815cd4db51f8960ec65ed6542560aeea40007a2421a68bfe9a7a103bc",
     "sweep-pct/placements-ofa-npu-like.csv":
-        "ef7deb47752185bbe4a47a9e7f38675a961fec66c4aeb086b443a5bbb62a7328",
+        "41ad526b417633d1d818d747a3953424649d5eb0b0d2de5e0697712ad27a40c5",
     "sweep-pct/placements-ofa-npu-like.dat":
-        "c94310a203a1b9aa2352e1e7811c2f8f02a308030b9dce0e096e82665a73664c",
+        "1d2a6805cccb305a11231112afcb6134d8b236c7313015d2bc401463abe9d399",
 }
 
 # sha256 of each run's stdout, its output root replaced by OUT
@@ -113,17 +113,17 @@ STDOUT = {
     "blocks-params":
         "837af85942ea7b290bbe4d5d7b53dfd26081b52c6f734eb19a61d04d8de1d405",
     "compare":
-        "9cbadee9dc794cbdd4eafedc4755c5efb854f94e5cdcab7fdf00a541e8bc0b10",
+        "a5f1c1e55715b948df2ce70f2b5ce495ac80db5616304b07ae1534bda68612de",
     "max":
-        "5f0e6482882f70a2eca7dd345c4602f16af61481344c986dfcb49783a4398866",
+        "9cc890e2348f12ca9904df417a5d16f6424d6000224ed630964fdb8aded90c55",
     "max-weights":
-        "2cd8a0c5fbe792969a2425b08433a0d566e402f1e57f3dcfc55173561019d0c5",
+        "be9d3f85bd32cc40ba7e9ca7418ede235741b58abc208ed36f0d1d3835d7b7ad",
     "pareto":
-        "5b9c77ca2ad10443bb4d6bd60ee7664288b29253bbb3519f0a38a3b8604f49ca",
+        "517dfe04b0352b12cf576637bdb95d5007e04e25af34c890afa0c68eb2d6b478",
     "pareto-acc-macs":
-        "9d29cf67ae8ef08c60917597b21353262b524621110254d9d64ac8787fc95a74",
+        "2ed144315dbe929bafb59ecde61f8de7c2502a52cf53a79431eca84f71b63e78",
     "pareto-rank-sum":
-        "f86d349c81560c2854624af50166325c1aae08d7922730d2f9f844fcadfd563e",
+        "716054bdfb174b567c3951eb8be89435d2462c36f7b3d377e96970784af01bb0",
     "placements-cpu":
         "d0f75051c363fb7d798d143d068fe93ff874ec2961766e231885423c710f27e4",
     "placements-gpu":
@@ -190,7 +190,7 @@ def _save_documents(out):
                            units="ms", kind="additive", entries=entries,
                            resolution_constants={32: 1 / 3}),
                out / "additive-table.csv")
-    rng = spawn_rng(0, 5)
+    rng = Stream(0, 5)
     pairs = [(sample_uniform(space, rng), i * 0.37) for i in range(6)]
     save_table(exact_table_from_pairs(space, "acc", "maximize", "%", pairs),
                out / "exact-table.csv")

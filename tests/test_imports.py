@@ -40,6 +40,23 @@ def test_profile_placements_and_search_leave_numpy_ma_unimported(tmp_path):
         assert "numpy.ma" not in _modules_after(code), argv[:2]
 
 
+def test_profiles_and_search_leave_numpy_random_unimported(tmp_path):
+    # every draw comes from sampling.Stream, which needs no numpy.random
+    assert "numpy.random" not in _modules_after("import archscope.cli")
+    runs = [
+        ["profile", "placements", "--space", "ofa", "--metric", "npu-like",
+         "--samples", "3", "--baseline-samples", "5"],
+        ["profile", "blocks", "--space", "resnet50", "--metric", "synthetic-acc",
+         "--samples", "2"],
+        ["search", "pareto", "--space", "ofa", "--objectives", "synthetic-acc:max,macs:min",
+         "--population", "4", "--generations", "2", "--children", "4"],
+    ]
+    for i, argv in enumerate(runs):
+        code = (f"from archscope import cli\n"
+                f"assert cli.main({[*argv, '--out', str(tmp_path / str(i))]!r}) == 0")
+        assert "numpy.random" not in _modules_after(code), argv[:2]
+
+
 def test_cli_import_leaves_tables_unloaded_until_a_table_metric(tmp_path):
     assert "archscope.tables" not in _modules_after("import archscope.cli")
     space = load_space("ofa")
@@ -71,3 +88,14 @@ def test_package_names_load_on_first_use():
     assert set(archscope.__all__) <= set(dir(archscope))
     for name in archscope.__all__:
         assert getattr(archscope, name) is not None
+
+
+def test_every_export_is_its_module_name():
+    exports = {name: module for module, names in archscope._EXPORTS.items()
+               for name in names.split()}
+    assert {"exact_table_from_pairs", "stream"} <= set(exports)
+    code = ("import importlib\nimport archscope\n"
+            f"for name, module in {exports!r}.items():\n"
+            "    ours = getattr(importlib.import_module('archscope.' + module), name)\n"
+            "    assert getattr(archscope, name) is ours, name\n")
+    assert "archscope.tables" in _modules_after(code)

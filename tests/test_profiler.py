@@ -25,7 +25,7 @@ from archscope.profiler import (
     placement_sweep,
 )
 from archscope.reduction import ReductionRule, RuleSet, apply
-from archscope.sampling import Genes, sample_batch, spawn_rng
+from archscope.sampling import Genes, Stream, sample_batch
 from archscope.spaces import (
     Placement,
     arch_key,
@@ -357,7 +357,7 @@ def _exact_table_over(space, placements, n, seed, resolution):
     """An exact table with a value for every architecture the pass draws."""
     pairs = {}
     for p in placements:
-        rng = spawn_rng(seed, *_stream_key(p, space, resolution))
+        rng = Stream(seed, *_stream_key(p, space, resolution))
         genes = sample_batch(space, rng, n, p, resolution)
         for i in range(n):
             arch = genes.architecture(i)
@@ -487,7 +487,7 @@ def test_pass_rescores_a_failing_chunk_one_placement_at_a_time():
     space = load_space("ofa")
     placements = list(iter_placements(space))
     n, seed, k = 3, 11, 7  # placement k's row 2 fails, inside the first chunk
-    genes = sample_batch(space, spawn_rng(seed, *_stream_key(placements[k], space, None)), n,
+    genes = sample_batch(space, Stream(seed, *_stream_key(placements[k], space, None)), n,
                          placements[k])
     ev = _batch_dependent(space, genes.rows()[2].tobytes())
     got = _outcome(lambda: _conditioned_pass(space, ev, placements, n, seed, None, 2))

@@ -14,7 +14,7 @@ from archscope.reduction import (
     ruleset_to_config,
     save_ruleset,
 )
-from archscope.sampling import sample_uniform, spawn_rng
+from archscope.sampling import Stream, sample_uniform
 from archscope.spaces import (
     block_codes,
     count_architectures,
@@ -66,7 +66,7 @@ def test_reduced_counts(name):
 def test_reduced_members_validate_in_parent(name):
     parent = _base(name)
     reduced = apply(parent, preset(name))
-    rng = spawn_rng(0, 99)
+    rng = Stream(0, 99)
     for _ in range(200):
         arch = sample_uniform(reduced, rng)
         validate_architecture(parent, arch, check_name=False)

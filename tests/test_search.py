@@ -6,7 +6,7 @@ import pytest
 from archscope.costs import MetricEvaluator, accuracy_evaluator, macs_evaluator
 from archscope.errors import EvaluationError, ValidationError
 from archscope.reduction import ReductionRule, RuleSet, apply
-from archscope.sampling import sample_uniform, spawn_rng
+from archscope.sampling import Stream, sample_uniform
 from archscope.search import (
     PARETO_CHUNK,
     EvaluatedArch,
@@ -138,7 +138,7 @@ def test_evaluator_failures_are_wrapped(mini_space):
 
 def test_mutation_actions_cover_space_genes():
     space = load_space("ofa")
-    rng = spawn_rng(0, 7)
+    rng = Stream(0, 7)
     arch = sample_uniform(space, rng)
     while not (any(d < 4 for d in arch.depths) and any(d > 2 for d in arch.depths)):
         arch = sample_uniform(space, rng)
@@ -153,7 +153,7 @@ def test_mutation_actions_cover_space_genes():
 
 def test_mutation_changes_ratio_on_bottleneck_spaces():
     space = load_space("resnet50")
-    rng = spawn_rng(0, 8)
+    rng = Stream(0, 8)
     arch = sample_uniform(space, rng)
     seen = set()
     for _ in range(300):
@@ -165,7 +165,7 @@ def test_mutation_changes_ratio_on_bottleneck_spaces():
 
 
 def test_change_ratio_remaps_joint_codes(mini_ratio_space):
-    rng = spawn_rng(0, 9)
+    rng = Stream(0, 9)
     hits = 0
     while hits < 20:
         arch = sample_uniform(mini_ratio_space, rng)
@@ -182,7 +182,7 @@ def test_change_ratio_remaps_joint_codes(mini_ratio_space):
 
 
 def test_mutation_desc_formats(mini_space):
-    rng = spawn_rng(0, 10)
+    rng = Stream(0, 10)
     descs = set()
     for _ in range(200):
         arch = sample_uniform(mini_space, rng)
@@ -199,7 +199,7 @@ def test_mutation_desc_formats(mini_space):
 
 def test_unit_weights_steer_mutation():
     space = load_space("ofa")
-    rng = spawn_rng(0, 11)
+    rng = Stream(0, 11)
     arch = sample_uniform(space, rng)
     for _ in range(100):
         _, desc = mutate(space, arch, rng, unit_weights=(0, 0, 0, 0, 1))
@@ -207,7 +207,7 @@ def test_unit_weights_steer_mutation():
 
 
 def test_unit_weights_validation(mini_space):
-    rng = spawn_rng(0, 12)
+    rng = Stream(0, 12)
     arch = sample_uniform(mini_space, rng)
     with pytest.raises(ValidationError, match="unit_weights"):
         mutate(mini_space, arch, rng, unit_weights=(1,))
@@ -221,7 +221,7 @@ def test_unit_weights_validation(mini_space):
 def test_unit_weights_must_have_a_finite_sum(mini_space, weights):
     # these once normalised to NaN or zero probabilities and were reported
     # as a space that admits no mutation
-    rng = spawn_rng(0, 12)
+    rng = Stream(0, 12)
     arch = sample_uniform(mini_space, rng)
     with pytest.raises(ValidationError, match="unit_weights"):
         mutate(mini_space, arch, rng, unit_weights=weights)
@@ -233,7 +233,7 @@ def test_unit_weights_must_have_a_finite_sum(mini_space, weights):
 
 def test_resolution_is_last_resort_mutation(mini_space_2res):
     frozen = apply(mini_space_2res, _FREEZE_BODY)
-    rng = spawn_rng(0, 13)
+    rng = Stream(0, 13)
     arch = sample_uniform(frozen, rng)
     for _ in range(20):
         child, desc = mutate(frozen, arch, rng)
@@ -243,7 +243,7 @@ def test_resolution_is_last_resort_mutation(mini_space_2res):
 
 def test_immutable_space_raises(mini_space):
     frozen = apply(mini_space, _FREEZE_BODY)
-    rng = spawn_rng(0, 14)
+    rng = Stream(0, 14)
     arch = sample_uniform(frozen, rng)
     with pytest.raises(ValidationError, match="admits no mutation"):
         mutate(frozen, arch, rng)
@@ -263,7 +263,7 @@ def test_evolve_on_two_point_space(mini_space_2res):
 
 def _cloud_points(vectors):
     space = load_space("ofa")
-    arch = sample_uniform(space, spawn_rng(0, 15))
+    arch = sample_uniform(space, Stream(0, 15))
     return [EvaluatedArch(arch=arch, metrics=tuple(v), eval_id=i, generation=0)
             for i, v in enumerate(vectors)]
 

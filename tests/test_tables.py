@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from archscope.devices import identity_profile, profile_latency
 from archscope.errors import ConfigError, CoverageError
-from archscope.sampling import Genes, sample_batch, sample_uniform, spawn_rng
+from archscope.sampling import Genes, Stream, sample_batch, sample_uniform
 from archscope.spaces import (
     Architecture,
     iter_placements,
@@ -50,7 +50,7 @@ def test_additive_matches_identity_latency():
     space = load_space("ofa")
     table = _flat_table(space, 1.0, {r: 0.0 for r in space.resolutions})
     ident = identity_profile(space)
-    rng = spawn_rng(17, 0)
+    rng = Stream(17, 0)
     for _ in range(1_000):
         arch = sample_uniform(space, rng)
         assert table_evaluate(space, table, arch) == profile_latency(space, arch, ident)
@@ -79,7 +79,7 @@ def test_coverage_gap_found_at_bind_time():
 
 
 def test_exact_table_lookup_and_miss(mini_space):
-    rng = spawn_rng(3, 0)
+    rng = Stream(3, 0)
     known = [sample_uniform(mini_space, rng) for _ in range(5)]
     table = exact_table_from_pairs(
         mini_space, "measured", "minimize", "ms",
@@ -101,14 +101,14 @@ def test_table_file_round_trip(tmp_path, mini_space):
     clone = load_table(path, mini_space)
     assert dict(clone.entries) == dict(table.entries)
     assert clone.resolution_constants == {32: 2.5}
-    rng = spawn_rng(5, 0)
+    rng = Stream(5, 0)
     for _ in range(50):
         arch = sample_uniform(mini_space, rng)
         assert table_evaluate(mini_space, clone, arch) == table_evaluate(mini_space, table, arch)
 
 
 def test_exact_table_file_round_trip(tmp_path, mini_space):
-    rng = spawn_rng(6, 0)
+    rng = Stream(6, 0)
     pairs = [(sample_uniform(mini_space, rng), 1.5 * i) for i in range(4)]
     table = exact_table_from_pairs(mini_space, "m", "maximize", "", pairs)
     path = tmp_path / "exact.csv"
@@ -124,7 +124,7 @@ def test_load_table_rejects_non_finite_values(tmp_path, mini_space, kind, bad):
     if kind == "additive":
         table = _flat_table(mini_space, 0.25, {32: 2.5})
     else:
-        pairs = [(sample_uniform(mini_space, spawn_rng(6, 0)), 1.5)]
+        pairs = [(sample_uniform(mini_space, Stream(6, 0)), 1.5)]
         table = exact_table_from_pairs(mini_space, "m", "maximize", "", pairs)
     path = tmp_path / "t.csv"
     save_table(table, path)
@@ -137,7 +137,7 @@ def test_load_table_rejects_non_finite_values(tmp_path, mini_space, kind, bad):
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), "fast"])
 def test_exact_table_from_pairs_rejects_non_finite_values(mini_space, bad):
-    rng = spawn_rng(6, 0)
+    rng = Stream(6, 0)
     pairs = [(sample_uniform(mini_space, rng), 1.5), (sample_uniform(mini_space, rng), bad)]
     with pytest.raises(ConfigError, match=rf"^pair 1: expected a finite number, got {bad!r}$"):
         exact_table_from_pairs(mini_space, "m", "maximize", "", pairs)
@@ -210,7 +210,7 @@ def test_additive_batch_equals_the_walker_bit_for_bit(config, seed, data):
     constants = {r: data.draw(_ENTRIES) for r in space.resolutions}
     table = MetricTable(space=space.name, metric="m", direction="minimize", units="",
                         kind="additive", entries=entries, resolution_constants=constants)
-    genes = sample_batch(space, spawn_rng(seed), 16)
+    genes = sample_batch(space, Stream(seed), 16)
     archs = [genes.architecture(i) for i in range(len(genes))]
     expected = [walker_table(table, arch).hex() for arch in archs]
     ev = table_evaluator(space, table)
@@ -220,7 +220,7 @@ def test_additive_batch_equals_the_walker_bit_for_bit(config, seed, data):
 
 def test_additive_sum_of_negative_zeros_stays_negative(mini_space_2res):
     table = _flat_table(mini_space_2res, -0.0, {32: -0.0, 64: 0.0})
-    genes = sample_batch(mini_space_2res, spawn_rng(4), 20)
+    genes = sample_batch(mini_space_2res, Stream(4), 20)
     values = table_evaluator(mini_space_2res, table).evaluate_batch(genes).tolist()
     resolutions = [mini_space_2res.resolutions[s] for s in genes.resolution.tolist()]
     assert [v.hex() for v in values] == [
@@ -230,7 +230,7 @@ def test_additive_sum_of_negative_zeros_stays_negative(mini_space_2res):
 
 
 def test_exact_table_batch_raises_at_the_first_unknown_row(mini_space):
-    genes = sample_batch(mini_space, spawn_rng(8), 12)
+    genes = sample_batch(mini_space, Stream(8), 12)
     archs = list(dict.fromkeys(genes.architecture(i) for i in range(len(genes))))
     unknown = (3, 7)
     table = exact_table_from_pairs(mini_space, "m", "minimize", "", [
