@@ -2,7 +2,7 @@
 
 MAC and parameter counts are exact integers. Both come from one list of
 weight tensors per layer, (output positions, weights, biases), counted into
-lookup tables that score a gene batch, not walked layer by layer. The shape
+tables that score a gene batch, not walked layer by layer. The shape
 chain is fixed by the macro skeleton: the stem conv halves the input, and
 the first layer of every unit halves it again (stride-2 convs use ceil
 division, so odd sizes stay integral). Only conv and fully-connected
@@ -17,7 +17,9 @@ capacity grows with expansion/kernel (or ratio/expansion), so later units and
 bigger blocks matter more, which is the shape search experiments need.
 
 Every metric is a function of a sampling.Genes batch; one architecture is a
-batch of one.
+batch of one. Counts, synthetic accuracy, device latency and additive tables
+are each an AdditiveForm: one sum over a batch's units, chained by the
+channel ratio, with one summing loop, dtype rule and sentinel rule.
 """
 
 from __future__ import annotations
@@ -119,13 +121,12 @@ def param_count(space: DesignSpace, arch: Architecture, *, count_se: bool = True
     return int(totals(batch_of_one(space, arch))[0])
 
 
-def _count_totals(space: DesignSpace, count: Callable, count_se: bool):
-    """Function of a Genes batch to its exact integer counts: count of the
-    stem's tensor, plus count(_layer_terms(...)) per present layer, plus
-    count(_head_terms(...)), read from tables. Layer 1 is keyed by the
-    previous unit's ratio (its input width) and the head by the last unit's
-    ratio; every later layer has the same count. The tables are int64, or
-    Python ints (dtype object) when a total could reach 2**63."""
+def _count_form(space: DesignSpace, count: Callable, count_se: bool) -> AdditiveForm:
+    """Exact integer counts as an additive form: count of the stem's tensor,
+    plus count(_layer_terms(...)) per present layer, plus
+    count(_head_terms(...)). Layer 1 is keyed by the previous unit's ratio
+    (its input width) and the head by the last unit's ratio; every later
+    layer has the same count."""
     widths = [
         [effective_channels(unit.base_channels, r) for r in values]
         for unit, values in zip(space.units, ratio_values(space))
@@ -137,43 +138,23 @@ def _count_totals(space: DesignSpace, count: Callable, count_se: bool):
                       for r in space.resolutions], dtype=object)
     heads = np.array([[count(_head_terms(space, c, hw[-1][1])) for c in widths[-1]]
                       for hw in sizes], dtype=object)
-    bound = stems.max() + heads.max()
-    firsts, rests = [], []  # per unit: [res, prev ratio, ratio, block], [res, ratio, block]
+    firsts, rests = [], []  # per unit: [res, prev ratio, ratio, block], [res, ratio, 1, block]
     for u, unit in enumerate(space.units):
         prev = widths[u - 1] if u else [space.stem.out_channels]
-        # one zero column past the last block, read by the -1 of an absent layer
         first = np.zeros((n_res, len(prev), len(widths[u]), len(unit.blocks) + 1), object)
-        rest = np.zeros((n_res, len(widths[u]), len(unit.blocks) + 1), object)
+        rest = np.zeros((n_res, len(widths[u]), 1, len(unit.blocks) + 1), object)
         for s, hw in enumerate(sizes):
             h_in, h_out = hw[u]
             for r, c_out in enumerate(widths[u]):
                 for b, block in enumerate(unit.blocks):
-                    rest[s, r, b] = count(_layer_terms(
+                    rest[s, r, 0, b] = count(_layer_terms(
                         block, False, c_out, c_out, h_out, h_out, count_se))
                     for p, c_in in enumerate(prev):
                         first[s, p, r, b] = count(_layer_terms(
                             block, True, c_in, c_out, h_in, h_out, count_se))
-        bound += first.max() + (unit.depth_max - 1) * rest.max()
         firsts.append(first)
         rests.append(rest)
-    if bound < 2**63:
-        stems, heads = stems.astype(np.int64), heads.astype(np.int64)
-        firsts = [t.astype(np.int64) for t in firsts]
-        rests = [t.astype(np.int64) for t in rests]
-
-    def totals(genes):
-        res = genes.resolution
-        total = stems[res] + heads[res, genes.ratio[:, -1]]
-        prev = np.zeros(len(genes), dtype=np.int64)
-        for u, unit in enumerate(space.units):
-            ratio = genes.ratio[:, u]
-            blocks = genes.block[:, u, : unit.depth_max]
-            total += firsts[u][res, prev, ratio, blocks[:, 0]]
-            total += rests[u][res[:, None], ratio[:, None], blocks[:, 1:]].sum(axis=1)
-            prev = ratio
-        return total
-
-    return totals
+    return AdditiveForm(space, stems, firsts, rests, head=heads)
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +170,7 @@ class MetricEvaluator:
     resolution; profilers use it to decide whether per-resolution grids are
     worth emitting. batch, when set, maps a sampling.Genes batch to an array
     of the values fn gives its rows, bit for bit, or to None when it cannot;
-    at a row that reaches a sentinel (see slot_sum) it raises fn's error.
+    at a row that reaches a sentinel (see AdditiveForm) it raises fn's error.
     """
 
     name: str
@@ -219,6 +200,10 @@ class MetricEvaluator:
         """evaluate() of every row of a gene batch, through batch when it
         answers; a non-finite value raises EvaluationError for its first row."""
         values = self.batch(genes) if self.batch is not None else None
+        try:  # as evaluate() takes float(fn(arch))
+            values = None if values is None else values.astype(float, copy=False)
+        except OverflowError:  # a value past the float range: evaluate() raises it
+            values = None
         if values is None:
             return np.array([self.evaluate(genes.architecture(i)) for i in range(len(genes))],
                             dtype=float)
@@ -259,57 +244,129 @@ def batch_of_one(space: DesignSpace, arch: Architecture) -> Genes:
     return Genes.from_architectures(space, [arch])
 
 
-def slot_sum(space: DesignSpace, start: Callable, term: Callable) -> Callable:
-    """Lower start(s) + term(s, u, layer, b) over a row's present layers, for
-    resolution index s, unit u, layer slot (from 0) and block index b, to a
-    function of a Genes batch. Each sum adds in unit -> layer order; an absent
-    layer adds -0.0, which changes no sum. A ValidationError or CoverageError
-    from start or term makes a NaN sentinel of that resolution or cell. When
-    the table has one, the first non-finite row is walked again, calling start
-    and term in order, so a sentinel it reaches raises that call's error; a
-    row that raises nothing is left for evaluate_batch to report."""
-    n_res = len(space.resolutions)
-    starts = np.zeros(n_res)
-    cells = [np.full((n_res, u.depth_max, len(u.blocks) + 1), -0.0) for u in space.units]
-    sentinel = False
-    for s in range(n_res):
-        try:
-            starts[s] = start(s)
-        except (ValidationError, CoverageError):
-            starts[s], sentinel = np.nan, True
-            continue
-        for u, unit in enumerate(space.units):
-            for layer in range(unit.depth_max):
-                for b in range(len(unit.blocks)):
-                    try:
-                        cells[u][s, layer, b] = term(s, u, layer, b)
-                    except (ValidationError, CoverageError):
-                        cells[u][s, layer, b], sentinel = np.nan, True
+class AdditiveForm:
+    """A metric lowered to one sum over a gene batch's units, chained by the
+    channel ratio (docs/FORMATS.md, "Additive form"). For resolution index s,
+    ratio index r[u] (r[-1] = 0), depth d[u] and block index b[u, l] per unit:
 
-    def summed(genes):
-        res = genes.resolution
-        total = starts[res]
-        for u, (unit, table) in enumerate(zip(space.units, cells)):
-            layers = np.arange(unit.depth_max)
-            slots = table[res[:, None], layers, genes.block[:, u, : unit.depth_max]]
-            for layer in layers:
-                total = total + slots[:, layer]
-        return total
+        start[s] + per unit u: (first[u][s, r[u - 1], r[u], b[u, 0]]
+                                + rest[u][s, r[u], l - 1, b[u, l]] for l >= 1
+                                + depth[u][d[u]])
+                 + head[s, r[U - 1]]
 
-    def checked(genes):
-        values = summed(genes)
-        bad = ~np.isfinite(values)
-        if bad.any():
-            row = int(bad.argmax())
+    added left to right, then clamped to clamp = (lo, hi) when set. Block
+    index -1 (an absent layer) reads a table's last column, which holds the
+    additive identity (-0.0 or 0). head and depth are None for a metric
+    without them. Each table is given as any array that broadcasts to its
+    shape, and kept at full shape as a public attribute: start [S], head
+    [S, R], first [S, R of the previous unit, R, B + 1], rest [S, R,
+    depth_max - 1, B + 1], depth [depth_max + 1]. Tables of Python ints
+    (nonnegative counts) are summed in int64 when no total can reach 2**63,
+    else as exact Python ints; all others in float64. A NaN cell is a
+    sentinel: see of_layers.
+    """
+
+    def __init__(self, space: DesignSpace, start, first: list, rest: list, *, head=None,
+                 depth: list | None = None, clamp: tuple[float, float] | None = None,
+                 walk: tuple[Callable, Callable] | None = None):
+        n_res = len(space.resolutions)
+        n_ratios = [len(values) for values in ratio_values(space)]
+        dtype = np.float64
+        if np.asarray(start).dtype == object:
+            def peak(t):  # the builtin max reads Python ints faster than np.max
+                return max(np.asarray(t).flat)
+
+            bound = peak(start) + (0 if head is None else peak(head)) + sum(
+                peak(f) + (unit.depth_max - 1) * peak(r)
+                for f, r, unit in zip(first, rest, space.units)) + sum(map(peak, depth or ()))
+            dtype = np.int64 if bound < 2**63 else object
+
+        def own(t, *shape):  # a C-contiguous copy of t broadcast to shape
+            full = np.empty(shape, dtype)
+            full[...] = t
+            return full
+
+        # a form whose tables were given without ratio axes reads no ratio gene
+        ratio_sizes = [*(n for t in first for n in np.shape(t)[-3:-1]),
+                       *(n for t in rest for n in np.shape(t)[-3:-2]), *np.shape(head)[-1:]]
+        self._chained = max(ratio_sizes, default=1) > 1
+        self.space, self.clamp, self._walk = space, clamp, walk
+        self.start = own(start, n_res)
+        self.head = None if head is None else own(head, n_res, n_ratios[-1])
+        self.first = [own(t, n_res, n_prev, n, len(unit.blocks) + 1) for t, unit, n_prev, n
+                      in zip(first, space.units, [1, *n_ratios[:-1]], n_ratios)]
+        self.rest = [own(t, n_res, n, unit.depth_max - 1, len(unit.blocks) + 1)
+                     for t, unit, n in zip(rest, space.units, n_ratios)]
+        self.depth = None if depth is None else [own(t, unit.depth_max + 1)
+                                                 for t, unit in zip(depth, space.units)]
+
+    @classmethod
+    def of_layers(cls, space: DesignSpace, start: Callable, term: Callable) -> "AdditiveForm":
+        """The form of start(s) + term(s, u, layer, b) over a row's present
+        layers (layer from 0). A ValidationError or CoverageError from start
+        or term makes a NaN sentinel of that resolution or cell. The first
+        non-finite row of a batch is then walked again, calling start and
+        term in addition order, so the sentinel it reaches raises that
+        call's error; a row that raises nothing is left for evaluate_batch."""
+        n_res = len(space.resolutions)
+        starts = np.zeros(n_res)
+        cells = [np.full((n_res, u.depth_max, len(u.blocks) + 1), -0.0) for u in space.units]
+        sentinel = False
+        for s in range(n_res):
+            try:
+                starts[s] = start(s)
+            except (ValidationError, CoverageError):
+                starts[s], sentinel = np.nan, True
+                continue
+            for u, unit in enumerate(space.units):
+                for layer in range(unit.depth_max):
+                    for b in range(len(unit.blocks)):
+                        try:
+                            cells[u][s, layer, b] = term(s, u, layer, b)
+                        except (ValidationError, CoverageError):
+                            cells[u][s, layer, b], sentinel = np.nan, True
+        return cls(space, starts, [t[:, None, None, 0] for t in cells],
+                   [t[:, None, 1:] for t in cells], walk=(start, term) if sentinel else None)
+
+    def __call__(self, genes) -> np.ndarray:
+        """The value of every row of a Genes batch of the form's space."""
+        # Cells are read by flat index into the C-ordered tables, the chain's
+        # state (resolution, ratio) naming a row. Block index -1 reads the
+        # previous row's last column (the last cell at flat index -1): the
+        # additive identity either way.
+        res = genes.resolution.copy()  # a strided view: arithmetic on a copy is faster
+        total = np.take(self.start, res)
+        state = res  # before the first unit: the stem's single width
+        for u, (first, rest) in enumerate(zip(self.first, self.rest)):
+            n, width, layers = first.shape[2], first.shape[3], rest.shape[2]
+            if self._chained and n > 1:
+                ratio = genes.ratio[:, u].copy()
+                entry, state = state * n + ratio, res * n + ratio
+            else:  # one ratio choice, or cells alike for every ratio: read ratio index 0
+                entry, state = state * n, res * n
+            blocks = genes.block[:, u]
+            total += np.take(first, entry * width + blocks[:, 0])
+            row = state * (layers * width)
+            for layer in range(layers):
+                total += np.take(rest, row + layer * width + blocks[:, layer + 1])
+            if self.depth is not None:
+                total += np.take(self.depth[u], genes.depth[:, u])
+        if self.head is not None:
+            total += np.take(self.head, state)
+        if self.clamp is not None:  # max(lo, total), then min(hi, total), as the builtins pick
+            lo, hi = self.clamp
+            total = np.where(total > lo, total, lo)
+            total = np.where(total < hi, total, hi)
+        if self._walk is not None and not np.isfinite(total).all():
+            start, term = self._walk
+            row = int(np.isfinite(total).argmin())  # the first non-finite row
             s = int(genes.resolution[row])
             start(s)
-            for u, unit in enumerate(space.units):
+            for u, unit in enumerate(self.space.units):
                 for layer, b in enumerate(genes.block[row, u, : unit.depth_max].tolist()):
                     if b >= 0:
                         term(s, u, layer, b)
-        return values
-
-    return checked if sentinel else summed
+        return total
 
 
 def params_digest(params: dict) -> str:
@@ -318,42 +375,37 @@ def params_digest(params: dict) -> str:
     ).hexdigest()[:16]
 
 
-def _macs_totals(space: DesignSpace, *, count_se: bool = True):
-    return _count_totals(space, lambda terms: sum(p * w for p, w, _ in terms), count_se)
+def _macs_totals(space: DesignSpace, *, count_se: bool = True) -> AdditiveForm:
+    return _count_form(space, lambda terms: sum(p * w for p, w, _ in terms), count_se)
 
 
-def _params_totals(space: DesignSpace, *, count_se: bool = True, include_bias: bool = False):
-    return _count_totals(
+def _params_totals(space: DesignSpace, *, count_se: bool = True,
+                   include_bias: bool = False) -> AdditiveForm:
+    return _count_form(
         space, lambda terms: sum(w + (b if include_bias else 0) for _, w, b in terms), count_se)
 
 
-def _count_evaluator(space: DesignSpace, name: str, totals: Callable, kw: dict,
-                     resolution_sensitive: bool) -> MetricEvaluator:
-    lowered = Lowered(space, lambda: totals(space, **kw))
-
-    def batch(genes):
-        values = lowered(genes)
-        try:
-            return None if values is None else values.astype(float)
-        except OverflowError:  # a count past the float range: fn raises it row by row
-            return None
-
+def _lowered_evaluator(space: DesignSpace, name: str, direction: str, build: Callable,
+                       value: Callable, params: dict, resolution_sensitive: bool) -> MetricEvaluator:
+    lowered = Lowered(space, build)
     return MetricEvaluator(
         name=name,
-        direction=MINIMIZE,
-        fn=lambda arch: int(lowered(batch_of_one(space, arch))[0]),
+        direction=direction,
+        fn=lambda arch: value(lowered(batch_of_one(space, arch))[0]),
         resolution_sensitive=resolution_sensitive,
-        params_digest=params_digest({"kind": name, **kw}),
-        batch=batch,
+        params_digest=params_digest(params),
+        batch=lowered,
     )
 
 
 def macs_evaluator(space: DesignSpace, **kw) -> MetricEvaluator:
-    return _count_evaluator(space, "macs", _macs_totals, kw, resolution_sensitive=True)
+    return _lowered_evaluator(space, "macs", MINIMIZE, lambda: _macs_totals(space, **kw), int,
+                              {"kind": "macs", **kw}, resolution_sensitive=True)
 
 
 def params_evaluator(space: DesignSpace, **kw) -> MetricEvaluator:
-    return _count_evaluator(space, "params", _params_totals, kw, resolution_sensitive=False)
+    return _lowered_evaluator(space, "params", MINIMIZE, lambda: _params_totals(space, **kw),
+                              int, {"kind": "params", **kw}, resolution_sensitive=False)
 
 
 # ---------------------------------------------------------------------------
@@ -380,6 +432,8 @@ class AccuracyModel:
             "base": self.base,
             "unit_weights": list(self.unit_weights),
             "depth_bonus": list(self.depth_bonus),
+            "clamp_lo": self.clamp_lo,
+            "clamp_hi": self.clamp_hi,
         }
 
 
@@ -428,33 +482,22 @@ def _capacity(block: BlockSpec, axis_values: dict[str, list]) -> float:
     return 0.5 * ranks[0] + 0.5 * ranks[1]
 
 
-def _accuracy_batch(space: DesignSpace, model: AccuracyModel):
-    """Synthetic accuracy of a gene batch: the base, then per unit each
-    layer's unit_weight * capacity (-0.0 past the depth) and the depth bonus
-    at full depth, clamped. Checks the model against the space first."""
+def _accuracy_form(space: DesignSpace, model: AccuracyModel) -> AdditiveForm:
+    """Synthetic accuracy as an additive form: the base, then per unit each
+    layer's unit_weight * capacity and the depth bonus at full depth, clamped.
+    Checks the model against the space first."""
     if len(model.unit_weights) != space.n_units or len(model.depth_bonus) != space.n_units:
         raise ValidationError("accuracy model does not cover every unit of the space")
     if any(a > b for a, b in zip(model.unit_weights, model.unit_weights[1:])):
         raise ValidationError("accuracy model unit_weights must be nondecreasing")
     axis_values = _axis_values(space)
-    tables = [  # per unit: each candidate's term, then the absent layer's
-        np.array([weight * _capacity(b, axis_values) for b in unit.blocks] + [-0.0])
-        for unit, weight in zip(space.units, model.unit_weights)
-    ]
-
-    def batch(genes):
-        score = np.full(len(genes), model.base, dtype=float)
-        for u, (unit, table) in enumerate(zip(space.units, tables)):
-            slots = table[genes.block[:, u, : unit.depth_max]]
-            for layer in range(unit.depth_max):
-                score = score + slots[:, layer]
-            score = score + np.where(
-                genes.depth[:, u] == unit.depth_max, model.depth_bonus[u], -0.0)
-        # max(lo, score) and min(hi, score) as the builtins pick
-        score = np.where(score > model.clamp_lo, score, model.clamp_lo)
-        return np.where(score < model.clamp_hi, score, model.clamp_hi)
-
-    return batch
+    terms, bonuses = [], []
+    for unit, weight, bonus in zip(space.units, model.unit_weights, model.depth_bonus):
+        # each candidate's term, then the absent layer's
+        terms.append(np.array([weight * _capacity(b, axis_values) for b in unit.blocks] + [-0.0]))
+        bonuses.append([-0.0] * unit.depth_max + [bonus])
+    return AdditiveForm(space, model.base, terms, terms, depth=bonuses,
+                        clamp=(model.clamp_lo, model.clamp_hi))
 
 
 def synthetic_accuracy(space: DesignSpace, arch: Architecture, model: AccuracyModel) -> float:
@@ -462,18 +505,12 @@ def synthetic_accuracy(space: DesignSpace, arch: Architecture, model: AccuracyMo
 
     Each call builds the model's tables; to score many architectures, use
     accuracy_evaluator's fn or evaluate_batch, which build them once."""
-    return float(_accuracy_batch(space, model)(batch_of_one(space, arch))[0])
+    return float(_accuracy_form(space, model)(batch_of_one(space, arch))[0])
 
 
 def accuracy_evaluator(space: DesignSpace, model: AccuracyModel | None = None) -> MetricEvaluator:
     model = model if model is not None else default_accuracy_model(space)
-    batch = _accuracy_batch(space, model)  # a model that does not fit raises here
-    lowered = Lowered(space, lambda: batch)
-    return MetricEvaluator(
-        name="synthetic-acc",
-        direction=MAXIMIZE,
-        fn=lambda arch: float(lowered(batch_of_one(space, arch))[0]),
-        resolution_sensitive=False,
-        params_digest=params_digest({"kind": "synthetic-acc", **model.config()}),
-        batch=lowered,
-    )
+    form = _accuracy_form(space, model)  # a model that does not fit raises here
+    return _lowered_evaluator(space, "synthetic-acc", MAXIMIZE, lambda: form, float,
+                              {"kind": "synthetic-acc", **model.config()},
+                              resolution_sensitive=False)

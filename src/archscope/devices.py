@@ -18,9 +18,9 @@ hardware behaviors (kernel-7 hostility with resolution templates, flat GPU
 factors, expansion-bound CPU cost, resolution-linear mobile latency). They
 are stated as such everywhere they surface.
 
-Latency is summed over a gene batch from a table of layer terms
-(costs.slot_sum); one architecture is a batch of one. What a profile cannot
-price fails only the rows that need it.
+Latency is summed over a gene batch as an additive form of layer terms
+(costs.AdditiveForm.of_layers); one architecture is a batch of one. What a
+profile cannot price fails only the rows that need it.
 """
 
 from __future__ import annotations
@@ -31,11 +31,11 @@ from typing import Mapping
 
 from .costs import (
     MINIMIZE,
+    AdditiveForm,
     Lowered,
     MetricEvaluator,
     batch_of_one,
     params_digest,
-    slot_sum,
     unit_spatial_sizes,
 )
 from .errors import ConfigError, ValidationError
@@ -138,7 +138,7 @@ class DeviceProfile:
         }
 
 
-def _latency_batch(space: DesignSpace, profile: DeviceProfile):
+def _latency_form(space: DesignSpace, profile: DeviceProfile) -> AdditiveForm:
     """Latency of a gene batch. A resolution's start checks the family, finds
     the template and adds the padding penalty to the fixed overhead; a layer's
     term scales its factors by the unit's output area at the template,
@@ -166,7 +166,7 @@ def _latency_batch(space: DesignSpace, profile: DeviceProfile):
         scale = float(profile.unit_scale.get(unit.index, 1.0))
         return cost * scale * profile.layer_base(unit.index, layer + 1) * areas[s][u]
 
-    return slot_sum(space, start, term)
+    return AdditiveForm.of_layers(space, start, term)
 
 
 def profile_latency(space: DesignSpace, arch: Architecture, profile: DeviceProfile) -> float:
@@ -174,7 +174,7 @@ def profile_latency(space: DesignSpace, arch: Architecture, profile: DeviceProfi
 
     Each call prices every cell of the space; to score many architectures,
     use latency_evaluator's fn or evaluate_batch, which price them once."""
-    return float(_latency_batch(space, profile)(batch_of_one(space, arch))[0])
+    return float(_latency_form(space, profile)(batch_of_one(space, arch))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +325,7 @@ def save_profile(profile: DeviceProfile, path) -> None:
 
 def latency_evaluator(space: DesignSpace, profile) -> MetricEvaluator:
     profile = load_profile(profile)
-    lowered = Lowered(space, lambda: _latency_batch(space, profile))
+    lowered = Lowered(space, lambda: _latency_form(space, profile))
     return MetricEvaluator(
         name=profile.name,
         direction=MINIMIZE,

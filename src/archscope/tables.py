@@ -10,8 +10,9 @@ the table is bound to a space, not discovered mid-evaluation. Exact tables
 raise on a missing architecture at evaluation time.
 
 Additive tables are summed over a gene batch as device profiles are
-(costs.slot_sum); one architecture is a batch of one. Exact tables are
-looked up one architecture at a time, so a batch is scored row by row.
+(costs.AdditiveForm.of_layers); one architecture is a batch of one. Exact
+tables are looked up one architecture at a time, so a batch is scored row
+by row.
 
 File format (see docs/FORMATS.md): '#'-prefixed key=value header lines, then
 a CSV body with columns (unit, layer, block_code, value) or
@@ -28,11 +29,11 @@ import numpy as np
 from .costs import (
     MAXIMIZE,
     MINIMIZE,
+    AdditiveForm,
     Lowered,
     MetricEvaluator,
     batch_of_one,
     params_digest,
-    slot_sum,
 )
 from .errors import ConfigError, CoverageError
 from .formats import finite, integer, read_csv, write_csv
@@ -103,7 +104,7 @@ def _exact_value(table: MetricTable, arch: Architecture) -> float:
     return float(table.entries[digest])
 
 
-def _table_batch(space: DesignSpace, table: MetricTable):
+def _table_form(space: DesignSpace, table: MetricTable) -> AdditiveForm:
     """An additive table's value for each row of a gene batch: the sum from
     the resolution's constant (0.0 without one) over the present layers."""
     def start(s):
@@ -112,7 +113,7 @@ def _table_batch(space: DesignSpace, table: MetricTable):
     def term(s, u, layer, b):
         return _entry(table, (u + 1, layer + 1, space.units[u].blocks[b].code))
 
-    return slot_sum(space, start, term)
+    return AdditiveForm.of_layers(space, start, term)
 
 
 def table_evaluate(space: DesignSpace, table: MetricTable, arch: Architecture) -> float:
@@ -122,7 +123,7 @@ def table_evaluate(space: DesignSpace, table: MetricTable, arch: Architecture) -
     build them once."""
     if table.kind == EXACT:
         return _exact_value(table, arch)
-    return float(_table_batch(space, table)(batch_of_one(space, arch))[0])
+    return float(_table_form(space, table)(batch_of_one(space, arch))[0])
 
 
 def table_evaluator(space: DesignSpace, table: MetricTable) -> MetricEvaluator:
@@ -132,16 +133,14 @@ def table_evaluator(space: DesignSpace, table: MetricTable) -> MetricEvaluator:
         or len({round(v, 12) for v in table.resolution_constants.values()}) > 1
     )
     exact = table.kind == EXACT
-    lowered = None if exact else Lowered(space, lambda: _table_batch(space, table))
+    lowered = None if exact else Lowered(space, lambda: _table_form(space, table))
     return MetricEvaluator(
         name=table.metric,
         direction=table.direction,
         fn=lambda arch: _exact_value(table, arch) if exact
         else float(lowered(batch_of_one(space, arch))[0]),
         resolution_sensitive=res_sensitive,
-        params_digest=params_digest(
-            {"kind": f"table-{table.kind}", "metric": table.metric, "n": len(table.entries)}
-        ),
+        params_digest=params_digest({"kind": f"table-{table.kind}", "file": _document(table)}),
         batch=lowered,
     )
 
@@ -150,6 +149,11 @@ def table_evaluator(space: DesignSpace, table: MetricTable) -> MetricEvaluator:
 # file IO
 
 def save_table(table: MetricTable, path) -> None:
+    write_csv(path, *_document(table))
+
+
+def _document(table: MetricTable) -> tuple[dict, list[list]]:
+    """The header and rows save_table writes."""
     header = {
         "format_version": TABLE_VERSION,
         "space": table.space,
@@ -165,7 +169,7 @@ def save_table(table: MetricTable, path) -> None:
         rows = [[*k, repr(float(table.entries[k]))] for k in keys]
     else:
         rows = [[k, repr(float(table.entries[k]))] for k in sorted(table.entries)]
-    write_csv(path, header, [_COLUMNS[table.kind], *rows])
+    return header, [_COLUMNS[table.kind], *rows]
 
 
 def load_table(path, space: DesignSpace | None = None) -> MetricTable:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -234,6 +236,12 @@ def test_accuracy_clamp():
                         blocks=tuple(("MBConv6-7",) * 4 for _ in range(5)))
     model = AccuracyModel(base=99.9, unit_weights=(0.5,) * 5, depth_bonus=(0.5,) * 5)
     assert synthetic_accuracy(space, arch, model) == 100.0
+
+
+def test_params_digest_tells_accuracy_clamps_apart(mini_space):
+    model = default_accuracy_model(mini_space)
+    models = (model, replace(model, clamp_lo=1.0), replace(model, clamp_hi=99.0))
+    assert len({accuracy_evaluator(mini_space, m).params_digest for m in models}) == 3
 
 
 def test_counts_past_int64_stay_exact():

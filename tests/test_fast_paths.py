@@ -27,10 +27,16 @@ from archscope.costs import (
     macs_evaluator,
     params_evaluator,
 )
-from archscope.devices import identity_profile, latency_evaluator, list_profiles, load_profile
+from archscope.devices import (
+    DeviceProfile,
+    identity_profile,
+    latency_evaluator,
+    list_profiles,
+    load_profile,
+)
 from archscope.errors import EvaluationError, ValidationError
 from archscope.mutation import UnitPicker, mutation_tables
-from archscope.reduction import apply, preset
+from archscope.reduction import apply, list_rulesets, preset
 from archscope.sampling import Genes, Stream, sample_batch, sample_fixed, sample_uniform
 from archscope.search import (
     FITNESS_DOMINANCE,
@@ -68,6 +74,7 @@ from .oracles import (
     walker_latency,
     walker_macs,
     walker_params,
+    walker_table,
 )
 
 # a few repeated values make ties and equal vectors common
@@ -268,27 +275,102 @@ def test_sample_batch_matches_exact_enumeration(ratio_gene, data):
             _fits(_unit_outcomes(genes, u), expected, n)
 
 
-@settings(max_examples=40, deadline=None)
-@given(config=_space_configs(), seed=st.integers(0, 2**32 - 1))
-def test_count_and_accuracy_batches_equal_walkers_on_random_spaces(config, seed):
-    space = parse_space_config(config)
+# awkward factors: thirds, tenths, an exact power of two, a large and a tiny one
+_FACTORS = st.sampled_from((1 / 3, 0.1, 0.5, 2.0, 3.2, 7e3)) | st.floats(1e-3, 1e3)
+
+
+def _random_profile(space, data):
+    """A device profile that prices every layer of every member of space."""
+    blocks = [b for unit in space.units for b in unit.blocks]
+
+    def factors(keys):
+        return {k: data.draw(_FACTORS) for k in sorted(keys)}
+
+    cost = data.draw(_FACTORS)
+    if data.draw(st.booleans()):  # per unit a scalar or one cost per layer
+        cost = {unit.index: data.draw(_FACTORS | st.lists(
+            _FACTORS, min_size=unit.depth_max, max_size=unit.depth_max))
+                for unit in space.units}
+    templates = data.draw(st.lists(st.sampled_from((*space.resolutions, 48)), min_size=1,
+                                   max_size=3, unique=True))
+    return DeviceProfile(
+        name="random",
+        families=(space.family,),
+        kernel_factor=factors({b.kernel for b in blocks}),
+        expansion_factor=factors({b.expansion for b in blocks}),
+        ratio_factor=factors({b.channel_ratio for b in blocks} - {None}),
+        unit_scale={u.index: data.draw(_FACTORS) for u in space.units if data.draw(st.booleans())},
+        layer_cost_ms=cost,
+        resolution_templates=tuple(sorted({*templates, max(space.resolutions)})),
+        fixed_overhead_ms=data.draw(st.sampled_from((0.0, 1 / 3, 15.0))),
+        pad_cost_ms=data.draw(st.sampled_from((0.0, 0.4, 1 / 7))),
+    )
+
+
+def _random_table(space, data):
+    """An additive table with an entry for every placement of space."""
+    values = st.sampled_from((0.0, -0.0, 1 / 3, -2 / 3, 1e-300, 3e15)) | st.floats(-1e3, 1e3)
+    return MetricTable(space=space.name, metric="t", direction=MINIMIZE, units="",
+                       kind=ADDITIVE, entries={p.key(): data.draw(values)
+                                               for p in iter_placements(space)},
+                       resolution_constants={r: data.draw(values) for r in space.resolutions})
+
+
+def _lowered_cases(space, data):
+    """(evaluator, walker) for every kind of lowered metric on space: MACs,
+    params with and without bias, synthetic-acc with its default clamps and
+    with clamps tight enough to bind both ways, a device profile and an
+    additive table. synthetic-acc is left out where it cannot rank the blocks."""
     model = default_accuracy_model(space)
-    genes = sample_batch(space, Stream(seed), 12)
-    archs = _rows(genes)
-    assert macs_evaluator(space).batch(genes).tolist() == [walker_macs(space, a) for a in archs]
-    for bias in (False, True):
-        assert params_evaluator(space, include_bias=bias).batch(genes).tolist() == [
-            walker_params(space, a, include_bias=bias) for a in archs]
-    # synthetic-acc cannot rank ratio-free bottleneck blocks beside ratio-bound ones
+    profile, table = _random_profile(space, data), _random_table(space, data)
+    cases = [
+        (macs_evaluator(space), lambda a: walker_macs(space, a)),
+        (params_evaluator(space), lambda a: walker_params(space, a)),
+        (params_evaluator(space, include_bias=True),
+         lambda a: walker_params(space, a, include_bias=True)),
+        (latency_evaluator(space, profile), lambda a: walker_latency(space, a, profile)),
+        (table_evaluator(space, table), lambda a: walker_table(table, a)),
+    ]
     ratios = {b.channel_ratio for u in space.units for b in u.blocks}
     if None in ratios and len(ratios) > 1:
-        with pytest.raises(ValidationError, match=r"unit \d+ block 'B\d+': no channel_ratio"):
+        with pytest.raises(ValidationError, match=r"unit \d+ block '[^']+': no channel_ratio"):
             accuracy_evaluator(space, model)
-        return
-    # the default model never reaches its clamps; a tight one clamps both ways
+        return cases
     for m in (model, replace(model, clamp_lo=70.3, clamp_hi=70.9)):
-        assert accuracy_evaluator(space, m).batch(genes).tolist() == [
-            walker_accuracy(space, a, m) for a in archs]
+        cases.append((accuracy_evaluator(space, m),
+                      lambda a, m=m: walker_accuracy(space, a, m)))
+    return cases
+
+
+def _assert_bit_for_bit(cases, genes):
+    """Every evaluator's batch, and its fn row by row, give the walker's
+    value to the last bit and sign: float .hex(), so -0.0 is not 0.0."""
+    archs = _rows(genes)
+    for ev, walker in cases:
+        expected = [float(walker(a)).hex() for a in archs]
+        assert [v.hex() for v in ev.evaluate_batch(genes).tolist()] == expected, ev.name
+        assert [ev.evaluate(a).hex() for a in archs] == expected, ev.name
+
+
+@settings(max_examples=40, deadline=None)
+@given(config=_space_configs(), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_every_lowered_metric_equals_its_walker_bit_for_bit_on_random_spaces(config, seed, data):
+    space = parse_space_config(config)
+    _assert_bit_for_bit(_lowered_cases(space, data), sample_batch(space, Stream(seed), 12))
+
+
+@pytest.mark.parametrize("name", list_rulesets())
+@settings(max_examples=2, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_every_lowered_metric_equals_its_walker_on_each_preset_space(name, seed, data):
+    # the pareto workload scores a reduced space; walker_accuracy ranks block
+    # capacity over the space it is handed, as accuracy_evaluator does
+    ruleset = preset(name)
+    space = apply(load_space(ruleset.space), ruleset)
+    cases = _lowered_cases(space, data)
+    cases += [(latency_evaluator(space, p), lambda a, p=load_profile(p): walker_latency(space, a, p))
+              for p in list_profiles() if space.family in load_profile(p).families]
+    _assert_bit_for_bit(cases, sample_batch(space, Stream(seed), 40))
 
 
 @pytest.mark.parametrize("profile,space_name", _LATENCY_CASES)

@@ -19,7 +19,7 @@ from archscope.devices import load_profile, save_profile
 from archscope.reduction import preset, save_ruleset
 from archscope.sampling import Stream, sample_uniform
 from archscope.tables import MetricTable, exact_table_from_pairs, save_table
-from archscope.spaces import iter_placements
+from archscope.spaces import iter_placements, load_space
 
 from .conftest import build_mini_space
 
@@ -84,6 +84,10 @@ EXPECTED = {
         "9bad662cee2d21f9e0b6fb66bf9f761ae07134ca30f8098ff735d1044f64a692",
     "placements-gpu/placements-proxylessnas-gpu-flat.csv":
         "a0355f9aaec31fc0b61dc026dcbf37ae00d1043e0e89db52e392ed3316a55868",
+    "placements-table/placements-ofa-thirds-boundaries.json":
+        "39c8746f190eda8b8db4dcd712c4cfb6a2f11392f20873becfe67c09a34ce86a",
+    "placements-table/placements-ofa-thirds.csv":
+        "bc348bc418a8ea037645ae7978e7c283df8fecad9dd3681c746d86d7c5f8b31a",
     "reduce/reduced-resnet50-resnet50-maxacc.json":
         "08c99207efb452b429e2774cff38b287ff8016465082e3df5ea819bea2e9bda2",
     "sweep/placements-ofa-macs-boundaries.json":
@@ -98,6 +102,8 @@ EXPECTED = {
         "41ad526b417633d1d818d747a3953424649d5eb0b0d2de5e0697712ad27a40c5",
     "sweep-pct/placements-ofa-npu-like.dat":
         "1d2a6805cccb305a11231112afcb6134d8b236c7313015d2bc401463abe9d399",
+    "tables/thirds.csv":
+        "7c26026b0ea0a1807ae9f8ff63af691368ed1c0c961536843e3593554a162de8",
 }
 
 # sha256 of each run's stdout, its output root replaced by OUT
@@ -128,6 +134,8 @@ STDOUT = {
         "d0f75051c363fb7d798d143d068fe93ff874ec2961766e231885423c710f27e4",
     "placements-gpu":
         "97ae623a49339579a142c9f9ad6fe07c0fccb6f79c267ce507618b95e60669d8",
+    "placements-table":
+        "d210028bd50ee02f7001d8ae44af0b6f891503ac43bc6be37b07adea1b7a63ea",
     "reduce":
         "520e4e876fb3cd487e104f4d04c73c8326af9ecdab28b7c720f57b54fcc0d7b7",
     "sweep":
@@ -180,6 +188,18 @@ _RUNS = (
 )
 
 
+def _save_awkward_table(path):
+    """An additive ofa table of signed zeros and thirds, so every addition
+    and its order shows in the scored bytes."""
+    space = load_space("ofa")
+    entries = {p.key(): (-0.0, 1 / 3, 0.0, -2 / 3, p.layer / 3)[i % 5]
+               for i, p in enumerate(iter_placements(space))}
+    save_table(MetricTable(space="ofa", metric="thirds", direction="minimize", units="ms",
+                           kind="additive", entries=entries,
+                           resolution_constants={192: -0.0, 208: 1 / 3, 224: 0.0}),
+               path)
+
+
 def _save_documents(out):
     space = build_mini_space()
     entries = {
@@ -213,6 +233,10 @@ def golden(tmp_path_factory):
 
     for name, *argv in _RUNS:
         run(name, *argv)
+    (out / "tables").mkdir()
+    _save_awkward_table(out / "tables" / "thirds.csv")
+    run("placements-table", "profile", "placements", "--space", "ofa", "--metric",
+        f"table:{out / 'tables' / 'thirds.csv'}", "--samples", "4", "--baseline-samples", "20")
     reduced = out / "reduce" / "reduced-resnet50-resnet50-maxacc.json"
     run("blocks-maxacc", "profile", "blocks", "--space", str(reduced), "--metric", "macs",
         "--samples", "3")

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -188,6 +190,27 @@ def test_table_schema_errors(tmp_path):
     headerless.write_text("unit,layer,block_code,value\n")
     with pytest.raises(ConfigError, match="header"):
         load_table(headerless)
+
+
+def test_params_digest_tells_table_configurations_apart(mini_space_2res):
+    space = mini_space_2res
+    table = _flat_table(space, 1.0, {32: 0.0, 64: 0.5})
+    archs = [sample_uniform(space, Stream(1, i)) for i in range(3)]
+    variants = [
+        table,
+        _flat_table(space, 2.0, {32: 0.0, 64: 0.5}),
+        _flat_table(space, 0.0, {32: 0.0, 64: 0.5}),
+        _flat_table(space, -0.0, {32: 0.0, 64: 0.5}),
+        _flat_table(space, 1.0, {32: -0.0, 64: 0.5}),
+        replace(table, direction="maximize"),
+        replace(table, units="s"),
+        exact_table_from_pairs(space, "lat", "minimize", "ms", zip(archs, (1.0, 2.0, 3.0))),
+        exact_table_from_pairs(space, "lat", "minimize", "ms", zip(archs, (1.0, 2.0, 4.0))),
+    ]
+    digests = [table_evaluator(space, t).params_digest for t in variants]
+    assert len(set(digests)) == len(variants)
+    shuffled = replace(table, entries=dict(reversed(table.entries.items())))
+    assert table_evaluator(space, shuffled).params_digest == digests[0]
 
 
 def test_table_evaluator_direction(mini_space):
