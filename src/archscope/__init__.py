@@ -14,12 +14,9 @@ _EXPORTS = {
               "count_placements deserialize enumerate_architectures iter_placements "
               "list_spaces load_space save_space serialize validate_architecture",
     "sampling": "sample_fixed sample_uniform stream",
-    "costs": "AccuracyModel MetricEvaluator accuracy_evaluator macs macs_evaluator "
-             "param_count params_evaluator synthetic_accuracy",
-    "devices": "DeviceProfile identity_profile latency_evaluator load_profile "
-               "profile_latency save_profile",
-    "tables": "MetricTable exact_table_from_pairs load_table save_table table_evaluate "
-              "table_evaluator",
+    "costs": "AccuracyModel MetricEvaluator accuracy_evaluator macs_evaluator params_evaluator",
+    "devices": "DeviceProfile identity_profile latency_evaluator load_profile save_profile",
+    "tables": "MetricTable exact_table_from_pairs load_table save_table table_evaluator",
     "evaluators": "parse_objectives resolve_evaluator",
     "profiler": "SampleSet block_heatmap draw_samples estimate_block_mean "
                 "estimate_placement_stats percentile placement_sweep",

@@ -19,7 +19,10 @@ bigger blocks matter more, which is the shape search experiments need.
 Every metric is a function of a sampling.Genes batch; one architecture is a
 batch of one. Counts, synthetic accuracy, device latency and additive tables
 are each an AdditiveForm: one sum over a batch's units, chained by the
-channel ratio, with one summing loop, dtype rule and sentinel rule.
+channel ratio, with one summing loop, dtype rule and sentinel rule, and
+lowered_evaluator builds each one's evaluator. score is the one way a gene
+batch is scored, by profiles and search alike: one evaluate_batch call per
+evaluator, and on any failure the first failing architecture's error.
 """
 
 from __future__ import annotations
@@ -100,25 +103,6 @@ def _head_terms(space: DesignSpace, c: int, h_final: int) -> list[tuple[int, int
         terms.append((1, c * head.hidden, head.hidden))
         c = head.hidden
     return terms + [(1, c * head.classes, head.classes)]
-
-
-def macs(space: DesignSpace, arch: Architecture, *, count_se: bool = True) -> int:
-    """Exact multiply-accumulate count for the whole network: a batch of one.
-
-    Each call builds the space's count tables; to score many architectures,
-    use macs_evaluator's fn or evaluate_batch, which build them once."""
-    return int(_macs_totals(space, count_se=count_se)(batch_of_one(space, arch))[0])
-
-
-def param_count(space: DesignSpace, arch: Architecture, *, count_se: bool = True,
-                include_bias: bool = False) -> int:
-    """Exact weight count; batch norm excluded, conv biases behind a flag. A
-    batch of one.
-
-    Each call builds the space's count tables; to score many architectures,
-    use params_evaluator's fn or evaluate_batch, which build them once."""
-    totals = _params_totals(space, count_se=count_se, include_bias=include_bias)
-    return int(totals(batch_of_one(space, arch))[0])
 
 
 def _count_form(space: DesignSpace, count: Callable, count_se: bool) -> AdditiveForm:
@@ -385,8 +369,12 @@ def _params_totals(space: DesignSpace, *, count_se: bool = True,
         space, lambda terms: sum(w + (b if include_bias else 0) for _, w, b in terms), count_se)
 
 
-def _lowered_evaluator(space: DesignSpace, name: str, direction: str, build: Callable,
-                       value: Callable, params: dict, resolution_sensitive: bool) -> MetricEvaluator:
+def lowered_evaluator(space: DesignSpace, name: str, direction: str, build: Callable,
+                      params: dict, resolution_sensitive: bool,
+                      value: Callable = float) -> MetricEvaluator:
+    """The evaluator of a metric lowered to build()'s AdditiveForm, built on
+    first use (see Lowered): its batch is the form, and its fn scores one
+    architecture as a batch of one, value converting the sum."""
     lowered = Lowered(space, build)
     return MetricEvaluator(
         name=name,
@@ -398,14 +386,40 @@ def _lowered_evaluator(space: DesignSpace, name: str, direction: str, build: Cal
     )
 
 
+def score(evaluators, genes) -> np.ndarray:
+    """The values [n, m] of a gene batch under m evaluators, one
+    evaluate_batch call each. When anything fails, the rows are scored again
+    one architecture at a time, evaluators in order, through evaluate, so
+    the first failing architecture raises, with the message and record of
+    that loop; a failure that is not an EvaluationError is raised as one
+    naming the evaluator and the architecture's record."""
+    try:
+        return np.column_stack([ev.evaluate_batch(genes) for ev in evaluators])
+    except Exception:
+        pass  # rescored below, outside this handler, so no error chains to the batch's
+    values = np.empty((len(genes), len(evaluators)))
+    for i in range(len(genes)):
+        arch = genes.architecture(i)
+        for j, ev in enumerate(evaluators):
+            try:
+                values[i, j] = ev.evaluate(arch)
+            except EvaluationError:
+                raise
+            except Exception as exc:
+                raise EvaluationError(
+                    f"evaluator {ev.name!r} failed: {exc}", record=arch_key(arch)
+                ) from exc
+    return values
+
+
 def macs_evaluator(space: DesignSpace, **kw) -> MetricEvaluator:
-    return _lowered_evaluator(space, "macs", MINIMIZE, lambda: _macs_totals(space, **kw), int,
-                              {"kind": "macs", **kw}, resolution_sensitive=True)
+    return lowered_evaluator(space, "macs", MINIMIZE, lambda: _macs_totals(space, **kw),
+                             {"kind": "macs", **kw}, resolution_sensitive=True, value=int)
 
 
 def params_evaluator(space: DesignSpace, **kw) -> MetricEvaluator:
-    return _lowered_evaluator(space, "params", MINIMIZE, lambda: _params_totals(space, **kw),
-                              int, {"kind": "params", **kw}, resolution_sensitive=False)
+    return lowered_evaluator(space, "params", MINIMIZE, lambda: _params_totals(space, **kw),
+                             {"kind": "params", **kw}, resolution_sensitive=False, value=int)
 
 
 # ---------------------------------------------------------------------------
@@ -448,38 +462,35 @@ def default_accuracy_model(space: DesignSpace) -> AccuracyModel:
     return AccuracyModel(base=70.0, unit_weights=weights, depth_bonus=bonus)
 
 
-def _axis_rank(value, axis_values) -> float:
-    """Position of value along an ascending attribute axis, scaled to [0, 1]."""
-    if len(axis_values) <= 1:
-        return 0.0
-    return axis_values.index(value) / (len(axis_values) - 1)
-
-
-def _axis_values(space: DesignSpace) -> dict[str, list]:
-    """Each block axis's distinct values over the whole space, ascending.
+def _capacities(space: DesignSpace) -> dict[BlockSpec, float]:
+    """Each distinct block's capacity: 0.5 * its rank on its first axis plus
+    0.5 * its rank on its second. A value's rank is its position among the
+    axis's distinct values over the whole space, ascending, scaled to
+    [0, 1] (0 when the axis has one value).
 
     Raises ValidationError for a block without a value on an axis where
     other blocks have one (a ratio-free bottleneck beside ratio-bound ones),
     since it has no place on that axis."""
+    axes = {b: b.axes() for b in dict.fromkeys(b for unit in space.units for b in unit.blocks)}
     values: dict[str, set] = {}
-    for unit in space.units:
-        for b in unit.blocks:
-            for name, value in b.axes().items():
-                values.setdefault(name, set()).add(value)
+    for named in axes.values():
+        for name, value in named.items():
+            values.setdefault(name, set()).add(value)
     for name, v in values.items():
         if None in v and len(v) > 1:
             unit, block = next((u, b) for u in space.units for b in u.blocks
-                               if b.axes()[name] is None)
+                               if axes[b][name] is None)
             raise ValidationError(
                 f"unit {unit.index} block {block.code!r}: no {name}, which block capacity "
                 f"needs when other blocks of the space have one"
             )
-    return {name: sorted(v) for name, v in values.items()}
-
-
-def _capacity(block: BlockSpec, axis_values: dict[str, list]) -> float:
-    ranks = [_axis_rank(value, axis_values[name]) for name, value in block.axes().items()]
-    return 0.5 * ranks[0] + 0.5 * ranks[1]
+    ranks = {name: {value: i / (len(v) - 1) if len(v) > 1 else 0.0
+                    for i, value in enumerate(sorted(v))} for name, v in values.items()}
+    capacity = {}
+    for block, named in axes.items():
+        first, second = (ranks[name][value] for name, value in named.items())
+        capacity[block] = 0.5 * first + 0.5 * second
+    return capacity
 
 
 def _accuracy_form(space: DesignSpace, model: AccuracyModel) -> AdditiveForm:
@@ -490,27 +501,19 @@ def _accuracy_form(space: DesignSpace, model: AccuracyModel) -> AdditiveForm:
         raise ValidationError("accuracy model does not cover every unit of the space")
     if any(a > b for a, b in zip(model.unit_weights, model.unit_weights[1:])):
         raise ValidationError("accuracy model unit_weights must be nondecreasing")
-    axis_values = _axis_values(space)
+    capacity = _capacities(space)
     terms, bonuses = [], []
     for unit, weight, bonus in zip(space.units, model.unit_weights, model.depth_bonus):
         # each candidate's term, then the absent layer's
-        terms.append(np.array([weight * _capacity(b, axis_values) for b in unit.blocks] + [-0.0]))
+        terms.append(np.array([weight * capacity[b] for b in unit.blocks] + [-0.0]))
         bonuses.append([-0.0] * unit.depth_max + [bonus])
     return AdditiveForm(space, model.base, terms, terms, depth=bonuses,
                         clamp=(model.clamp_lo, model.clamp_hi))
 
 
-def synthetic_accuracy(space: DesignSpace, arch: Architecture, model: AccuracyModel) -> float:
-    """The synthetic accuracy of one architecture: a batch of one.
-
-    Each call builds the model's tables; to score many architectures, use
-    accuracy_evaluator's fn or evaluate_batch, which build them once."""
-    return float(_accuracy_form(space, model)(batch_of_one(space, arch))[0])
-
-
 def accuracy_evaluator(space: DesignSpace, model: AccuracyModel | None = None) -> MetricEvaluator:
     model = model if model is not None else default_accuracy_model(space)
     form = _accuracy_form(space, model)  # a model that does not fit raises here
-    return _lowered_evaluator(space, "synthetic-acc", MAXIMIZE, lambda: form, float,
-                              {"kind": "synthetic-acc", **model.config()},
-                              resolution_sensitive=False)
+    return lowered_evaluator(space, "synthetic-acc", MAXIMIZE, lambda: form,
+                             {"kind": "synthetic-acc", **model.config()},
+                             resolution_sensitive=False)

@@ -19,8 +19,9 @@ factors, expansion-bound CPU cost, resolution-linear mobile latency). They
 are stated as such everywhere they surface.
 
 Latency is summed over a gene batch as an additive form of layer terms
-(costs.AdditiveForm.of_layers); one architecture is a batch of one. What a
-profile cannot price fails only the rows that need it.
+(costs.AdditiveForm.of_layers), which costs.lowered_evaluator makes an
+evaluator; one architecture is a batch of one. What a profile cannot price
+fails only the rows that need it.
 """
 
 from __future__ import annotations
@@ -29,25 +30,11 @@ import math
 from dataclasses import dataclass, field, fields
 from typing import Mapping
 
-from .costs import (
-    MINIMIZE,
-    AdditiveForm,
-    Lowered,
-    MetricEvaluator,
-    batch_of_one,
-    params_digest,
-    unit_spatial_sizes,
-)
+from .costs import MINIMIZE, AdditiveForm, MetricEvaluator, lowered_evaluator, unit_spatial_sizes
 from .errors import ConfigError, ValidationError
 from .formats import (int_or_finite, integer, refuse_unknown, require, require_each,
                       resolve_config, write_json)
-from .spaces import (
-    MBCONV_V2,
-    MBCONV_V3,
-    RESNET_BOTTLENECK,
-    Architecture,
-    DesignSpace,
-)
+from .spaces import MBCONV_V2, MBCONV_V3, RESNET_BOTTLENECK, DesignSpace
 
 PROFILE_VERSION = 1
 
@@ -167,14 +154,6 @@ def _latency_form(space: DesignSpace, profile: DeviceProfile) -> AdditiveForm:
         return cost * scale * profile.layer_base(unit.index, layer + 1) * areas[s][u]
 
     return AdditiveForm.of_layers(space, start, term)
-
-
-def profile_latency(space: DesignSpace, arch: Architecture, profile: DeviceProfile) -> float:
-    """Latency in model milliseconds under a parametric profile: a batch of one.
-
-    Each call prices every cell of the space; to score many architectures,
-    use latency_evaluator's fn or evaluate_batch, which price them once."""
-    return float(_latency_form(space, profile)(batch_of_one(space, arch))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -325,12 +304,5 @@ def save_profile(profile: DeviceProfile, path) -> None:
 
 def latency_evaluator(space: DesignSpace, profile) -> MetricEvaluator:
     profile = load_profile(profile)
-    lowered = Lowered(space, lambda: _latency_form(space, profile))
-    return MetricEvaluator(
-        name=profile.name,
-        direction=MINIMIZE,
-        fn=lambda arch: float(lowered(batch_of_one(space, arch))[0]),
-        resolution_sensitive=len(space.resolutions) > 1,
-        params_digest=params_digest(profile.config()),
-        batch=lowered,
-    )
+    return lowered_evaluator(space, profile.name, MINIMIZE, lambda: _latency_form(space, profile),
+                             profile.config(), resolution_sensitive=len(space.resolutions) > 1)

@@ -29,9 +29,10 @@ and the resolution under the master seed (see sampling.Stream), so results
 are bitwise identical no matter how many workers run the placements or in
 what order they finish. The pass draws and scores whole placements in chunks
 of about PASS_CHUNK rows: the chunk's streams are drawn as one array
-expression (sampling.sample_streams) and one evaluate_batch call scores the
-chunk, so a chunk's rows equal those of one placement at a time, and
-workers run chunks.
+expression (sampling.sample_streams) and costs.score scores the chunk with
+one evaluate_batch call, so a chunk's rows, and the error of its first
+failing row, equal those of one placement at a time, and workers run
+chunks.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .costs import MetricEvaluator
+from .costs import MetricEvaluator, score
 from .errors import ValidationError
 # sample_fixed and sample_uniform are unused here: the benchmark's tracer
 # patches them on this module (and sample_uniform on search); they go with the
@@ -289,20 +290,12 @@ def _draw(space, evaluator, placements, origins, n, resolution) -> np.ndarray:
     """[len(placements), n] metric draws, row k conditioned on placements[k]
     (None: unconditioned) from that placement's stream, whose origins are
     (s[k], gamma[k]) (sampling.stream_origins), sampled as one gene batch
-    (sampling.sample_streams) and scored by one evaluate_batch call. When
-    anything in the batch fails, its placements are drawn again one at a
-    time, so a failure raises at the placement, and with the message and
-    record, where a one-placement-at-a-time loop stops."""
+    (sampling.sample_streams) and scored by costs.score. The batch's rows
+    are in placement order, so a failure raises at the architecture, and
+    with the message and record, where a one-placement-at-a-time loop
+    stops."""
     genes = sample_streams(space, origins, n, placements, resolution)
-    try:
-        return evaluator.evaluate_batch(genes).reshape(len(placements), n)
-    except Exception:
-        if len(placements) == 1:
-            raise
-        s, gamma = origins
-        return np.concatenate(
-            [_draw(space, evaluator, [p], (s[k : k + 1], gamma[k : k + 1]), n, resolution)
-             for k, p in enumerate(placements)])
+    return score([evaluator], genes).reshape(len(placements), n)
 
 
 def draw_samples(

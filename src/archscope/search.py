@@ -17,11 +17,10 @@ mutation module: three draws (the parents, one unit double per child and a
 word matrix), each from its own stream of the generation (see _streams), and
 its duplicates are redrawn together in one more batch;
 dedupe keys are the rows' bytes. No mutation draw depends on a metric, so
-the K children are then scored as one gene batch, one evaluate_batch call
-per objective; generation zero is drawn as one batch by sample_batch. When
-a batch fails in any way, its rows are scored again one architecture at a
-time, so an error names the architecture and the evaluator the
-one-at-a-time loop would have stopped at. Ranking works on the metrics
+the K children are then scored as one gene batch by costs.score, one
+evaluate_batch call per objective, so a failure raises the error of the
+first failing child and objective; generation zero is drawn as one batch
+by sample_batch and scored the same way. Ranking works on the metrics
 matrix. Architecture and EvaluatedArch objects, and the mutation strings,
 are built only for the returned best point or frontier; mutate (a batch of
 one) and pareto_filter are thin wrappers over the same code.
@@ -33,8 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import MAXIMIZE, MINIMIZE, MetricEvaluator
-from .errors import EvaluationError, ValidationError
+from .costs import MAXIMIZE, MINIMIZE, MetricEvaluator, score
+from .errors import ValidationError
 # sample_uniform is unused here: the benchmark's tracer patches it on this
 # module; it goes with the next benchmark change (ROADMAP item 2)
 from .sampling import (
@@ -45,7 +44,7 @@ from .sampling import (
     sample_batch,
     sample_uniform,
 )
-from .spaces import Architecture, DesignSpace, arch_key
+from .spaces import Architecture, DesignSpace
 
 FITNESS_DOMINANCE = "dominance"
 FITNESS_RANK_SUM = "rank_sum"
@@ -287,28 +286,6 @@ def _stats(generation: int, evaluations: int, values: np.ndarray, directions) ->
 # ---------------------------------------------------------------------------
 # the loop
 
-def _metrics(objectives, arch: Architecture) -> tuple[float, ...]:
-    try:
-        return tuple(ev.evaluate(arch) for ev in objectives)
-    except EvaluationError:
-        raise
-    except Exception as exc:
-        raise EvaluationError(
-            f"objective evaluation failed: {exc}", record=arch_key(arch)
-        ) from exc
-
-
-def _score(objectives, genes: Genes) -> np.ndarray:
-    """The metrics matrix [n, m] of a gene batch, one evaluate_batch call per
-    objective. When anything in the batch fails, its rows are scored again
-    one at a time, so a failure raises at the architecture and objective
-    where the one-at-a-time loop stops, with that loop's message and record."""
-    try:
-        return np.column_stack([ev.evaluate_batch(genes) for ev in objectives])
-    except Exception:
-        return np.array([_metrics(objectives, genes.architecture(i)) for i in range(len(genes))])
-
-
 def _streams(seed: int, generation: int) -> list[Stream]:
     """Generation g's streams (seed, STREAM_SEARCH_MUTATE, g, part): its
     parents, unit doubles and words, then the dedupe doubles and words."""
@@ -330,7 +307,7 @@ def evolve(space: DesignSpace, config: SearchConfig) -> SearchResult:
     rows = np.empty((config.budget, first_rows.shape[1]), dtype=np.int64)
     rows[:pop_size] = first_rows
     metrics = np.empty((config.budget, len(objectives)))
-    metrics[:pop_size] = _score(objectives, first)
+    metrics[:pop_size] = score(objectives, first)
     parent_ids = np.full(config.budget, -1, dtype=np.int64)
     mutations = np.full((config.budget, 5), -1, dtype=np.int64)
     seen = set(row_keys(first_rows))  # dedupe keys: gene-row bytes
@@ -346,7 +323,7 @@ def evolve(space: DesignSpace, config: SearchConfig) -> SearchResult:
         if config.dedupe:
             dedupe(tables, picker, retries, parent_rows, kids, descs, seen)
         rows[start:end], mutations[start:end], parent_ids[start:end] = kids, descs, parents
-        metrics[start:end] = _score(objectives, Genes.from_rows(space, rows[start:end]))
+        metrics[start:end] = score(objectives, Genes.from_rows(space, rows[start:end]))
         merged = np.concatenate([population, np.arange(start, end)])
         population = merged[_rank(metrics[merged], pop_size, config)]
         history.append(_stats(gen, end, metrics[population], directions))

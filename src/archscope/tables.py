@@ -10,9 +10,10 @@ the table is bound to a space, not discovered mid-evaluation. Exact tables
 raise on a missing architecture at evaluation time.
 
 Additive tables are summed over a gene batch as device profiles are
-(costs.AdditiveForm.of_layers); one architecture is a batch of one. Exact
-tables are looked up one architecture at a time, so a batch is scored row
-by row.
+(costs.AdditiveForm.of_layers, made an evaluator by costs.lowered_evaluator);
+one architecture is a batch of one. Exact tables are looked up one
+architecture at a time, so a batch is scored row by row. A file that gives
+a placement or architecture twice is refused, not read last value wins.
 
 File format (see docs/FORMATS.md): '#'-prefixed key=value header lines, then
 a CSV body with columns (unit, layer, block_code, value) or
@@ -24,15 +25,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
-import numpy as np
-
 from .costs import (
     MAXIMIZE,
     MINIMIZE,
     AdditiveForm,
-    Lowered,
     MetricEvaluator,
-    batch_of_one,
+    lowered_evaluator,
     params_digest,
 )
 from .errors import ConfigError, CoverageError
@@ -116,33 +114,20 @@ def _table_form(space: DesignSpace, table: MetricTable) -> AdditiveForm:
     return AdditiveForm.of_layers(space, start, term)
 
 
-def table_evaluate(space: DesignSpace, table: MetricTable, arch: Architecture) -> float:
-    """The table's value for one architecture. An additive table is summed as
-    a batch of one, building the table's lookup arrays on every call; to score
-    many architectures, use table_evaluator's fn or evaluate_batch, which
-    build them once."""
-    if table.kind == EXACT:
-        return _exact_value(table, arch)
-    return float(_table_form(space, table)(batch_of_one(space, arch))[0])
-
-
 def table_evaluator(space: DesignSpace, table: MetricTable) -> MetricEvaluator:
     validate_coverage(space, table)
     res_sensitive = (
         table.kind == EXACT
         or len({round(v, 12) for v in table.resolution_constants.values()}) > 1
     )
-    exact = table.kind == EXACT
-    lowered = None if exact else Lowered(space, lambda: _table_form(space, table))
-    return MetricEvaluator(
-        name=table.metric,
-        direction=table.direction,
-        fn=lambda arch: _exact_value(table, arch) if exact
-        else float(lowered(batch_of_one(space, arch))[0]),
-        resolution_sensitive=res_sensitive,
-        params_digest=params_digest({"kind": f"table-{table.kind}", "file": _document(table)}),
-        batch=lowered,
-    )
+    params = {"kind": f"table-{table.kind}", "file": _document(table)}
+    if table.kind == EXACT:  # looked up one architecture at a time: no batch
+        return MetricEvaluator(name=table.metric, direction=table.direction,
+                               fn=lambda arch: _exact_value(table, arch),
+                               resolution_sensitive=res_sensitive,
+                               params_digest=params_digest(params))
+    return lowered_evaluator(space, table.metric, table.direction,
+                             lambda: _table_form(space, table), params, res_sensitive)
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +183,8 @@ def load_table(path, space: DesignSpace | None = None) -> MetricTable:
             (integer(row[0], where), integer(row[1], where), row[2])
             if kind == ADDITIVE else row[0]
         )
+        if key in entries:
+            raise ConfigError(f"{where}: repeats an earlier row's key")
         entries[key] = finite(row[-1], where)
     table = MetricTable(
         space=header["space"],

@@ -696,14 +696,17 @@ def reference_evolve(space, config):
 
     def evaluate(arch, generation, parent_id, mutation):
         nonlocal evaluations
-        try:
-            metrics = tuple(ev.evaluate(arch) for ev in config.objectives)
-        except EvaluationError:
-            raise
-        except Exception as exc:
-            raise EvaluationError(
-                f"objective evaluation failed: {exc}", record=arch_key(arch)
-            ) from exc
+        metrics = []
+        for ev in config.objectives:
+            try:
+                metrics.append(ev.evaluate(arch))
+            except EvaluationError:
+                raise
+            except Exception as exc:
+                raise EvaluationError(
+                    f"evaluator {ev.name!r} failed: {exc}", record=arch_key(arch)
+                ) from exc
+        metrics = tuple(metrics)
         evaluations += 1
         return search.EvaluatedArch(
             arch=arch, metrics=metrics, eval_id=evaluations - 1, generation=generation,

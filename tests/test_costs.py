@@ -6,16 +6,12 @@ import pytest
 from archscope.costs import (
     AccuracyModel,
     MetricEvaluator,
-    _axis_values,
-    _capacity,
+    _capacities,
     accuracy_evaluator,
     default_accuracy_model,
     half,
-    macs,
     macs_evaluator,
-    param_count,
     params_evaluator,
-    synthetic_accuracy,
     unit_spatial_sizes,
 )
 from archscope.errors import EvaluationError, ValidationError
@@ -70,7 +66,8 @@ def test_mbconv_layer_macs_frozen():
                         blocks=(("MBConv3-3", "MBConv3-3"),))
     shallow = Architecture(space="one-unit", resolution=224, depths=(1,),
                            blocks=(("MBConv3-3",),))
-    diff = macs(space, deep) - macs(space, shallow)
+    macs = macs_evaluator(space).fn
+    diff = macs(deep) - macs(shallow)
     assert diff == 2_408_448 + 1_354_752 + 2_408_448 == 6_171_648
 
 
@@ -80,18 +77,18 @@ def test_mbconv_layer_params_frozen():
                         blocks=(("MBConv3-3", "MBConv3-3"),))
     shallow = Architecture(space="one-unit", resolution=224, depths=(1,),
                            blocks=(("MBConv3-3",),))
-    diff = param_count(space, deep) - param_count(space, shallow)
+    params, with_bias = params_evaluator(space).fn, params_evaluator(space, include_bias=True).fn
+    diff = params(deep) - params(shallow)
     # expand 16*48 + depthwise 3*3*48 + project 48*16
     assert diff == 768 + 432 + 768
-    diff_bias = (param_count(space, deep, include_bias=True)
-                 - param_count(space, shallow, include_bias=True))
+    diff_bias = with_bias(deep) - with_bias(shallow)
     assert diff_bias == diff + 48 + 48 + 16
 
 
 def test_macs_deterministic():
     space = load_space("ofa")
     arch = sample_uniform(space, Stream(4, 0))
-    assert macs(space, arch) == macs(space, arch)
+    assert macs_evaluator(space).fn(arch) == macs_evaluator(space).fn(arch)
 
 
 def test_se_toggle_only_affects_se_family():
@@ -99,8 +96,9 @@ def test_se_toggle_only_affects_se_family():
     proxy = load_space("proxylessnas")  # does not
     a = sample_uniform(ofa, Stream(1, 0))
     b = sample_uniform(proxy, Stream(1, 0))
-    assert macs(ofa, a, count_se=True) > macs(ofa, a, count_se=False)
-    assert macs(proxy, b, count_se=True) == macs(proxy, b, count_se=False)
+    assert macs_evaluator(ofa, count_se=True).fn(a) > macs_evaluator(ofa, count_se=False).fn(a)
+    assert (macs_evaluator(proxy, count_se=True).fn(b)
+            == macs_evaluator(proxy, count_se=False).fn(b))
 
 
 def test_macs_monotonic_in_block_size():
@@ -111,28 +109,30 @@ def test_macs_monotonic_in_block_size():
                                  blocks=tuple(("MBConv3-5", "MBConv3-3") for _ in range(5)))
     bigger_expansion = Architecture(space="ofa", resolution=224, depths=(2,) * 5,
                                     blocks=tuple(("MBConv6-3", "MBConv3-3") for _ in range(5)))
-    assert macs(space, bigger_kernel) > macs(space, base)
-    assert macs(space, bigger_expansion) > macs(space, base)
-    assert macs(space, base.__class__(space="ofa", resolution=192, depths=base.depths,
-                                      blocks=base.blocks)) < macs(space, base)
+    macs = macs_evaluator(space).fn
+    assert macs(bigger_kernel) > macs(base)
+    assert macs(bigger_expansion) > macs(base)
+    assert macs(base.__class__(space="ofa", resolution=192, depths=base.depths,
+                               blocks=base.blocks)) < macs(base)
 
 
 def test_walker_agreement_spot(mini_ratio_space):
     space = mini_ratio_space
     rng = Stream(21, 0)
+    macs, params = macs_evaluator(space).fn, params_evaluator(space).fn
+    with_bias = params_evaluator(space, include_bias=True).fn
     for _ in range(25):
         arch = sample_uniform(space, rng)
-        assert macs(space, arch) == walker_macs(space, arch)
-        assert param_count(space, arch) == walker_params(space, arch)
-        assert param_count(space, arch, include_bias=True) == walker_params(
-            space, arch, include_bias=True)
+        assert macs(arch) == walker_macs(space, arch)
+        assert params(arch) == walker_params(space, arch)
+        assert with_bias(arch) == walker_params(space, arch, include_bias=True)
 
 
 def test_unknown_family_rejected(mini_space):
     foreign = Architecture(space="mini", resolution=32, depths=(1, 1),
                            blocks=(("MBConv3-3",), ("nope",)))
     with pytest.raises(ValidationError):
-        macs(mini_space, foreign)
+        macs_evaluator(mini_space).fn(foreign)
 
 
 def test_evaluator_contract(mini_space):
@@ -143,7 +143,7 @@ def test_evaluator_contract(mini_space):
     av = accuracy_evaluator(mini_space)
     assert av.direction == "maximize"
     arch = sample_uniform(mini_space, Stream(0, 0))
-    assert ev.evaluate(arch) == float(macs(mini_space, arch))
+    assert ev.evaluate(arch) == float(walker_macs(mini_space, arch))
     with pytest.raises(ValidationError):
         MetricEvaluator(name="x", direction="sideways", fn=len)
 
@@ -163,29 +163,35 @@ def test_batch_path_rejects_non_finite_values(mini_space, value):
         values[[2, 4]] = value
         return values
 
+    genes = sample_batch(mini_space, Stream(0, STREAM_BASELINE, 0), 6)
     ev = MetricEvaluator(name="broken", direction="maximize", fn=lambda arch: 0.0, batch=stub)
     with pytest.raises(EvaluationError, match="'broken'.*non-finite") as exc:
+        ev.evaluate_batch(genes)
+    assert exc.value.record == arch_key(genes.architecture(2))
+    # a pass raises it too when fn agrees with the batch, as the contract asks
+    bad = {genes.architecture(2), genes.architecture(4)}
+    ev = replace(ev, fn=lambda arch: value if arch in bad else 0.0)
+    with pytest.raises(EvaluationError, match="'broken'.*non-finite") as exc:
         draw_samples(mini_space, ev, 6, seed=0)
-    first_bad = sample_batch(mini_space, Stream(0, STREAM_BASELINE, 0), 6).architecture(2)
-    assert exc.value.record == arch_key(first_bad)
+    assert exc.value.record == arch_key(genes.architecture(2))
 
 
-def _capacities(space, unit):
+def _unit_capacities(space, unit):
     """The capacity the accuracy model gives each of a unit's blocks: its
     rank along both block axes, in [0, 1]."""
-    axis_values = _axis_values(space)
-    return {b.code: _capacity(b, axis_values) for b in space.unit(unit).blocks}
+    capacity = _capacities(space)
+    return {b.code: capacity[b] for b in space.unit(unit).blocks}
 
 
 def test_block_capacity_ordering():
     space = load_space("ofa")
-    cap = _capacities(space, 1)
+    cap = _unit_capacities(space, 1)
     assert cap["MBConv3-3"] == 0.0
     assert cap["MBConv6-7"] == 1.0
     assert cap["MBConv3-3"] < cap["MBConv4-3"] < cap["MBConv6-3"]
     assert cap["MBConv3-3"] < cap["MBConv3-5"] < cap["MBConv3-7"]
     resnet = load_space("resnet50")
-    rcap = _capacities(resnet, 1)
+    rcap = _unit_capacities(resnet, 1)
     assert rcap["C65-B20"] == 0.0 and rcap["C100-B35"] == 1.0
     assert rcap["C65-B35"] == rcap["C100-B20"] == 0.5
 
@@ -193,15 +199,16 @@ def test_block_capacity_ordering():
 def test_synthetic_accuracy_frozen():
     space = load_space("ofa")
     model = default_accuracy_model(space)
+    accuracy = accuracy_evaluator(space, model).fn
     assert model.unit_weights == (0.1, 0.25, 0.4, 0.55, 0.7)
     assert model.depth_bonus == (0.08, 0.11, 0.14, 0.17, 0.2)
     smallest = Architecture(space="ofa", resolution=192, depths=(2,) * 5,
                             blocks=tuple(("MBConv3-3",) * 2 for _ in range(5)))
-    assert synthetic_accuracy(space, smallest, model) == 70.0
+    assert accuracy(smallest) == 70.0
     biggest = Architecture(space="ofa", resolution=224, depths=(4,) * 5,
                            blocks=tuple(("MBConv6-7",) * 4 for _ in range(5)))
     # all capacities 1: 70 + 4 * sum(weights) + sum(bonuses)
-    assert synthetic_accuracy(space, biggest, model) == pytest.approx(78.7)
+    assert accuracy(biggest) == pytest.approx(78.7)
 
 
 def test_synthetic_accuracy_later_units_matter_more():
@@ -216,17 +223,17 @@ def test_synthetic_accuracy_later_units_matter_more():
         return Architecture(space="ofa", resolution=224, depths=base.depths,
                             blocks=tuple(tuple(b) for b in blocks))
 
-    gains = [synthetic_accuracy(space, upgraded(u), model) for u in range(1, 6)]
+    accuracy = accuracy_evaluator(space, model).fn
+    gains = [accuracy(upgraded(u)) for u in range(1, 6)]
     assert gains == sorted(gains)
     assert gains[-1] > gains[0]
 
 
 def test_accuracy_model_validation(mini_space):
-    arch = sample_uniform(mini_space, Stream(0, 0))
     with pytest.raises(ValidationError, match="every unit"):
-        synthetic_accuracy(mini_space, arch, AccuracyModel(unit_weights=(0.1,), depth_bonus=(0.1,)))
+        accuracy_evaluator(mini_space, AccuracyModel(unit_weights=(0.1,), depth_bonus=(0.1,)))
     with pytest.raises(ValidationError, match="nondecreasing"):
-        synthetic_accuracy(mini_space, arch, AccuracyModel(
+        accuracy_evaluator(mini_space, AccuracyModel(
             unit_weights=(0.5, 0.1), depth_bonus=(0.1, 0.1)))
 
 
@@ -235,7 +242,7 @@ def test_accuracy_clamp():
     arch = Architecture(space="ofa", resolution=224, depths=(4,) * 5,
                         blocks=tuple(("MBConv6-7",) * 4 for _ in range(5)))
     model = AccuracyModel(base=99.9, unit_weights=(0.5,) * 5, depth_bonus=(0.5,) * 5)
-    assert synthetic_accuracy(space, arch, model) == 100.0
+    assert accuracy_evaluator(space, model).fn(arch) == 100.0
 
 
 def test_params_digest_tells_accuracy_clamps_apart(mini_space):
@@ -259,14 +266,13 @@ def test_counts_past_int64_stay_exact():
     expected_params = [walker_params(space, a) for a in archs]
     assert min(expected_macs) >= 2**63 and min(expected_params) >= 2**63
     macs_ev, params_ev = macs_evaluator(space), params_evaluator(space)
-    assert [macs(space, a) for a in archs] == [macs_ev.fn(a) for a in archs] == expected_macs
-    assert [param_count(space, a) for a in archs] == [params_ev.fn(a) for a in archs] == (
-        expected_params)
+    assert [macs_ev.fn(a) for a in archs] == expected_macs
+    assert [params_ev.fn(a) for a in archs] == expected_params
     assert macs_ev.evaluate_batch(genes).tolist() == [float(m) for m in expected_macs]
     assert params_ev.evaluate_batch(genes).tolist() == [float(p) for p in expected_params]
 
 
-@pytest.mark.parametrize("count", [macs, param_count])
+@pytest.mark.parametrize("count", [macs_evaluator, params_evaluator], ids=["macs", "param_count"])
 def test_unknown_block_family_has_no_cost_model(count):
     # parse_space_config refuses an unknown family, so only a space built in code reaches this
     block = BlockSpec(code="Attn-3", family="attention", kernel=3, expansion=2)
@@ -274,4 +280,4 @@ def test_unknown_block_family_has_no_cost_model(count):
     space = DesignSpace(name="attn", family="attention", units=(unit,), resolutions=(32,))
     arch = Architecture(space="attn", resolution=32, depths=(1,), blocks=(("Attn-3",),))
     with pytest.raises(ValidationError, match="no cost model for block family 'attention'"):
-        count(space, arch)
+        count(space).fn(arch)

@@ -12,7 +12,6 @@ from archscope.devices import (
     list_profiles,
     load_profile,
     profile_from_config,
-    profile_latency,
     save_profile,
 )
 from archscope.errors import ConfigError, ValidationError
@@ -39,21 +38,20 @@ def test_preset_roster():
 def test_identity_profile_counts_layers():
     for name in ("ofa", "proxylessnas", "resnet50"):
         space = load_space(name)
-        profile = identity_profile(space)
+        latency = latency_evaluator(space, identity_profile(space)).fn
         rng = Stream(1, 0)
         for _ in range(30):
             arch = sample_uniform(space, rng)
-            assert profile_latency(space, arch, profile) == float(sum(arch.depths))
+            assert latency(arch) == float(sum(arch.depths))
 
 
 def test_npu_kernel_ratio_exact():
     space = load_space("ofa")
-    npu = load_profile("npu-like")
+    npu = latency_evaluator(space, "npu-like").fn
     for depth in (2, 3, 4):
         k3 = _uniform_body(space, "MBConv3-3", depth, 224)
         k7 = _uniform_body(space, "MBConv3-7", depth, 224)
-        lat3 = profile_latency(space, k3, npu)
-        lat7 = profile_latency(space, k7, npu)
+        lat3, lat7 = npu(k3), npu(k7)
         assert lat7 > lat3
         # zero overhead and no padding at 224, so the ratio is the raw factor
         assert lat7 / lat3 == pytest.approx(3.2)
@@ -61,9 +59,8 @@ def test_npu_kernel_ratio_exact():
 
 def test_npu_pads_small_resolutions_up():
     space = load_space("ofa")
-    npu = load_profile("npu-like")
-    lat = {r: profile_latency(space, _uniform_body(space, "MBConv4-5", 3, r), npu)
-           for r in (192, 208, 224)}
+    npu = latency_evaluator(space, "npu-like").fn
+    lat = {r: npu(_uniform_body(space, "MBConv4-5", 3, r)) for r in (192, 208, 224)}
     assert lat[192] > lat[208] > lat[224]
 
 
@@ -71,43 +68,41 @@ def test_resolution_above_template_rejected(mini_space_2res):
     profile = identity_profile(mini_space_2res, resolution=32)
     arch = _uniform_body(mini_space_2res, "MBConv3-3", 1, 64)
     with pytest.raises(ValidationError, match="template"):
-        profile_latency(mini_space_2res, arch, profile)
+        latency_evaluator(mini_space_2res, profile).fn(arch)
 
 
 def test_family_mismatch_rejected():
     resnet = load_space("resnet50")
-    npu = load_profile("npu-like")
     arch = sample_uniform(resnet, Stream(0, 0))
     with pytest.raises(ValidationError, match="families"):
-        profile_latency(resnet, arch, npu)
+        latency_evaluator(resnet, "npu-like").fn(arch)
 
 
 def test_gpu_flat_ignores_block_choice():
     space = load_space("ofa")
-    gpu = load_profile("gpu-flat")
+    gpu = latency_evaluator(space, "gpu-flat").fn
     a = _uniform_body(space, "MBConv3-3", 3, 224)
     b = _uniform_body(space, "MBConv6-7", 3, 224)
-    assert profile_latency(space, a, gpu) == profile_latency(space, b, gpu)
+    assert gpu(a) == gpu(b)
     deeper = _uniform_body(space, "MBConv3-3", 4, 224)
-    assert profile_latency(space, deeper, gpu) > profile_latency(space, a, gpu)
+    assert gpu(deeper) > gpu(a)
 
 
 def test_cpu_expansion_dominates():
     space = load_space("ofa")
-    cpu = load_profile("cpu-expansion-bound")
+    cpu = latency_evaluator(space, "cpu-expansion-bound").fn
     e3 = _uniform_body(space, "MBConv3-3", 3, 224)
     e6 = _uniform_body(space, "MBConv6-3", 3, 224)
     k7 = _uniform_body(space, "MBConv3-7", 3, 224)
-    gap_expansion = profile_latency(space, e6, cpu) - profile_latency(space, e3, cpu)
-    gap_kernel = profile_latency(space, k7, cpu) - profile_latency(space, e3, cpu)
+    gap_expansion = cpu(e6) - cpu(e3)
+    gap_kernel = cpu(k7) - cpu(e3)
     assert gap_expansion > gap_kernel > 0
 
 
 def test_note10_tracks_resolution():
     space = load_space("ofa")
-    note10 = load_profile("note10-linear")
-    lat = [profile_latency(space, _uniform_body(space, "MBConv4-3", 3, r), note10)
-           for r in (192, 208, 224)]
+    note10 = latency_evaluator(space, "note10-linear").fn
+    lat = [note10(_uniform_body(space, "MBConv4-3", 3, r)) for r in (192, 208, 224)]
     assert lat[0] < lat[1] < lat[2]
 
 
@@ -119,11 +114,12 @@ def test_unknown_kernel_factor_rejected(mini_space):
         expansion_factor={3: 1.0, 6: 1.0},
         resolution_templates=(32,),
     )
+    latency = latency_evaluator(mini_space, profile).fn
     bad = _uniform_body(mini_space, "MBConv3-5", 1, 32)
     with pytest.raises(ValidationError, match="kernel_factor"):
-        profile_latency(mini_space, bad, profile)
+        latency(bad)
     ok = _uniform_body(mini_space, "MBConv3-3", 1, 32)
-    assert profile_latency(mini_space, ok, profile) == 2.0
+    assert latency(ok) == 2.0
 
 
 def test_factor_positivity_enforced():
@@ -204,7 +200,7 @@ def test_latency_evaluator_binding():
     assert ev.direction == "minimize"
     assert ev.resolution_sensitive
     arch = sample_uniform(space, Stream(2, 0))
-    assert ev.evaluate(arch) == profile_latency(space, arch, load_profile("npu-like"))
+    assert ev.evaluate(arch) == walker_latency(space, arch, load_profile("npu-like"))
 
 
 @pytest.mark.parametrize("fields, named, problem", [

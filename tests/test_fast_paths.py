@@ -760,7 +760,7 @@ def _failing(space, bad_arch, kind):
         return ev.fn(arch)
 
     def batch(genes):
-        values = ev.batch(genes)
+        values = ev.batch(genes).astype(float)  # macs sums in int64, which holds no NaN
         bad = [i for i, a in enumerate(_rows(genes)) if a == bad_arch]
         if bad and kind == "raise":
             raise RuntimeError("batch backend lost")

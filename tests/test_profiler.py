@@ -38,7 +38,7 @@ from archscope.tables import MetricTable, exact_table_from_pairs, table_evaluato
 
 from .conftest import build_mini_ratio_space, build_mini_space
 from .oracles import exact_block_mean, exact_expectation
-from .test_fast_paths import _space_configs
+from .test_fast_paths import _failing, _space_configs
 
 
 def _depth_metric(name="total-depth"):
@@ -452,17 +452,24 @@ def test_pass_scores_each_chunk_with_one_evaluate_batch_call(monkeypatch):
         assert max(sizes) <= max(PASS_CHUNK, n)
 
 
-def test_pass_failing_row_raises_as_the_loop_does(mini_space_2res):
-    space = mini_space_2res
-    placements = list(iter_placements(space))
-    entries = {p.key(): 0.5 for p in placements}
-    table = MetricTable(space=space.name, metric="lat", direction="minimize", units="ms",
-                        kind="additive", entries=entries, resolution_constants={32: 0.0, 64: 1.0})
-    ev = table_evaluator(space, table)  # coverage is checked here, tables built on first use
-    del entries[placements[-1].key()]  # a missing cell: only rows that reach it fail
-    got = _outcome(lambda: _conditioned_pass(space, ev, placements, 20, 3, None, 1))
-    assert got[0] == "CoverageError" and "missing entry for unit 2 layer 2" in got[1]
-    assert got == _outcome(lambda: _loop(space, ev, placements, 20, 3, None))
+def _scalar_loop(space, ev, placements, n, seed, resolution):
+    """The pass as the loop that scores one architecture at a time through
+    evaluate, placement by placement, raising a failure that is not an
+    EvaluationError as one naming the evaluator and the record."""
+    values = []
+    for p in placements:
+        genes = sample_batch(space, Stream(seed, *_stream_key(p, space, resolution)), n, p,
+                             resolution)
+        for i in range(n):
+            arch = genes.architecture(i)
+            try:
+                values.append(ev.evaluate(arch))
+            except EvaluationError:
+                raise
+            except Exception as exc:
+                raise EvaluationError(f"evaluator {ev.name!r} failed: {exc}",
+                                      record=arch_key(arch)) from exc
+    return np.array(values).reshape(len(placements), n)
 
 
 def _batch_dependent(space, bad: bytes, limit: int | None = None):
@@ -483,16 +490,64 @@ def _batch_dependent(space, bad: bytes, limit: int | None = None):
                            batch=batch)
 
 
-def test_pass_rescores_a_failing_chunk_one_placement_at_a_time():
+def _failing_at(space, n, seed, k, i, kind):
+    """An evaluator that fails at row i of the draws conditioned on
+    placement k: a kind of test_fast_paths._failing, a "sentinel" (an
+    additive table that lost placement k's entry after binding, so every row
+    hosting it fails) or a "batch-dependent" error naming the row's index in
+    its batch."""
+    placements = list(iter_placements(space))
+    if kind == "sentinel":
+        entries = {p.key(): 0.5 for p in placements}
+        table = MetricTable(space=space.name, metric="lat", direction="minimize", units="ms",
+                            kind="additive", entries=entries,
+                            resolution_constants={r: 1.0 for r in space.resolutions})
+        ev = table_evaluator(space, table)  # coverage is checked here, tables built on first use
+        del entries[placements[k].key()]
+        return ev
+    genes = sample_batch(space, Stream(seed, *_stream_key(placements[k], space, None)), n,
+                         placements[k])
+    if kind == "batch-dependent":
+        return _batch_dependent(space, genes.rows()[i].tobytes())
+    return _failing(space, genes.architecture(i), kind)
+
+
+def _assert_fails_as_the_scalar_loop(space, ev, n, seed, k, workers):
+    """A pass over every placement, and draw_samples of placement k, raise
+    the scalar loop's EvaluationError: type, message and record."""
+    placements = list(iter_placements(space))
+    got = _outcome(lambda: _conditioned_pass(space, ev, placements, n, seed, None, workers))
+    assert got == _outcome(lambda: _scalar_loop(space, ev, placements, n, seed, None))
+    assert got[0] == "EvaluationError" and got[2] is not None
+    got_one = _outcome(lambda: draw_samples(space, ev, n, seed, placement=placements[k]).values)
+    assert got_one == _outcome(lambda: _scalar_loop(space, ev, placements[k : k + 1], n, seed,
+                                                    None)[0])
+    return got
+
+
+_FAILURES = ["raise", "no-batch", "nan", "sentinel"]
+
+
+@pytest.mark.parametrize("kind", _FAILURES)
+def test_pass_failing_row_raises_as_the_loop_does(mini_space_2res, kind):
+    space = mini_space_2res
+    n, seed = 200, 3  # two placements a chunk
+    k = len(list(iter_placements(space))) - 2
+    ev = _failing_at(space, n, seed, k, 150, kind)
+    got = _assert_fails_as_the_scalar_loop(space, ev, n, seed, k, 1)
+    assert got[1].startswith(f"evaluator {ev.name!r} failed: ")
+
+
+@pytest.mark.parametrize("kind", [*_FAILURES, "batch-dependent"])
+def test_pass_rescores_a_failing_chunk_one_architecture_at_a_time(kind):
     space = load_space("ofa")
     placements = list(iter_placements(space))
     n, seed, k = 3, 11, 7  # placement k's row 2 fails, inside the first chunk
-    genes = sample_batch(space, Stream(seed, *_stream_key(placements[k], space, None)), n,
-                         placements[k])
-    ev = _batch_dependent(space, genes.rows()[2].tobytes())
-    got = _outcome(lambda: _conditioned_pass(space, ev, placements, n, seed, None, 2))
-    assert got[:2] == ("EvaluationError", "row 2 of a batch of 3")
-    assert got == _outcome(lambda: _loop(space, ev, placements, n, seed, None))
+    ev = _failing_at(space, n, seed, k, 2, kind)
+    got = _assert_fails_as_the_scalar_loop(space, ev, n, seed, k, 2)
+    # the batch's own error, "row 2 of a batch of 3", is not what the loop raises
+    expected = "row 0 of a batch of 1" if kind == "batch-dependent" else f"evaluator {ev.name!r}"
+    assert got[1].startswith(expected)
     # a batch path that fails only on a whole chunk still gives the loop's values
     picky = _batch_dependent(space, b"", limit=n)
     assert (_conditioned_pass(space, picky, placements, n, seed, None, 1).tolist()

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from archscope.devices import identity_profile, profile_latency
+from archscope import cli
+from archscope.devices import identity_profile, latency_evaluator
 from archscope.errors import ConfigError, CoverageError
 from archscope.sampling import Genes, Stream, sample_batch, sample_uniform
 from archscope.spaces import (
@@ -20,7 +21,6 @@ from archscope.tables import (
     exact_table_from_pairs,
     load_table,
     save_table,
-    table_evaluate,
     table_evaluator,
     validate_coverage,
 )
@@ -45,17 +45,18 @@ def test_additive_sum_frozen():
         blocks=tuple(("MBConv3-3",) * 3 for _ in range(5)),
     )
     assert sum(arch.depths) == 15
-    assert table_evaluate(space, table, arch) == 15 * 0.5 + 1.0 == 8.5
+    assert table_evaluator(space, table).fn(arch) == 15 * 0.5 + 1.0 == 8.5
 
 
 def test_additive_matches_identity_latency():
     space = load_space("ofa")
     table = _flat_table(space, 1.0, {r: 0.0 for r in space.resolutions})
-    ident = identity_profile(space)
+    value = table_evaluator(space, table).fn
+    latency = latency_evaluator(space, identity_profile(space)).fn
     rng = Stream(17, 0)
     for _ in range(1_000):
         arch = sample_uniform(space, rng)
-        assert table_evaluate(space, table, arch) == profile_latency(space, arch, ident)
+        assert value(arch) == latency(arch)
 
 
 def test_coverage_gap_found_at_bind_time():
@@ -87,13 +88,14 @@ def test_exact_table_lookup_and_miss(mini_space):
         mini_space, "measured", "minimize", "ms",
         [(a, 10.0 + i) for i, a in enumerate(known)],
     )
-    assert table_evaluate(mini_space, table, known[2]) == 12.0
+    value = table_evaluator(mini_space, table).fn
+    assert value(known[2]) == 12.0
     stranger = next(
         a for a in (sample_uniform(mini_space, rng) for _ in range(100))
         if a not in known
     )
     with pytest.raises(CoverageError, match="no value"):
-        table_evaluate(mini_space, table, stranger)
+        value(stranger)
 
 
 def test_table_file_round_trip(tmp_path, mini_space):
@@ -104,9 +106,10 @@ def test_table_file_round_trip(tmp_path, mini_space):
     assert dict(clone.entries) == dict(table.entries)
     assert clone.resolution_constants == {32: 2.5}
     rng = Stream(5, 0)
+    ours, theirs = table_evaluator(mini_space, clone).fn, table_evaluator(mini_space, table).fn
     for _ in range(50):
         arch = sample_uniform(mini_space, rng)
-        assert table_evaluate(mini_space, clone, arch) == table_evaluate(mini_space, table, arch)
+        assert ours(arch) == theirs(arch)
 
 
 def test_exact_table_file_round_trip(tmp_path, mini_space):
@@ -135,6 +138,31 @@ def test_load_table_rejects_non_finite_values(tmp_path, mini_space, kind, bad):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ConfigError, match=f"row .*{bad!r}"):
         load_table(path)
+
+
+@pytest.mark.parametrize("kind", ["additive", "exact"])
+def test_load_table_refuses_a_repeated_key(capsys, tmp_path, kind):
+    # the last value used to win silently
+    space = load_space("ofa")
+    if kind == "additive":
+        table = _flat_table(space, 0.25, {r: 1.0 for r in space.resolutions})
+        repeat = "1,1,MBConv3-3,99.0"
+    else:
+        pairs = [(sample_uniform(space, Stream(6, i)), 1.5) for i in range(3)]
+        table = exact_table_from_pairs(space, "m", "maximize", "", pairs)
+        repeat = f"{sorted(table.entries)[1]},99.0"
+    path = tmp_path / "t.csv"
+    save_table(table, path)
+    path.write_text(path.read_text() + repeat + "\n")
+    with pytest.raises(ConfigError, match=rf"t\.csv: row .*'99\.0'\]: repeats an earlier row's key"):
+        load_table(path)
+    if kind == "additive":  # the CLI names the row and exits 2
+        argv = ["profile", "blocks", "--space", "ofa", "--metric", f"table:{path}",
+                "--samples", "2", "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "repeats an earlier row's key" in err
+        assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), "fast"])
@@ -238,7 +266,7 @@ def test_additive_batch_equals_the_walker_bit_for_bit(config, seed, data):
     expected = [walker_table(table, arch).hex() for arch in archs]
     ev = table_evaluator(space, table)
     assert [v.hex() for v in ev.evaluate_batch(genes).tolist()] == expected
-    assert [table_evaluate(space, table, arch).hex() for arch in archs] == expected
+    assert [ev.fn(arch).hex() for arch in archs] == expected
 
 
 def test_additive_sum_of_negative_zeros_stays_negative(mini_space_2res):
