@@ -19,18 +19,24 @@ bigger blocks matter more, which is the shape search experiments need.
 Every metric is a function of a sampling.Genes batch; one architecture is a
 batch of one. Counts, synthetic accuracy, device latency and additive tables
 are each an AdditiveForm: one sum over a batch's units, chained by the
-channel ratio, with one summing loop, dtype rule and sentinel rule, and
-lowered_evaluator builds each one's evaluator. score is the one way a gene
-batch is scored, by profiles and search alike: one evaluate_batch call per
-evaluator, and on any failure the first failing architecture's error.
+channel ratio, with one gene-batch sum, dtype rule and sentinel rule, and
+lowered_evaluator builds each one's evaluator. A profile pass scores a form
+of its space straight from the stream's words (word_form, then
+AdditiveForm.score_words), the decode composed into the form's tables, to
+the same values. score is the one way a gene batch is scored: by search,
+and by profiles of any other metric or of words that give a non-finite
+value. It makes one evaluate_batch call per evaluator, and on any failure
+raises the first failing architecture's error.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -52,6 +58,7 @@ from .spaces import (
 MINIMIZE = "minimize"
 MAXIMIZE = "maximize"
 SE_REDUCTION = 4  # squeeze-and-excitation width: max(1, mid // SE_REDUCTION)
+WORD_CELLS = 1 << 20  # a form's word tables hold at most this many cells
 
 
 def half(size: int) -> int:
@@ -213,11 +220,28 @@ class Lowered:
         self._fn = None
 
     def __call__(self, genes):
-        if genes.space != self._space:
-            return None
+        return self.form()(genes) if genes.space == self._space else None
+
+    def form(self):
+        """What build() gave, built now if it was not yet."""
         if self._fn is None:
             self._fn = self._build()
-        return self._fn(genes)
+        return self._fn
+
+
+def word_form(evaluator: MetricEvaluator, space: DesignSpace) -> AdditiveForm | None:
+    """The AdditiveForm behind evaluator's batches of space, its word tables
+    built, or None: the evaluator is not lowered, is lowered for another
+    space, its form cannot be built (scoring genes raises why), or its form
+    has no word tables."""
+    lowered = evaluator.batch
+    if not isinstance(lowered, Lowered) or lowered._space != space:
+        return None
+    try:
+        form = lowered.form()
+    except Exception:
+        return None
+    return form if isinstance(form, AdditiveForm) and form.word_tables is not None else None
 
 
 def batch_of_one(space: DesignSpace, arch: Architecture) -> Genes:
@@ -337,10 +361,7 @@ class AdditiveForm:
                 total += np.take(self.depth[u], genes.depth[:, u])
         if self.head is not None:
             total += np.take(self.head, state)
-        if self.clamp is not None:  # max(lo, total), then min(hi, total), as the builtins pick
-            lo, hi = self.clamp
-            total = np.where(total > lo, total, lo)
-            total = np.where(total < hi, total, hi)
+        total = self._clamped(total)
         if self._walk is not None and not np.isfinite(total).all():
             start, term = self._walk
             row = int(np.isfinite(total).argmin())  # the first non-finite row
@@ -351,6 +372,107 @@ class AdditiveForm:
                     if b >= 0:
                         term(s, u, layer, b)
         return total
+
+    def _clamped(self, total: np.ndarray) -> np.ndarray:
+        if self.clamp is None:
+            return total
+        lo, hi = self.clamp  # max(lo, total), then min(hi, total), as the builtins pick
+        total = np.where(total > lo, total, lo)
+        return np.where(total < hi, total, hi)
+
+    @cached_property
+    def word_tables(self) -> tuple | None:
+        """What score_words reads, built on first use (docs/FORMATS.md, "Word
+        tables"); None for a form summed as exact Python ints, or one whose
+        tables would pass WORD_CELLS cells."""
+        space, chained, dtype = self.space, self._chained, self.start.dtype
+        candidates, counts = space.candidate_table()
+        n_res, u_count = len(space.resolutions), len(space.units)
+        lmax = max(u.depth_max for u in space.units)
+        ratios = [len(u.channel_ratios) or 1 for u in space.units]
+        spans = [u.depth_max - u.depth_min + 1 for u in space.units]
+        widths = [math.lcm(*counts[u, :n].tolist()) for u, n in enumerate(ratios)]
+        shapes = np.array([(n_res, ratios[u - 1] if chained and u else 1, n, d, w)
+                           for u, (n, d, w) in enumerate(zip(ratios, spans, widths))])
+        if dtype == object or lmax * sum(map(math.prod, shapes.tolist())) > WORD_CELLS:
+            return None
+        parts = [self.start]
+        for u, (unit, shape) in enumerate(zip(space.units, shapes.tolist())):
+            ratio = np.arange(shape[2])[:, None]
+            cell = ratio if chained else 0 * ratio  # the ratio index the form reads
+            block = candidates[u, ratio, np.arange(shape[4]) % counts[u, ratio]]  # [R, M]
+            depths = np.arange(unit.depth_min, unit.depth_max + 1)
+            # slots past depth_max hold the true identity: adding it changes no sum
+            table = np.full((lmax, *shape), np.array(-0.0).astype(dtype))
+            prev = np.arange(shape[1])[:, None, None]
+            table[0] = self.first[u][:, prev, cell, block][..., None, :]  # [S, P, R, 1, M]
+            for layer in range(1, unit.depth_max):
+                rest = self.rest[u][:, cell, layer - 1, block]  # [S, R, M]
+                absent = self.rest[u][:, cell, layer - 1, -1]  # [S, R, 1]: the form's identity
+                present = (layer < depths)[:, None]
+                table[layer] = np.where(present, rest[:, :, None], absent[:, :, None])[:, None]
+            parts.append(table.reshape(-1))
+        parts += [] if self.depth is None else [
+            t[unit.depth_min :] for t, unit in zip(self.depth, space.units)]
+        head = None if self.head is None else self.head if chained else self.head[:, :1]
+        parts += [] if head is None else [head.reshape(-1)]
+        at = np.cumsum([0] + [len(p) for p in parts[:-1]])  # where each part starts
+        # per unit, the flat-index stride of each word axis: resolution,
+        # previous ratio, ratio, depth (the block word's is 1), and where
+        # each slot's table starts
+        strides = np.cumprod(shapes[:, :0:-1], axis=1)[:, ::-1]
+        layers = at[1 : 1 + u_count, None] + np.arange(lmax) * (strides[:, :1] * shapes[:, :1])
+        depth_at = None if self.depth is None else at[1 + u_count : 1 + 2 * u_count]
+        head_at = None if head is None else (at[-1], head.shape[1])
+        # runs of word rows reduced by one bound: resolution, ratios, depths, block slots
+        bounds = [n_res, *ratios, *spans, *(w for w in widths for _ in range(lmax))]
+        ends = np.cumsum([len(list(group)) for _, group in itertools.groupby(bounds)]).tolist()
+        runs = [(a, b, bounds[a]) for a, b in zip([0, *ends[:-1]], ends)]
+        # score_words' index rows past start in addition order: a unit's
+        # slots then its depth term, then the head
+        rows = np.arange(1, 1 + u_count * lmax).reshape(u_count, lmax)
+        if depth_at is not None:
+            rows = np.hstack([rows, 1 + u_count * lmax + np.arange(u_count)[:, None]])
+        order = rows.ravel().tolist() + ([] if head_at is None else [-1])
+        return np.concatenate(parts), runs, strides, layers, depth_at, head_at, order
+
+    def score_words(self, cols: np.ndarray) -> np.ndarray:
+        """The values, as float, of the rows of a [W, N] word matrix of the
+        form's space (sampling.stream_words), from word_tables, which must not
+        be None: where finite, evaluate_batch of the decoded rows, bit for bit.
+        The additions are the form's own, in its order."""
+        cells, runs, strides, layers, depth_at, head_at, order = self.word_tables
+        u_count, lmax, n = len(layers), layers.shape[1], cols.shape[1]
+        words = np.empty_like(cols)  # each word modulo its own gene's bound
+        for a, b, m in runs:
+            np.floor_divide(cols[a:b], m, out=words[a:b])
+            words[a:b] *= m
+            np.subtract(cols[a:b], words[a:b], out=words[a:b])
+        words = words.view(np.int64)
+        res, ratio, depth = words[0], words[1 : 1 + u_count], words[1 + u_count : 1 + 2 * u_count]
+        # each unit's (resolution, previous ratio, ratio, depth) cell
+        base = np.multiply.outer(strides[:, 0], res)
+        base += depth * strides[:, 3, None]
+        base += ratio * strides[:, 2, None]
+        if self._chained:
+            base[1:] += ratio[:-1] * strides[1:, 1, None]
+        # the cells of a row: start, each unit's layers, each unit's depth
+        # term, the head; added in the form's order
+        index = np.empty((1 + u_count * (lmax + (depth_at is not None)) + (head_at is not None),
+                          n), np.int64)
+        index[0] = res
+        slots = index[1 : 1 + u_count * lmax].reshape(u_count, lmax, n)
+        np.add(words[1 + 2 * u_count :].reshape(u_count, lmax, n), base[:, None], out=slots)
+        slots += layers[:, :, None]
+        if depth_at is not None:
+            np.add(depth, depth_at[:, None], out=index[1 + u_count * lmax :][:u_count])
+        if head_at is not None:
+            index[-1] = head_at[0] + res * head_at[1] + (ratio[-1] if self._chained else 0)
+        values = np.take(cells, index)
+        total = values[0].copy()
+        for row in order:
+            total += values[row]
+        return self._clamped(total).astype(float, copy=False)
 
 
 def params_digest(params: dict) -> str:

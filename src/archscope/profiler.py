@@ -29,8 +29,12 @@ and the resolution under the master seed (see sampling.Stream), so results
 are bitwise identical no matter how many workers run the placements or in
 what order they finish. The pass draws and scores whole placements in chunks
 of about PASS_CHUNK rows: the chunk's streams are drawn as one array
-expression (sampling.sample_streams) and costs.score scores the chunk with
-one evaluate_batch call, so a chunk's rows, and the error of its first
+expression (sampling.stream_words), its pins written into the words
+(sampling.pin_table). A metric lowered to an additive form of the space
+scores the words from the form's word tables, with no gene arrays; any
+other metric, or words that give a non-finite value, are decoded to one
+gene batch (sampling.sample_streams) that costs.score scores with one
+evaluate_batch call. Either way a chunk's rows, and the error of its first
 failing row, equal those of one placement at a time, and workers run
 chunks.
 """
@@ -43,7 +47,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .costs import MetricEvaluator, score
+from .costs import MetricEvaluator, score, word_form
 from .errors import ValidationError
 # sample_fixed and sample_uniform are unused here: the benchmark's tracer
 # patches them on this module (and sample_uniform on search); they go with the
@@ -51,10 +55,12 @@ from .errors import ValidationError
 from .sampling import (
     STREAM_BASELINE,
     STREAM_PLACEMENT,
+    pin_table,
     sample_fixed,
     sample_streams,
     sample_uniform,
     stream_origins,
+    stream_words,
 )
 from .spaces import (
     DesignSpace,
@@ -75,8 +81,14 @@ DEFAULT_TAUS = (5.0, 95.0)
 BOOTSTRAP_RESAMPLES = 200
 
 # rows per scoring call of a conditioned pass: whole placements are drawn and
-# scored together up to this size; larger chunks grew peak memory without
-# a measurable gain
+# scored together up to this size. Re-measured with word tables on a shared
+# 2-vCPU VM, as the CLI runs a pass (the first one in a fresh process;
+# medians of 8-10 alternating processes, n = 50): resnet50 synthetic-acc
+# 7.1 / 8.2 / 9.0 / 9.9 ms and ofa npu-like 7.5 / 9.0 / 9.4 / 10.5 ms at
+# 512 / 1024 / 2048 / 4096 rows; scoring genes instead, 11.2 / 10.9 / 11.5 /
+# 11.8 and 10.7 / 11.6 / 12.0 / 13.3 ms; at n = 1000, ofa npu-like 100 / 101
+# / 115 ms at 512 / 1024 / 2048. Larger chunks read faster only in a
+# process that runs many passes
 PASS_CHUNK = 512
 
 _QUAD_NODES = 16  # Gauss-Legendre nodes per cell: exact up to n = 32
@@ -286,16 +298,23 @@ def _stream_key(placement: Placement | None, space: DesignSpace, resolution: int
     return (STREAM_PLACEMENT, placement.unit, placement.layer, b_idx, res_key)
 
 
-def _draw(space, evaluator, placements, origins, n, resolution) -> np.ndarray:
-    """[len(placements), n] metric draws, row k conditioned on placements[k]
-    (None: unconditioned) from that placement's stream, whose origins are
-    (s[k], gamma[k]) (sampling.stream_origins), sampled as one gene batch
+def _draw(space, evaluator, form, pins, origins, n, resolution) -> np.ndarray:
+    """[len(pins), n] metric draws, row k conditioned on the placement of
+    row k of pins (sampling.pin_table) from its own stream, whose origins
+    are (s[k], gamma[k]) (sampling.stream_origins). With form, the
+    evaluator's costs.word_form, the words (sampling.stream_words) are
+    scored from its word tables. Without one, or where that gives a
+    non-finite value, they are drawn as one gene batch
     (sampling.sample_streams) and scored by costs.score. The batch's rows
     are in placement order, so a failure raises at the architecture, and
     with the message and record, where a one-placement-at-a-time loop
     stops."""
-    genes = sample_streams(space, origins, n, placements, resolution)
-    return score([evaluator], genes).reshape(len(placements), n)
+    if form is not None:
+        values = form.score_words(stream_words(space, origins, n, pins, resolution))
+        if np.isfinite(values).all():
+            return values.reshape(len(pins), n)
+    genes = sample_streams(space, origins, n, pins, resolution)
+    return score([evaluator], genes).reshape(len(pins), n)
 
 
 def draw_samples(
@@ -308,16 +327,15 @@ def draw_samples(
 ) -> SampleSet:
     """n independent metric draws, conditioned on a placement when given.
 
-    The stream named by the placement and resolution is drawn as one gene
-    batch and scored by the evaluator's batch path: a conditioned pass of
-    one placement."""
+    The stream named by the placement and resolution is drawn and scored
+    as one chunk of a conditioned pass (_draw)."""
     if n < 1:
         raise ValidationError(f"sample size must be >= 1, got {n}")
     if placement is not None:
         validate_placement(space, placement)
     return SampleSet(
         metric=evaluator.name,
-        values=_draw(space, evaluator, [placement],
+        values=_draw(space, evaluator, word_form(evaluator, space), pin_table(space, [placement]),
                      stream_origins(seed, [_stream_key(placement, space, resolution)]), n,
                      resolution)[0],
         seed=seed,
@@ -349,12 +367,14 @@ def _conditioned_pass(space, evaluator, placements, n, seed, resolution, workers
         raise ValidationError(f"sample size must be >= 1, got {n}")
     placements = list(placements)
     s, gamma = stream_origins(seed, [_stream_key(p, space, resolution) for p in placements])
+    pins = pin_table(space, placements)
     per_chunk = max(1, PASS_CHUNK // n)
     starts = range(0, len(placements), per_chunk)
+    form = word_form(evaluator, space)  # its tables are built here, before any worker starts
 
     def job(i):
         part = slice(i, i + per_chunk)
-        return _draw(space, evaluator, placements[part], (s[part], gamma[part]), n, resolution)
+        return _draw(space, evaluator, form, pins[part], (s[part], gamma[part]), n, resolution)
 
     if workers <= 1:
         return np.concatenate([job(i) for i in starts])

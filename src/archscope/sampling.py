@@ -24,8 +24,11 @@ A placement condition pins the named block at its (unit, layer) slot and
 resamples nothing else, so every other slot keeps its unconditioned
 marginal; the pinned unit's depth is drawn uniformly from
 {max(layer, depth_min) .. depth_max} so the slot exists, and a pinned block
-bound to a channel ratio fixes its unit's ratio. The pinned slot still takes
-its word, which the pin then overwrites.
+bound to a channel ratio fixes its unit's ratio. A pin is a rewrite of its
+rows' words (pin_table, then _pin), so that plain modulo decoding gives the
+pinned genes: the pinned unit's depth and ratio words and the pinned slot's
+word, which the stream still draws. A profile pass scores such words
+without decoding them (costs.AdditiveForm.score_words).
 """
 
 from __future__ import annotations
@@ -107,15 +110,27 @@ def _words(s: np.ndarray, gamma: np.ndarray, start: int, count: int) -> np.ndarr
 def draw_below(s: np.ndarray, gamma: np.ndarray, start: int, bound: int,
                count: int) -> tuple[np.ndarray, list[int]]:
     """count values uniform on [0, bound) per stream from word start on, int64
-    [K, count], and the index of each stream's next unread word. A word at or
-    above 2**64 - 2**64 % bound is rejected; the rejected positions, in
-    order, take the next accepted words past the batch's end."""
+    [K, count], and the index of each stream's next unread word: the
+    accepted words (_accepted) modulo bound."""
+    words, ends = _accepted(s, gamma, start, bound, count)
+    quotient = words // bound  # a scalar divisor: much faster than words % bound
+    quotient *= bound
+    words -= quotient
+    return words.view(np.int64), ends
+
+
+def _accepted(s: np.ndarray, gamma: np.ndarray, start: int, bound: int,
+              count: int) -> tuple[np.ndarray, list[int]]:
+    """count words per stream from word start on, uint64 [K, count], and the
+    index of each stream's next unread word. A word at or above 2**64 -
+    2**64 % bound is rejected; the rejected positions, in order, take the
+    next accepted words past the batch's end."""
     if not 1 <= bound < 2**63:
         raise ValidationError(f"stream bound must be in [1, 2**63), got {bound}")
     words = _words(s, gamma, start, count)
     ends = [start + count] * len(s)
     limit = 2**64 - 2**64 % bound
-    if limit < 2**64:
+    if limit < 2**64 and words.max(initial=0) >= limit:  # a cheaper test than words >= limit
         rejected = words >= limit
         for k in np.flatnonzero(rejected.any(axis=1)).tolist():
             slots, taken = np.flatnonzero(rejected[k]), []
@@ -124,10 +139,7 @@ def draw_below(s: np.ndarray, gamma: np.ndarray, start: int, bound: int,
                 ends[k] += len(more)
                 taken.extend(more[more < limit])
             words[k, slots] = taken
-    quotient = words // bound  # a scalar divisor: much faster than words % bound
-    quotient *= bound
-    words -= quotient
-    return words.view(np.int64), ends
+    return words, ends
 
 
 class Stream:
@@ -310,25 +322,41 @@ def sample_batch(
     """n architectures as gene arrays from the stream's next n * W words,
     uniform or conditioned on a placement, at a given resolution or over all
     of them."""
-    bound, width = space.sampling_bound(), _width(space)
-    return _decode(space, stream.below(bound, n * width)[None], n, [placement], resolution)
+    values = stream.below(space.sampling_bound(), n * _width(space))
+    return _decode(space, _pin(space, values, n, pin_table(space, [placement]), resolution))
+
+
+def stream_words(
+    space: DesignSpace,
+    origins: tuple[np.ndarray, np.ndarray],
+    n: int,
+    pins: np.ndarray,
+    resolution: int | None = None,
+) -> np.ndarray:
+    """The words of one batch of n architectures per stream, as a uint64
+    [W, K * n] matrix: column k * n + i is row i of the batch from the stream
+    with origins (s[k], gamma[k]) (stream_origins), the words that
+    below(L, n * W) reduces modulo L, in the Genes.rows() layout, with a
+    fixed resolution and row k of pins (pin_table) written in (_pin). As L
+    is a multiple of every bound, each gene is its word modulo its bound.
+    The draws are one array expression for all the streams."""
+    s, gamma = origins
+    words, _ = _accepted(s, gamma, 0, space.sampling_bound(), n * _width(space))
+    return _pin(space, words, n, pins, resolution)
 
 
 def sample_streams(
     space: DesignSpace,
     origins: tuple[np.ndarray, np.ndarray],
     n: int,
-    placements: list[Placement | None],
+    pins: np.ndarray,
     resolution: int | None = None,
 ) -> Genes:
-    """One batch of n architectures per stream, rows [k * n, (k + 1) * n)
-    from the first n * W words of the stream with origins (s[k], gamma[k])
-    (stream_origins), uniform or conditioned on placements[k] (None). Row k
-    equals sample_batch on a fresh Stream with that key; the draws are one
-    array expression for all the streams."""
-    s, gamma = origins
-    values, _ = draw_below(s, gamma, 0, space.sampling_bound(), n * _width(space))
-    return _decode(space, values, n, placements, resolution)
+    """The genes of stream_words: rows [k * n, (k + 1) * n) are one batch
+    per stream, uniform or conditioned on the placement of row k of pins.
+    Row k equals sample_batch on a fresh Stream with that key."""
+    words = stream_words(space, origins, n, pins, resolution) % space.sampling_bound()
+    return _decode(space, words.view(np.int64))
 
 
 def _width(space: DesignSpace) -> int:
@@ -337,52 +365,89 @@ def _width(space: DesignSpace) -> int:
     return 1 + len(units) * (2 + max(u.depth_max for u in units))
 
 
-def _decode(space, values, n, placements, resolution) -> Genes:
-    """The genes of [K, n * W] values below L, read as K * n rows of W in the
-    Genes.rows() layout: each gene is its value modulo its bound (plus its
-    low for a depth), a block slot past the row's depth is -1, and the
-    placements[k] (None: unpinned) pin rows [k * n, (k + 1) * n)."""
+def pin_table(space: DesignSpace, placements: list[Placement | None]) -> np.ndarray:
+    """What each placement (None: unpinned) writes into its rows' words
+    (_pin), as the rows of an int64 [K, 6 + R] array: the pinned unit's
+    index (-1: unpinned), its depth word's low and span, the ratio index the
+    pinned block fixes (-1: none), the unit's ratio count, the slot's word
+    index, then the block's position among the candidates of each ratio.
+    Raises ValidationError for a placement the space does not have."""
     units = space.units
-    u_count = len(units)
-    rows = values.reshape(-1, _width(space))
-    low = np.array([0] + [0] * u_count + [u.depth_min for u in units])
-    bound = np.array([len(space.resolutions)] + [len(u.channel_ratios) or 1 for u in units]
-                     + [u.depth_max - u.depth_min + 1 for u in units])
+    u_count, lmax = len(units), max(u.depth_max for u in units)
+    # per unit, each code's block index: its first candidate, as space.block reads
+    index = [{c.code: b for b, c in reversed(list(enumerate(unit.blocks)))} for unit in units]
+    fields = [(-1, 0, 1, -1, 1, 0, 0)] * len(placements)
+    for k, p in enumerate(placements):
+        if p is None:
+            continue
+        validate_placement(space, p)
+        u = p.unit - 1
+        unit, b = units[u], index[u][p.block_code]
+        ratio, first = unit.blocks[b].channel_ratio, max(p.layer, unit.depth_min)
+        fixed = -1 if not unit.channel_ratios or ratio is None else unit.channel_ratios.index(ratio)
+        fields[k] = (u, first - unit.depth_min, unit.depth_max - first + 1, fixed,
+                     len(unit.channel_ratios) or 1, 1 + 2 * u_count + u * lmax + p.layer - 1, b)
+    fields = np.array(fields, dtype=np.int64).reshape(-1, 7)
+    u, b = fields[:, 0], fields[:, 6]
+    # every ratio a pinned row can take admits the block
+    candidates, counts = space.candidate_table()
+    hit = (candidates[u] == b[:, None, None]) & (
+        np.arange(candidates.shape[2]) < counts[u][:, :, None])
+    return np.concatenate([fields[:, :6], hit.argmax(axis=2)], axis=1)
+
+
+def _pin(space, values, n, pins, resolution) -> np.ndarray:
+    """[K, n * W] words (uint64, or int64 below L) as a [W, K * n] matrix, a
+    column per row in the Genes.rows() layout (a word's values contiguous),
+    with a fixed resolution's index and row k of pins (pin_table) written
+    into the words of rows [k * n, (k + 1) * n), so that plain decoding
+    (_decode) gives the pinned genes (docs/FORMATS.md, "Sampling layout")."""
+    cols = values.reshape(-1, _width(space)).T.copy()
     if resolution is not None:
         if resolution not in space.resolutions:
             raise ValidationError(f"resolution {resolution} not one of {space.resolutions}")
-        low[0], bound[0] = space.resolutions.index(resolution), 1
-    head = rows[:, : 1 + 2 * u_count] % bound
-    head += low
-    pins = []
-    for k, placement in enumerate(placements):
-        if placement is None:
-            continue
-        validate_placement(space, placement)
-        pin, unit = placement.unit - 1, space.unit(placement.unit)
-        part = slice(k * n, (k + 1) * n)
-        pinned = space.block(placement.unit, placement.block_code)
-        if unit.channel_ratios and pinned.channel_ratio is not None:
-            head[part, 1 + pin] = unit.channel_ratios.index(pinned.channel_ratio)
-        first = max(placement.layer, unit.depth_min)
-        head[part, 1 + u_count + pin] = first + rows[part, 1 + u_count + pin] % (
-            unit.depth_max - first + 1)
-        pins.append((part, pin, placement.layer - 1,
-                     [b.code for b in unit.blocks].index(placement.block_code)))
-    ratio, depth = head[:, 1 : 1 + u_count], head[:, 1 + u_count :]
+        cols[0] = space.resolutions.index(resolution)
+    k = np.flatnonzero(pins[:, 0] >= 0)
+    if not len(k):
+        return cols
+    u_count = len(space.units)
+    fields = pins[k].T
+    u, fixed, slot, positions = fields[0], fields[3], fields[5], fields[6:].T
+    # in the words' dtype: uint64 mixed with int64 would compute in float64
+    low, span, ratios = fields[[1, 2, 4], :, None].astype(cols.dtype)
+    words = cols.reshape(len(cols), -1, n)  # [W, K, n]: a pin's rows are one run
+    words[1 + u_count + u, k] = low + words[1 + u_count + u, k] % span
+    ratio = np.maximum(fixed, 0)[:, None]
+    drawn = (fixed < 0) & (ratios[:, 0] > 1)
+    if drawn.any():  # a block free of the ratio gene: its position varies with the row's ratio
+        drawn_ratio = (words[1 + u, k] % ratios).astype(np.int64)
+        ratio = np.where(drawn[:, None], drawn_ratio, ratio)
+    words[1 + u, k] = ratio
+    words[slot, k] = positions[np.arange(len(k))[:, None], ratio]
+    return cols
+
+
+def _decode(space, cols) -> Genes:
+    """The genes of a [W, N] int64 word matrix from _pin: each gene is its
+    word modulo its bound (plus depth_min for a depth), and a block slot
+    past the row's depth is -1."""
+    units = space.units
+    u_count, n = len(units), cols.shape[1]
+    bound = np.array([len(space.resolutions)] + [len(u.channel_ratios) or 1 for u in units]
+                     + [u.depth_max - u.depth_min + 1 for u in units])
+    head = cols[: 1 + 2 * u_count] % bound[:, None]
+    head[1 + u_count :] += np.array([u.depth_min for u in units])[:, None]
+    ratio, depth = head[1 : 1 + u_count], head[1 + u_count :]
     candidates, counts = space.candidate_table()
-    slots = rows[:, 1 + 2 * u_count :].reshape(len(rows), u_count, -1)
-    lmax = slots.shape[2]
-    # present[i, u, l]: slot l is below row i's depth of unit u
-    present = (np.arange(lmax) < np.arange(lmax + 1)[:, None]).take(depth, axis=0)
-    cell = ratio + np.arange(u_count) * counts.shape[1]  # (unit, ratio) of each row
-    picks = _modulo(slots, counts.take(cell)[:, :, None], counts[counts > 0])
+    slots = cols[1 + 2 * u_count :].reshape(u_count, -1, n)
+    cell = ratio + np.arange(u_count)[:, None] * counts.shape[1]  # (unit, ratio) of each row
+    picks = _modulo(slots, counts.take(cell)[:, None], counts[counts > 0])
     cell *= candidates.shape[2]
-    block = candidates.take(picks + cell[:, :, None])
-    np.copyto(block, -1, where=~present)
-    for part, pin, layer, b in pins:
-        block[part, pin, layer] = b
-    return Genes(space=space, resolution=head[:, 0], ratio=ratio, depth=depth, block=block)
+    block = candidates.take(picks + cell[:, None])
+    np.copyto(block, -1, where=np.arange(slots.shape[1])[:, None] >= depth[:, None])
+    # [U, ., N] arrays seen as [N, U, .]: a gene's values stay contiguous
+    return Genes(space=space, resolution=head[0], ratio=ratio.T, depth=depth.T,
+                 block=block.transpose(2, 0, 1))
 
 
 def _modulo(values: np.ndarray, bounds: np.ndarray, distinct: np.ndarray) -> np.ndarray:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from archscope import profiler, sampling
 from archscope.costs import MetricEvaluator, accuracy_evaluator, macs_evaluator
 from archscope.errors import ArchscopeError, EvaluationError, ValidationError
 from archscope.evaluators import resolve_evaluator
@@ -37,7 +38,7 @@ from archscope.spaces import (
 from archscope.tables import MetricTable, exact_table_from_pairs, table_evaluator
 
 from .conftest import build_mini_ratio_space, build_mini_space
-from .oracles import exact_block_mean, exact_expectation
+from .oracles import exact_block_mean, exact_expectation, exhaustive_archs
 from .test_fast_paths import _failing, _space_configs
 
 
@@ -431,9 +432,11 @@ def test_heatmap_rows_equal_the_sample_set_statistics(mini_space_2res):
     assert [(r.block_code, r.resolution, r.mean, r.stderr) for r in report.rows] == expected
 
 
-def test_pass_scores_each_chunk_with_one_evaluate_batch_call(monkeypatch):
-    space = load_space("ofa")
-    ev = resolve_evaluator("npu-like", space)
+def test_pass_scores_each_chunk_with_one_evaluate_batch_call(monkeypatch, mini_space_2res):
+    # an exact table has no additive form, so the pass scores each chunk's genes
+    space = mini_space_2res
+    pairs = [(arch, float(sum(arch.depths))) for _, arch in exhaustive_archs(space)]
+    ev = table_evaluator(space, exact_table_from_pairs(space, "exact", "minimize", "", pairs))
     placements = list(iter_placements(space))
     sizes = []
     evaluate_batch = MetricEvaluator.evaluate_batch
@@ -450,6 +453,34 @@ def test_pass_scores_each_chunk_with_one_evaluate_batch_call(monkeypatch):
         chunks = [placements[i : i + per_chunk] for i in range(0, len(placements), per_chunk)]
         assert sizes == [n * len(chunk) for chunk in chunks], n
         assert max(sizes) <= max(PASS_CHUNK, n)
+
+
+def test_form_backed_passes_score_words_without_genes(monkeypatch):
+    # every lowered metric of the pass's space is scored from the stream's
+    # words: no gene batch is decoded and no evaluate_batch call is made, and
+    # the values are those of scoring the genes
+    space = load_space("ofa")
+    placement = next(iter_placements(space))
+    runs = {
+        "blocks": lambda ev: [(r.block_code, r.resolution, r.mean, r.stderr) for r in
+                              block_heatmap(space, ev, n_per_placement=20, seed=3).rows],
+        "placements": lambda ev: [(r.placement, r.cond_mean, r.rel_tau, r.rel_tau_se) for r in
+                                  placement_sweep(space, ev, 20, seed=3, baseline_n=60).rows],
+        "draw_samples": lambda ev: draw_samples(space, ev, 40, 3, placement, 224).values.tolist(),
+    }
+    metrics = ("macs", "params", "synthetic-acc", "npu-like")
+    with monkeypatch.context() as genes_only:
+        genes_only.setattr(profiler, "word_form", lambda evaluator, space: None)
+        expected = {(m, name): run(resolve_evaluator(m, space))
+                    for m in metrics for name, run in runs.items()}
+
+    def refuse(*args):
+        raise AssertionError("a form-backed pass decoded or scored genes")
+
+    monkeypatch.setattr(sampling, "_decode", refuse)
+    monkeypatch.setattr(MetricEvaluator, "evaluate_batch", refuse)
+    for (metric, name), values in expected.items():
+        assert runs[name](resolve_evaluator(metric, space)) == values, (metric, name)
 
 
 def _scalar_loop(space, ev, placements, n, seed, resolution):

@@ -11,6 +11,7 @@ from archscope.errors import ValidationError
 from archscope.sampling import (
     Stream,
     draw_below,
+    pin_table,
     sample_batch,
     sample_fixed,
     sample_streams,
@@ -150,7 +151,7 @@ def test_streams_in_a_chunk_equal_streams_alone():
     space = load_space("resnet50")
     placements = [None, Placement(2, 1, "C65-B35"), Placement(4, 3, "C100-B20")]
     keys = [(1, k) for k in range(3)]
-    genes = sample_streams(space, stream_origins(5, keys), 7, placements)
+    genes = sample_streams(space, stream_origins(5, keys), 7, pin_table(space, placements))
     alone = [sample_batch(space, Stream(5, *key), 7, p) for key, p in zip(keys, placements)]
     assert genes.rows().tolist() == [row for g in alone for row in g.rows().tolist()]
     together = Stream.each(5, keys)
